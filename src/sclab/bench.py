@@ -1,15 +1,16 @@
-"""Exhaustive SC accuracy benchmarks over all 8-bit input pairs.
+"""Exhaustive SC accuracy benchmarks over all input pairs.
 
-For every stream length the harness generates the comparator threshold form of
-both sequences, builds the 2^n packed streams each side can produce, and
-sweeps every (k1, k2) input pair through the real packed-word kernels.  Error
-accumulation uses exact integer sums of absolute numerator errors, so results
-are identical at any worker count and in any summation order.
+For comparator streams the circuit outputs never need simulating.  Bit i of
+the stream encoding k is 1 exactly when k > thr[i], so the AND of the streams
+for k1 and k2 has popcount #{i : thr_a[i] < k1, thr_b[i] < k2}: a 2-D
+cumulative histogram of the two threshold arrays.  The MUX adder's count
+splits by the select bit into two 1-D cumulative histograms of the data
+thresholds.  Errors are exact integer sums of absolute numerator errors, so
+every MAE is an exact rational.  The packed-word kernels in `ops` are the
+independent oracle the tests check these counts against.
 """
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -19,12 +20,15 @@ import numpy as np
 from .errors import ConfigurationError
 from .sequences import resolve_spec, sequence_thresholds
 
-_WORD = 64
+# the pair-count table has 2^(2*input_bits) cells; it is built _BLOCK_CELLS at a time
+MAX_INPUT_BITS = 12
+_BLOCK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """One sweep: operation, the two sequence specs, and the lengths to visit."""
+    """One sweep: operation, the two sequence specs, and the lengths to visit.
+    `workers` is accepted for compatibility and has no effect."""
 
     operation: str
     sequence_pair: tuple
@@ -38,10 +42,14 @@ class BenchConfig:
         if list(self.lengths) != sorted(self.lengths):
             raise ConfigurationError("lengths must be ascending")
         for n in self.lengths:
-            if n < 2 or n & (n - 1):
-                raise ConfigurationError(f"lengths must be powers of 2, got {n}")
-        if not 1 <= self.input_bits <= 16:
-            raise ConfigurationError(f"input_bits must be in 1..16, got {self.input_bits}")
+            if n < 2 or n & (n - 1) or n > 1 << 24:
+                raise ConfigurationError(f"lengths must be powers of 2 in 2..2^24, got {n}")
+        if not 1 <= self.input_bits <= MAX_INPUT_BITS:
+            raise ConfigurationError(
+                f"input_bits must be in 1..{MAX_INPUT_BITS}, got {self.input_bits}"
+            )
+        if self.workers is not None and self.workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -62,108 +70,101 @@ class MaeReport:
         return {row.length: row.mae_percent for row in self.rows}
 
 
-def _packed_rows(thresholds, levels):
-    """Packed streams for every input numerator 0..levels-1 over one sequence."""
-    thresholds = np.asarray(thresholds, dtype=np.int32)
-    n = thresholds.size
-    bits = thresholds[None, :] < np.arange(levels, dtype=np.int32)[:, None]
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    words = -(-n // _WORD)
-    buf = np.zeros((levels, words * 8), dtype=np.uint8)
-    buf[:, : packed.shape[1]] = packed
-    return buf.view("<u8")
-
-
-def _parallel_sum(worker, k_values, workers):
-    workers = workers or os.cpu_count() or 1
-    if workers <= 1:
-        return sum(worker(k) for k in k_values)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(worker, k_values))
+def _levels(thresholds, k_count):
+    """Smallest input whose comparator bit is 1: 0 for thresholds below 0
+    (always 1), k_count for thresholds >= k_count - 1 (never 1)."""
+    return np.clip(np.asarray(thresholds, dtype=np.int64), -1, k_count - 1) + 1
 
 
 def mul_error_sum(thr_a, thr_b, input_bits=8, workers=None):
     """Exact integer sum over all input pairs of |cnt*K^2 - k1*k2*N|.
 
-    The per-pair MAE contribution is that numerator over N*K^2.
+    The per-pair MAE contribution is that numerator over N*K^2.  `workers`
+    has no effect.
     """
     k_count = 1 << input_bits
     n = len(thr_a)
-    rows_a = _packed_rows(thr_a, k_count)
-    rows_b = _packed_rows(thr_b, k_count)
+    la, lb = _levels(thr_a, k_count), _levels(thr_b, k_count)
+    live = (la < k_count) & (lb < k_count)
+    la, lb = la[live], lb[live]
     ks = np.arange(k_count, dtype=np.int64)
-    kk = np.int64(k_count) * np.int64(k_count)
+    step = max(1, _BLOCK_CELLS // k_count)
+    carry = np.zeros(k_count, dtype=np.int64)  # counts for the row above the block
+    total = 0
+    for r0 in range(0, k_count, step):
+        rows = ks[r0 : r0 + step]
+        inside = (la >= r0) & (la < r0 + rows.size)
+        counts = np.bincount(
+            (la[inside] - r0) * k_count + lb[inside], minlength=rows.size * k_count
+        ).reshape(rows.size, k_count)
+        np.cumsum(counts, axis=1, out=counts)
+        np.cumsum(counts, axis=0, out=counts)
+        counts += carry
+        carry = counts[-1]
+        err = np.abs(counts * (k_count * k_count) - np.outer(rows * n, ks))
+        # row sums stay below 2^63; their total may not
+        total += sum(err.sum(axis=1).tolist())
+    return total
 
-    def worker(k1):
-        pops = np.bitwise_count(rows_a[k1][None, :] & rows_b).sum(axis=1, dtype=np.int64)
-        return int(np.abs(pops * kk - (k1 * n) * ks).sum())
 
-    return _parallel_sum(worker, range(k_count), workers)
+def _sum_abs_outer(a, b):
+    """sum over all i, j of |a[i] + b[j]|, without the outer array."""
+    b = np.sort(b)
+    prefix = np.concatenate(([0], np.cumsum(b)))
+    split = np.searchsorted(b, -a)  # b[:split] < -a
+    below = split * a + prefix[split]
+    above = (b.size - split) * a + (prefix[-1] - prefix[split])
+    return int((above - below).sum())
 
 
 def add_error_sum(thr_data, thr_select, input_bits=8, workers=None):
     """Exact integer sum over all pairs of |cnt*2K - (k1+k2)*N| for the MUX adder.
 
     Both addends come from thr_data (maximally correlated); the select stream
-    encodes one half from thr_select.
+    encodes one half from thr_select.  `workers` has no effect.
     """
     k_count = 1 << input_bits
     n = len(thr_data)
-    rows = _packed_rows(thr_data, k_count)
-    select = _packed_rows(thr_select, k_count // 2 + 1)[k_count // 2]
-    routed0 = rows & ~select[None, :]
-    routed1 = rows & select[None, :]
+    level = _levels(thr_data, k_count)
+    select = np.asarray(thr_select, dtype=np.int64) < k_count // 2
     ks = np.arange(k_count, dtype=np.int64)
-
-    def worker(k1):
-        pops = np.bitwise_count(routed0[k1][None, :] | routed1).sum(axis=1, dtype=np.int64)
-        return int(np.abs(pops * (2 * k_count) - (ks + k1) * n).sum())
-
-    return _parallel_sum(worker, range(k_count), workers)
+    # routed counts: cnt(k1, k2) = ones[0][k1] + ones[1][k2]
+    ones = [np.bincount(level[routed], minlength=k_count + 1).cumsum()[:k_count]
+            for routed in (~select, select)]
+    return _sum_abs_outer(ones[0] * (2 * k_count) - ks * n, ones[1] * (2 * k_count) - ks * n)
 
 
-def _pair_thresholds(config, length):
-    spec_a, spec_b = config.sequence_pair
-    thr_a = sequence_thresholds(resolve_spec(spec_a, length), length, config.input_bits)
-    thr_b = sequence_thresholds(resolve_spec(spec_b, length), length, config.input_bits)
-    return thr_a, thr_b
+def run_bench(config):
+    """MAE-percent of the configured operation over the exhaustive input sweep."""
+    k_count = 1 << config.input_bits
+    if config.operation == "mul":
+        error_sum, per_pair = mul_error_sum, k_count * k_count
+    else:
+        error_sum, per_pair = add_error_sum, 2 * k_count
+    label = " & ".join(s.describe() for s in config.sequence_pair)
+    report = MaeReport(config.operation, label, config.input_bits)
+    for n in config.lengths:
+        start = time.perf_counter()
+        thr_a, thr_b = (sequence_thresholds(resolve_spec(spec, n), n, config.input_bits)
+                        for spec in config.sequence_pair)
+        err = error_sum(thr_a, thr_b, config.input_bits)
+        mae = Fraction(100 * err, k_count * k_count * (n * per_pair))
+        report.rows.append(MaeRow(n, mae, time.perf_counter() - start))
+    return report
 
 
 def mae_mul_sweep(config):
     """MAE-percent of AND multiplication over the exhaustive input sweep."""
     if config.operation != "mul":
         raise ConfigurationError("mae_mul_sweep needs operation='mul'")
-    k_count = 1 << config.input_bits
-    report = _new_report(config)
-    for n in config.lengths:
-        start = time.perf_counter()
-        err = mul_error_sum(*_pair_thresholds(config, n), config.input_bits, config.workers)
-        mae = Fraction(100 * err, k_count * k_count * (n * k_count * k_count))
-        report.rows.append(MaeRow(n, mae, time.perf_counter() - start))
-    return report
+    return run_bench(config)
 
 
 def mae_add_sweep(config):
     """MAE-percent of MUX scaled addition over the exhaustive input sweep."""
     if config.operation != "add":
         raise ConfigurationError("mae_add_sweep needs operation='add'")
-    k_count = 1 << config.input_bits
-    report = _new_report(config)
-    for n in config.lengths:
-        start = time.perf_counter()
-        err = add_error_sum(*_pair_thresholds(config, n), config.input_bits, config.workers)
-        mae = Fraction(100 * err, k_count * k_count * (n * 2 * k_count))
-        report.rows.append(MaeRow(n, mae, time.perf_counter() - start))
-    return report
-
-
-def run_bench(config):
-    return mae_mul_sweep(config) if config.operation == "mul" else mae_add_sweep(config)
-
-
-def _new_report(config):
-    label = " & ".join(s.describe() for s in config.sequence_pair)
-    return MaeReport(config.operation, label, config.input_bits)
+    return run_bench(config)
 
 
 # ---------------------------------------------------------------------------

@@ -329,7 +329,8 @@ def build_parser():
         b.add_argument("--out", choices=("table", "csv"), default="table")
         b.add_argument("--input-bits", type=int, default=8)
         b.add_argument("--workers", type=int, default=None,
-                       help="worker threads (default: all cores); results are identical at any count")
+                       help="accepted for compatibility, no effect: the sweep counts each "
+                       "pair's ones from cumulative threshold histograms in one thread")
         b.set_defaults(func=lambda a, _op=op: _cmd_bench(a, _op))
 
     sc = sub.add_parser("scale", help="SC bilinear image scaling")

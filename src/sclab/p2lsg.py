@@ -81,10 +81,16 @@ def p2lsg_sequence(config, count):
         raise DomainError(
             f"count {count} exceeds the counter period {config.period}"
         )
-    n, base = config.counter_bits, config.base
-    return np.fromiter(
-        (group_reverse(i, n, base) for i in range(count)), dtype=np.int64, count=count
-    )
+    n, g = config.counter_bits, config.group_bits
+    idx = np.arange(count, dtype=np.int64)
+    mask = (1 << min(g, n)) - 1
+    out = np.zeros(count, dtype=np.int64)
+    for j in range(-(-n // g)):
+        # group j lands at bit n - (j+1)*g; a negative offset cuts its pad bits
+        group = (idx >> (j * g)) & mask
+        offset = n - (j + 1) * g
+        out |= group << offset if offset >= 0 else group >> -offset
+    return out
 
 
 def p2lsg_parallel(config, cycles):
@@ -101,10 +107,7 @@ def p2lsg_parallel(config, cycles):
         raise DomainError(
             f"cycles*par = {cycles * par} exceeds the counter period {config.period}"
         )
-    flat = p2lsg_sequence(
-        P2lsgConfig(config.base, config.counter_bits), cycles * par
-    )
-    return flat.reshape(cycles, par)
+    return p2lsg_sequence(config, cycles * par).reshape(cycles, par)
 
 
 def p2lsg_pair_for_length(stream_length):

@@ -35,23 +35,8 @@ _INV_PLASTIC_64 = (13925035116211876495, 10511698010929265436)
 LFSR_DEFAULT_TAPS = 0x71
 LFSR_DEFAULT_BITS = 8
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
-
-
 def _is_prime(n):
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    f = 17
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
 def rescale_integers(values, from_bits, to_bits):
@@ -164,11 +149,6 @@ def gen_r2(dimension_index, index):
     return Fraction((index * a) & _M64, 1 << 64)
 
 
-def _weyl_thresholds(alpha, count, bits):
-    a = np.uint64(_fixed64(alpha))
-    with np.errstate(over="ignore"):
-        prods = np.arange(count, dtype=np.uint64) * a  # wraps mod 2^64
-    return (prods >> np.uint64(64 - bits)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -213,35 +193,32 @@ def sobol_direction_vectors(dimension, bits):
 
 
 def gen_sobol(direction_vectors, count):
-    """Natural-order Sobol outputs from the XOR recurrence.
-
-    The recurrence XORs the cumulative direction mask selected by the least
-    significant zero of the running index, which flips exactly the direction
-    numbers whose counter bits change; element i therefore equals the XOR of
-    V_j over the set bits of i, and dimension 1 reproduces plain bit reversal.
-    """
+    """Natural-order Sobol outputs: element i is the XOR of V_j over the set
+    bits j of i (the closed form of the Gray-code XOR recurrence), so
+    dimension 1 reproduces plain bit reversal."""
     dva = list(direction_vectors)
     if not dva:
         raise ConfigurationError("direction vector array is empty")
-    if any(v == 0 for v in dva):
-        raise ConfigurationError("direction vectors must be nonzero")
+    if any(not 0 < v < 1 << 63 for v in dva):
+        raise ConfigurationError("direction vectors must be in 1..2^63-1")
     n = len(dva)
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
     if count > (1 << n):
         raise DomainError(f"count {count} exceeds the 2^{n} period of the DVA")
-    cum = []
-    acc = 0
-    for v in dva:
-        acc ^= v
-        cum.append(acc)
-    out = np.empty(count, dtype=np.int64)
-    x = 0
-    out[0] = 0
-    for i in range(1, count):
-        lsz = ((i - 1) ^ i).bit_length() - 1  # lowest zero bit of i-1
-        x ^= cum[lsz]
-        out[i] = x
+    nbits = max(v.bit_length() for v in dva)
+    # row j gathers bit nbits-1-j of every V_k, each placed at index bit k
+    rows = [sum((v >> b & 1) << k for k, v in enumerate(dva)) for b in reversed(range(nbits))]
+    return _gf2_outputs(rows, np.arange(count, dtype=np.uint64))
+
+
+def _gf2_outputs(rows, idx):
+    """GF(2) matrix times index bits: output bit j, counted from the most
+    significant of len(rows) <= 63 bits, is the parity of idx & rows[j]."""
+    out = np.zeros(idx.size, dtype=np.int64)
+    for row in rows:
+        out <<= 1
+        out |= np.bitwise_count(idx & np.uint64(row)) & 1
     return out
 
 
@@ -250,18 +227,12 @@ _NIED_POLYS = (0b10, 0b11, 0b111, 0b1011, 0b1101, 0b10011, 0b11001, 0b11111)
 
 
 def _gf2_series_inverse(q, length):
-    # power-series inverse of q(t) with q(0)=1, as a bitmask over t^r
-    s = 1
-    for r in range(1, length):
-        bit = 0
-        k = 1
-        qq = q >> 1
-        while qq and k <= r:
-            if qq & 1 and (s >> (r - k)) & 1:
-                bit ^= 1
-            qq >>= 1
-            k += 1
-        s |= bit << r
+    # power-series inverse of q(t) with q(0)=1, as a bitmask over t^r (long division)
+    s, rem = 0, 1
+    for r in range(length):
+        if (rem >> r) & 1:
+            s |= 1 << r
+            rem ^= q << r
     return s
 
 
@@ -283,10 +254,7 @@ def _niederreiter_rows(dimension, bits):
         )
     poly = _NIED_POLYS[dimension]
     e = poly.bit_length() - 1
-    q = 0
-    for k in range(e + 1):
-        if (poly >> k) & 1:
-            q |= 1 << (e - k)
+    q = int(f"{poly:b}"[::-1], 2)  # reciprocal polynomial
     length = bits + e * (bits // e + 2)
     inv = _gf2_series_inverse(q, length)
     powers = {1: inv}
@@ -297,11 +265,7 @@ def _niederreiter_rows(dimension, bits):
             powers[qq + 1] = _gf2_series_mul(powers[qq], inv, length)
         series = powers[qq + 1]
         shift = e * qq + u + 1
-        row = 0
-        for r in range(shift - 1, bits):
-            if (series >> (r + 1 - shift)) & 1:
-                row |= 1 << r
-        rows.append(row)
+        rows.append((series << (shift - 1)) & ((1 << bits) - 1))
     return tuple(rows)
 
 
@@ -321,12 +285,8 @@ def gen_niederreiter(dimension, count, precision_bits, skip=0):
     total = count + skip
     nbits = max(precision_bits, max(1, (total - 1)).bit_length())
     rows = _niederreiter_rows(dimension, nbits)
-    idx = np.arange(skip, total, dtype=np.uint64)
-    out = np.zeros(count, dtype=np.uint64)
-    for j, row in enumerate(rows):
-        parity = np.bitwise_count(idx & np.uint64(row)) & np.uint64(1)
-        out |= parity << np.uint64(nbits - 1 - j)
-    return rescale_integers(out.astype(np.int64), nbits, precision_bits)
+    out = _gf2_outputs(rows, np.arange(skip, total, dtype=np.uint64))
+    return rescale_integers(out, nbits, precision_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +552,21 @@ def _weyl_alpha(spec):
         raise ConfigurationError(f"bad irrational constant {raw!r}") from exc
 
 
+def _weyl_products(spec, start, count):
+    """frac(i * alpha) for i in start.. in 64-bit fixed point (weyl and r2), as uint64."""
+    if spec.family == "r2":
+        d = spec.get("dim", 0)
+        if d not in (0, 1):
+            raise ConfigurationError(f"r2 dimension must be 0 or 1, got {d}")
+        a = _INV_PLASTIC_64[d]
+    else:
+        a = _fixed64(_weyl_alpha(spec))
+    if start < 0:
+        raise DomainError(f"index must be non-negative, got {start}")
+    with np.errstate(over="ignore"):
+        return np.arange(start, start + count, dtype=np.uint64) * np.uint64(a)  # wraps mod 2^64
+
+
 def _fraction_param(spec, key, default=None):
     raw = spec.get(key)
     if raw is None:
@@ -613,28 +588,11 @@ def sequence_fractions(spec, count, start=0):
     """`count` exact unit-interval values of the described sequence."""
     spec = resolve_spec(spec)
     fam = spec.family
-    idx = range(start, start + count)
-    if fam == "vdc":
-        base = spec.get("base")
-        if base is None:
-            raise ConfigurationError("vdc spec needs base=<int >= 2>")
-        return [gen_vdc(base, i) for i in idx]
-    if fam == "halton":
-        return [gen_halton(spec.get("base", 11), i) for i in idx]
-    if fam == "hammersley":
-        d = spec.get("dim", 0)
-        if d not in (0, 1):
-            raise ConfigurationError(f"hammersley dim must be 0 or 1, got {d}")
-        return [gen_hammersley_pair(i)[d] for i in idx]
-    if fam == "faure":
-        p, d = spec.get("prime", 7), spec.get("dim", 0)
-        return [gen_faure(p, d, i) for i in idx]
-    if fam == "weyl":
-        alpha = _weyl_alpha(spec)
-        return [gen_weyl(alpha, i) for i in idx]
-    if fam == "r2":
-        d = spec.get("dim", 0)
-        return [gen_r2(d, i) for i in idx]
+    if fam in _DIGIT_FAMILIES:
+        num, den = _radical_inverse(spec, start, count)
+        return [Fraction(v, den) for v in num.tolist()]
+    if fam in ("weyl", "r2"):
+        return [Fraction(v, 1 << 64) for v in _weyl_products(spec, start, count).tolist()]
     if fam in ("p2lsg", "sobol", "niederreiter", "lfsr"):
         bits = spec.get("bits", 8)
         scaled = sequence_thresholds(spec, start + count, bits)[start:]
@@ -657,6 +615,8 @@ def sequence_thresholds(spec, count, bits=8):
     This is the comparator-ready form: bit i of the stream encoding k/2^bits
     is 1 exactly when k > thresholds[i].
     """
+    if not 1 <= bits <= 62:
+        raise ConfigurationError(f"bits must be in 1..62, got {bits}")
     spec = resolve_spec(spec)
     fam = spec.family
     if fam == "p2lsg":
@@ -682,52 +642,83 @@ def sequence_thresholds(spec, count, bits=8):
         taps = spec.get("taps", LFSR_DEFAULT_TAPS)
         vals = gen_lfsr(taps, _require_seed(spec), count, n)
         return rescale_integers(vals, n, bits)
-    if fam == "weyl":
-        return _weyl_thresholds(_weyl_alpha(spec), count, bits)
-    if fam == "r2":
-        d = spec.get("dim", 0)
-        if d not in (0, 1):
-            raise ConfigurationError(f"r2 dimension must be 0 or 1, got {d}")
-        return _weyl_thresholds(Fraction(_INV_PLASTIC_64[d], 1 << 64), count, bits)
-    if fam in ("vdc", "halton", "faure"):
-        return _digit_thresholds(spec, count, bits)
+    if fam in ("weyl", "r2"):
+        return (_weyl_products(spec, 0, count) >> np.uint64(64 - bits)).astype(np.int64)
+    if fam in _DIGIT_FAMILIES:
+        return _floor_scaled(*_radical_inverse(spec, 0, count), bits)
     # seeded fraction-valued families
     vals = sequence_fractions(spec, count)
-    return np.fromiter(
-        ((v.numerator << bits) // v.denominator for v in vals),
-        dtype=np.int64,
-        count=count,
-    )
+    return np.array([(v.numerator << bits) // v.denominator for v in vals], dtype=np.int64)
 
 
-def _digit_thresholds(spec, count, bits):
+_DIGIT_FAMILIES = ("vdc", "halton", "hammersley", "faure")
+
+
+def _digit_base(spec):
+    """(base, Faure dimension) of a digit-reversal spec, validated."""
     fam = spec.family
     if fam == "faure":
-        p = spec.get("prime", 7)
+        p, dim = spec.get("prime", 7), spec.get("dim", 0)
         if not _is_prime(p):
             raise ConfigurationError(f"faure base must be prime, got {p}")
-        dim = spec.get("dim", 0)
-    else:
-        p = spec.get("base", 11 if fam == "halton" else None)
-        if p is None:
-            raise ConfigurationError("vdc spec needs base=<int >= 2>")
-        if fam == "halton" and not _is_prime(p):
-            raise ConfigurationError(f"halton base must be prime, got {p}")
-        if p < 2:
-            raise ConfigurationError(f"vdc base must be >= 2, got {p}")
-        dim = 0
-    out = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        digits = []
-        v = i
-        while v:
-            digits.append(v % p)
-            v //= p
-        if dim > 0:
-            digits = _faure_digits(digits, p, dim)
-        num, den = 0, 1
-        for d in digits:
-            num = num * p + d
-            den *= p
-        out[i] = (num << bits) // den
-    return out
+        if dim < 0:
+            raise ConfigurationError(f"faure dimension must be >= 0, got {dim}")
+        return p, dim
+    if fam == "hammersley":
+        d = spec.get("dim", 0)
+        if d not in (0, 1):
+            raise ConfigurationError(f"hammersley dim must be 0 or 1, got {d}")
+        return (2, 3)[d], 0
+    p = spec.get("base", 11 if fam == "halton" else None)
+    if p is None:
+        raise ConfigurationError("vdc spec needs base=<int >= 2>")
+    if fam == "halton" and not _is_prime(p):
+        raise ConfigurationError(f"halton base must be prime, got {p}")
+    if p < 2:
+        raise ConfigurationError(f"vdc base must be >= 2, got {p}")
+    return p, 0
+
+
+def _radical_inverse(spec, start, count):
+    """(numerators, p^L): a digit family's values at start.. over one denominator.
+
+    Every index gets L base-p digits (zero padding mirrors to trailing zeros,
+    so values do not change), Faure-scrambled by a Pascal matrix power mod p,
+    in int64 unless p^L or the matrix product could overflow it.
+    """
+    p, dim = _digit_base(spec)
+    if start < 0:
+        raise DomainError(f"index must be non-negative, got {start}")
+    width = 1
+    while p**width < start + count:
+        width += 1
+    dtype = np.int64 if p**width < 1 << 62 and width * (p - 1) ** 2 < 1 << 63 else object
+    if dim == 0 and start == 0:
+        # index q*p^k + r (r < p^k) puts digit q at fraction place k: grow p^k-blocks
+        num = np.zeros(1, dtype=dtype)
+        for k in range(width):
+            q = np.arange(min(p, -(-count // p**k)), dtype=dtype) * p ** (width - 1 - k)
+            num = (q[:, None] + num).ravel()
+        return num[:count], p**width
+    powers = np.array([p**j for j in range(width)], dtype=dtype)
+    digits = np.arange(start, start + count, dtype=dtype) // powers[:, None] % p  # LSD first
+    if dim > 0:
+        # (C^dim)_{j,r} = C(r,j) * dim^(r-j) mod p for r >= j
+        binom = _binomial_mod(p, width)
+        pascal = [[binom[r][j] * pow(dim, r - j, p) % p if r >= j else 0 for r in range(width)]
+                  for j in range(width)]
+        digits = np.array(pascal, dtype=dtype) @ digits % p
+    return powers[::-1] @ digits, p**width
+
+
+def _floor_scaled(num, den, bits):
+    """floor(num * 2^bits / den) for 0 <= num < den, as int64, by long division
+    a few bits per step so every shifted remainder stays below 2^63."""
+    step = max(1, 63 - den.bit_length())
+    out = np.zeros(num.size, dtype=num.dtype)
+    for done in range(0, bits, step):
+        shift = min(step, bits - done)
+        num = num << shift
+        out = (out << shift) | (num // den)
+        num = num % den
+    return out.astype(np.int64)

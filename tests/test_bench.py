@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sclab import bench
 from sclab.bench import (
     BenchConfig,
     MaeReport,
@@ -19,18 +22,34 @@ from sclab.bench import (
 from sclab.bitstream import FixedUnipolar, decode_unipolar, sng_generate
 from sclab.errors import ConfigurationError
 from sclab.ops import mul_unipolar, mux2
-from sclab.sequences import default_pair, sequence_thresholds
+from sclab.sequences import FAMILIES, default_pair, sequence_thresholds
+
+
+def _comparator_streams(thresholds, input_bits):
+    """Stream for every input numerator 0..K-1 through the real SNG.
+
+    Thresholds outside [0, K) are shifted into a wider comparator, so a
+    threshold below 0 still gives an always-1 bit and one at or above K a
+    never-1 bit.
+    """
+    k_count = 1 << input_bits
+    thresholds = np.asarray(thresholds, dtype=np.int64)
+    offset = max(0, -int(thresholds.min()))
+    wide = (max(int(thresholds.max()), k_count - 1) + offset).bit_length()
+    return [
+        sng_generate(FixedUnipolar(k + offset, wide), thresholds + offset)
+        for k in range(k_count)
+    ]
 
 
 def brute_force_mul_error(thr_a, thr_b, input_bits):
     """Per-pair streams through the real ops, exact fraction accumulation."""
     k_count = 1 << input_bits
-    n = len(thr_a)
+    rows_a = _comparator_streams(thr_a, input_bits)
+    rows_b = _comparator_streams(thr_b, input_bits)
     total = Fraction(0)
-    for k1 in range(k_count):
-        s1 = sng_generate(FixedUnipolar(k1, input_bits), thr_a)
-        for k2 in range(k_count):
-            s2 = sng_generate(FixedUnipolar(k2, input_bits), thr_b)
+    for k1, s1 in enumerate(rows_a):
+        for k2, s2 in enumerate(rows_b):
             est = decode_unipolar(mul_unipolar(s1, s2))
             total += abs(est - Fraction(k1 * k2, k_count * k_count))
     return total
@@ -38,16 +57,23 @@ def brute_force_mul_error(thr_a, thr_b, input_bits):
 
 def brute_force_add_error(thr_data, thr_sel, input_bits):
     k_count = 1 << input_bits
-    n = len(thr_data)
-    sel = sng_generate(FixedUnipolar(k_count // 2, input_bits), thr_sel)
+    sel = _comparator_streams(thr_sel, input_bits)[k_count // 2]
+    rows = _comparator_streams(thr_data, input_bits)
     total = Fraction(0)
-    for k1 in range(k_count):
-        s1 = sng_generate(FixedUnipolar(k1, input_bits), thr_data)
-        for k2 in range(k_count):
-            s2 = sng_generate(FixedUnipolar(k2, input_bits), thr_data)
+    for k1, s1 in enumerate(rows):
+        for k2, s2 in enumerate(rows):
             est = decode_unipolar(mux2(s1, s2, sel))
             total += abs(est - Fraction(k1 + k2, 2 * k_count))
     return total
+
+
+def assert_kernels_match(thr_a, thr_b, input_bits):
+    k_count = 1 << input_bits
+    n = len(thr_a)
+    mul = mul_error_sum(thr_a, thr_b, input_bits=input_bits)
+    assert Fraction(mul, k_count * k_count * n) == brute_force_mul_error(thr_a, thr_b, input_bits)
+    add = add_error_sum(thr_a, thr_b, input_bits=input_bits)
+    assert Fraction(add, 2 * k_count * n) == brute_force_add_error(thr_a, thr_b, input_bits)
 
 
 class TestKernelsAgainstBruteForce:
@@ -74,6 +100,46 @@ class TestKernelsAgainstBruteForce:
             got = Fraction(err, 2 * (1 << bits) * n)
             want = brute_force_add_error(thr_d, thr_s, bits)
             assert got == want
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_count_engine_on_default_pairs(self, family):
+        # 4-bit inputs keep the all-pairs oracle small; lengths 2^2..2^8
+        for exponent in range(2, 9):
+            n = 1 << exponent
+            spec_a, spec_b = default_pair(family, n)
+            assert_kernels_match(
+                sequence_thresholds(spec_a, n, 4), sequence_thresholds(spec_b, n, 4), 4
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda bits: st.tuples(
+                st.just(bits),
+                st.lists(
+                    st.tuples(
+                        st.integers(-3, (1 << bits) + 2), st.integers(-3, (1 << bits) + 2)
+                    ),
+                    min_size=1,
+                    max_size=24,
+                ),
+            )
+        )
+    )
+    def test_count_engine_out_of_range_thresholds(self, case):
+        bits, pairs = case
+        thr_a = np.array([a for a, _ in pairs])
+        thr_b = np.array([b for _, b in pairs])
+        assert_kernels_match(thr_a, thr_b, bits)
+
+    def test_row_blocks_match_single_block(self, monkeypatch):
+        spec_a, spec_b = default_pair("halton", 256)
+        thr_a = sequence_thresholds(spec_a, 256, 6)
+        thr_b = sequence_thresholds(spec_b, 256, 6)
+        whole = mul_error_sum(thr_a, thr_b, input_bits=6)
+        monkeypatch.setattr(bench, "_BLOCK_CELLS", 3 * 64)  # 3-row blocks, short last one
+        assert mul_error_sum(thr_a, thr_b, input_bits=6) == whole
+        assert_kernels_match(thr_a[:40], thr_b[:40], 6)
 
     def test_worker_count_does_not_change_result(self):
         spec_a, spec_b = default_pair("p2lsg", 256)
@@ -134,6 +200,18 @@ class TestSweeps:
         config = BenchConfig("mul", default_pair("p2lsg"), (64,))
         with pytest.raises(ConfigurationError):
             mae_add_sweep(config)
+
+    def test_input_bits_capped(self):
+        BenchConfig("mul", default_pair("p2lsg"), (64,), input_bits=12)
+        for bits in (0, 13, 16):
+            with pytest.raises(ConfigurationError, match="input_bits"):
+                BenchConfig("mul", default_pair("p2lsg"), (64,), input_bits=bits)
+
+    def test_workers_must_be_positive(self):
+        BenchConfig("mul", default_pair("p2lsg"), (64,), workers=1)
+        for workers in (0, -1):
+            with pytest.raises(ConfigurationError, match="workers"):
+                BenchConfig("mul", default_pair("p2lsg"), (64,), workers=workers)
 
     def test_bad_lengths(self):
         with pytest.raises(ConfigurationError):

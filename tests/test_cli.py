@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,23 @@ class TestGen:
                            "--count", "4", "--scale-bits", "8")
         assert code == 0
         assert out.split() == ["0", "128", "64", "192"]
+
+    def test_scale_bits_exact_at_60(self, capsys):
+        code, out, _ = run(capsys, "gen", "--family", "halton", "--base", "13", "--count", "3",
+                           "--index", "100000", "--scale-bits", "60")
+        assert code == 0
+        assert out.split() == ["419543407310238298", "508229676895380373", "596915946480522448"]
+
+    @pytest.mark.parametrize("flags", [
+        ("--family", "halton", "--base", "13", "--index", "7", "--count", "1", "--scale-bits", "64"),
+        ("--family", "sobol", "--dim", "2", "--bits", "8", "--count", "2", "--scale-bits", "64"),
+        ("--family", "halton", "--base", "13", "--count", "3", "--scale-bits", "-1"),
+    ])
+    def test_scale_bits_out_of_range(self, capsys, flags):
+        code, out, err = run(capsys, "gen", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "bits must be in 1..62" in err
 
     def test_hammersley_pairs(self, capsys):
         code, out, _ = run(capsys, "gen", "--family", "hammersley", "--count", "2")
@@ -155,6 +174,30 @@ class TestBench:
                            "--lengths", "6", "--out", "csv", "--workers", "1")
         assert code == 0
         assert out.splitlines()[1].startswith("64,")
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_rejected(self, capsys, workers):
+        code, out, err = run(capsys, "bench-mul", "--seqs", "p2lsg", "--lengths", "6",
+                             "--workers", workers)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "workers must be >= 1" in err
+
+    @pytest.mark.parametrize("bits", ["13", "16"])
+    def test_input_bits_over_cap_rejected_before_sweeping(self, capsys, bits):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bench-mul", "--seqs", "p2lsg", "--lengths", "6",
+                             "--input-bits", bits)
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "input_bits must be in 1..12" in err
+
+    def test_input_bits_at_cap_runs(self, capsys):
+        code, out, _ = run(capsys, "bench-mul", "--seqs", "p2lsg", "--lengths", "6",
+                           "--input-bits", "12", "--out", "csv")
+        assert code == 0
+        assert out.splitlines()[1].startswith("64,1.9466444849967957,")
 
     def test_bad_seqs(self, capsys):
         code, _, err = run(capsys, "bench-mul", "--seqs", "p2lsg2", "--lengths", "6")

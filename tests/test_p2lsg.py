@@ -110,6 +110,13 @@ class TestSequence:
             cells = seq[: 1 << k] >> (n - k)
             assert sorted(cells) == list(range(1 << k))
 
+    @pytest.mark.parametrize(
+        "base,bits", [(2, 16), (65536, 16), (8, 16), (16, 8), (4, 7), (4096, 8), (1 << 80, 8)]
+    )
+    def test_matches_scalar_group_reverse(self, base, bits):
+        seq = p2lsg_sequence(P2lsgConfig(base, bits), 1 << bits)
+        assert seq.tolist() == [group_reverse(i, bits, base) for i in range(1 << bits)]
+
     def test_count_beyond_period_rejected(self):
         with pytest.raises(DomainError):
             p2lsg_sequence(P2lsgConfig(2, 4), 17)
@@ -131,6 +138,12 @@ class TestParallel:
         rows = p2lsg_parallel(cfg, (1 << 8) // par)
         serial = p2lsg_sequence(P2lsgConfig(base, 8), 1 << 8)
         assert np.array_equal(rows.reshape(-1), serial)
+
+    @pytest.mark.parametrize("par,base,bits", [(2, 8, 16), (4, 65536, 16), (8, 4, 7)])
+    def test_rows_match_scalar_group_reverse(self, par, base, bits):
+        rows = p2lsg_parallel(P2lsgConfig(base, bits, par=par), (1 << bits) // par)
+        want = [group_reverse(i, bits, base) for i in range(1 << bits)]
+        assert rows.tolist() == [want[c * par : (c + 1) * par] for c in range(len(rows))]
 
     def test_par_must_be_power_of_two(self):
         with pytest.raises(ConfigurationError):

@@ -222,6 +222,12 @@ class TestSobol:
         with pytest.raises(ConfigurationError):
             gen_sobol([], 4)
 
+    def test_all_dimensions_against_direct_oracle(self):
+        for dim in range(1, 11):
+            dva = sobol_direction_vectors(dim, 12)
+            got = gen_sobol(dva, 1000).tolist()
+            assert got == [sobol_direct_oracle(dva, i) for i in range(1000)]
+
     def test_full_period_permutation(self):
         for dim in (1, 2, 3):
             vals = gen_sobol(sobol_direction_vectors(dim, 8), 256)
@@ -452,6 +458,47 @@ class TestThresholds:
             vals = sequence_fractions(spec, 50)
             for t, v in zip(thr, vals):
                 assert t == (v.numerator * 256) // v.denominator
+
+    @pytest.mark.parametrize("text,oracle", [
+        ("halton:base=11", lambda i: gen_vdc(11, i)),
+        ("halton:base=13", lambda i: gen_vdc(13, i)),
+        ("vdc:base=2", lambda i: gen_vdc(2, i)),
+        ("vdc:base=3", lambda i: gen_vdc(3, i)),
+        ("hammersley:dim=1", lambda i: gen_vdc(3, i)),
+        ("faure:prime=7,dim=0", lambda i: gen_faure(7, 0, i)),
+        ("faure:prime=7,dim=1", lambda i: gen_faure(7, 1, i)),
+        ("faure:prime=7,dim=2", lambda i: gen_faure(7, 2, i)),
+        ("faure:prime=7,dim=3", lambda i: gen_faure(7, 3, i)),
+    ])
+    def test_digit_thresholds_match_scalar_generators(self, text, oracle):
+        from sclab.sequences import sequence_fractions
+
+        spec = SequenceSpec.parse(text)
+        for count in (1, 50, 1000, 2500):  # none a power of 2, 3, 7, 11 or 13
+            want = [oracle(i) for i in range(count)]
+            for bits in (1, 8, 62):
+                got = sequence_thresholds(spec, count, bits).tolist()
+                assert got == [(v.numerator << bits) // v.denominator for v in want]
+            assert sequence_fractions(spec, count - 1, start=1) == want[1:]
+
+    def test_faure_negative_dimension_rejected(self):
+        with pytest.raises(ConfigurationError, match="dimension"):
+            sequence_thresholds(SequenceSpec.parse("faure:prime=7,dim=-1"), 4, 8)
+
+    @pytest.mark.parametrize("text,oracle", [
+        ("vdc:base=100000000000000000000", lambda i: gen_vdc(10**20, i)),
+        ("faure:prime=3037000507,dim=1", lambda i: gen_faure(3037000507, 1, i)),
+    ])
+    def test_digit_thresholds_past_int64(self, text, oracle):
+        # p^L >= 2^62, or a Pascal product past 2^63, runs in Python integers
+        got = sequence_thresholds(SequenceSpec.parse(text), 6, 62).tolist()
+        assert got == [(oracle(i).numerator << 62) // oracle(i).denominator for i in range(6)]
+
+    @pytest.mark.parametrize("bits", [0, -1, 63, 64])
+    def test_bits_out_of_range_rejected(self, bits):
+        for text in ("halton:base=13", "sobol:dim=2,bits=8", "weyl"):
+            with pytest.raises(ConfigurationError, match="bits must be in 1..62"):
+                sequence_thresholds(SequenceSpec.parse(text), 4, bits)
 
     def test_seeded_family_requires_seed(self):
         with pytest.raises(ConfigurationError):
