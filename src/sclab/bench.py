@@ -22,6 +22,8 @@ from .sequences import resolve_spec, sequence_thresholds
 
 # the pair-count table has 2^(2*input_bits) cells; it is built _BLOCK_CELLS at a time
 MAX_INPUT_BITS = 12
+# with MAX_INPUT_BITS this keeps every int64 error sum below 2^63
+MAX_LENGTH = 1 << 24
 _BLOCK_CELLS = 1 << 20
 
 
@@ -42,12 +44,9 @@ class BenchConfig:
         if list(self.lengths) != sorted(self.lengths):
             raise ConfigurationError("lengths must be ascending")
         for n in self.lengths:
-            if n < 2 or n & (n - 1) or n > 1 << 24:
-                raise ConfigurationError(f"lengths must be powers of 2 in 2..2^24, got {n}")
-        if not 1 <= self.input_bits <= MAX_INPUT_BITS:
-            raise ConfigurationError(
-                f"input_bits must be in 1..{MAX_INPUT_BITS}, got {self.input_bits}"
-            )
+            if n < 2 or n & (n - 1):
+                raise ConfigurationError(f"lengths must be powers of 2, got {n}")
+        _check_size(max(self.lengths, default=2), self.input_bits)
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
 
@@ -70,6 +69,14 @@ class MaeReport:
         return {row.length: row.mae_percent for row in self.rows}
 
 
+def _check_size(n, input_bits):
+    """Reject sweeps whose table would not fit in memory or whose sums could overflow."""
+    if not 1 <= input_bits <= MAX_INPUT_BITS:
+        raise ConfigurationError(f"input_bits must be in 1..{MAX_INPUT_BITS}, got {input_bits}")
+    if n > MAX_LENGTH:
+        raise ConfigurationError(f"length must be at most 2^24, got {n}")
+
+
 def _levels(thresholds, k_count):
     """Smallest input whose comparator bit is 1: 0 for thresholds below 0
     (always 1), k_count for thresholds >= k_count - 1 (never 1)."""
@@ -84,6 +91,7 @@ def mul_error_sum(thr_a, thr_b, input_bits=8, workers=None):
     """
     k_count = 1 << input_bits
     n = len(thr_a)
+    _check_size(n, input_bits)
     la, lb = _levels(thr_a, k_count), _levels(thr_b, k_count)
     live = (la < k_count) & (lb < k_count)
     la, lb = la[live], lb[live]
@@ -102,13 +110,18 @@ def mul_error_sum(thr_a, thr_b, input_bits=8, workers=None):
         counts += carry
         carry = counts[-1]
         err = np.abs(counts * (k_count * k_count) - np.outer(rows * n, ks))
-        # row sums stay below 2^63; their total may not
+        # cells are at most N*K^2 <= 2^48, so row sums stay below 2^60 under
+        # MAX_LENGTH and MAX_INPUT_BITS; their total may not
         total += sum(err.sum(axis=1).tolist())
     return total
 
 
 def _sum_abs_outer(a, b):
-    """sum over all i, j of |a[i] + b[j]|, without the outer array."""
+    """sum over all i, j of |a[i] + b[j]|, without the outer array.
+
+    The total stays below 2^63 while |a|, |b| <= 2K*N with N <= MAX_LENGTH
+    and K <= 2^MAX_INPUT_BITS.
+    """
     b = np.sort(b)
     prefix = np.concatenate(([0], np.cumsum(b)))
     split = np.searchsorted(b, -a)  # b[:split] < -a
@@ -125,6 +138,7 @@ def add_error_sum(thr_data, thr_select, input_bits=8, workers=None):
     """
     k_count = 1 << input_bits
     n = len(thr_data)
+    _check_size(n, input_bits)
     level = _levels(thr_data, k_count)
     select = np.asarray(thr_select, dtype=np.int64) < k_count // 2
     ks = np.arange(k_count, dtype=np.int64)

@@ -35,8 +35,23 @@ _INV_PLASTIC_64 = (13925035116211876495, 10511698010929265436)
 LFSR_DEFAULT_TAPS = 0x71
 LFSR_DEFAULT_BITS = 8
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
 def _is_prime(n):
-    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n == p:
+            return True
+        if n % p == 0:
+            return False
+    f = 17
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
 
 
 def rescale_integers(values, from_bits, to_bits):
@@ -149,8 +164,6 @@ def gen_r2(dimension_index, index):
     return Fraction((index * a) & _M64, 1 << 64)
 
 
-
-
 # ---------------------------------------------------------------------------
 # binary-matrix families
 # ---------------------------------------------------------------------------
@@ -227,12 +240,18 @@ _NIED_POLYS = (0b10, 0b11, 0b111, 0b1011, 0b1101, 0b10011, 0b11001, 0b11111)
 
 
 def _gf2_series_inverse(q, length):
-    # power-series inverse of q(t) with q(0)=1, as a bitmask over t^r (long division)
-    s, rem = 0, 1
-    for r in range(length):
-        if (rem >> r) & 1:
-            s |= 1 << r
-            rem ^= q << r
+    # power-series inverse of q(t) with q(0)=1, as a bitmask over t^r
+    s = 1
+    for r in range(1, length):
+        bit = 0
+        k = 1
+        qq = q >> 1
+        while qq and k <= r:
+            if qq & 1 and (s >> (r - k)) & 1:
+                bit ^= 1
+            qq >>= 1
+            k += 1
+        s |= bit << r
     return s
 
 
@@ -254,7 +273,10 @@ def _niederreiter_rows(dimension, bits):
         )
     poly = _NIED_POLYS[dimension]
     e = poly.bit_length() - 1
-    q = int(f"{poly:b}"[::-1], 2)  # reciprocal polynomial
+    q = 0
+    for k in range(e + 1):
+        if (poly >> k) & 1:
+            q |= 1 << (e - k)
     length = bits + e * (bits // e + 2)
     inv = _gf2_series_inverse(q, length)
     powers = {1: inv}
@@ -265,7 +287,11 @@ def _niederreiter_rows(dimension, bits):
             powers[qq + 1] = _gf2_series_mul(powers[qq], inv, length)
         series = powers[qq + 1]
         shift = e * qq + u + 1
-        rows.append((series << (shift - 1)) & ((1 << bits) - 1))
+        row = 0
+        for r in range(shift - 1, bits):
+            if (series >> (r + 1 - shift)) & 1:
+                row |= 1 << r
+        rows.append(row)
     return tuple(rows)
 
 
@@ -648,7 +674,11 @@ def sequence_thresholds(spec, count, bits=8):
         return _floor_scaled(*_radical_inverse(spec, 0, count), bits)
     # seeded fraction-valued families
     vals = sequence_fractions(spec, count)
-    return np.array([(v.numerator << bits) // v.denominator for v in vals], dtype=np.int64)
+    return np.fromiter(
+        ((v.numerator << bits) // v.denominator for v in vals),
+        dtype=np.int64,
+        count=count,
+    )
 
 
 _DIGIT_FAMILIES = ("vdc", "halton", "hammersley", "faure")
@@ -693,22 +723,17 @@ def _radical_inverse(spec, start, count):
     while p**width < start + count:
         width += 1
     dtype = np.int64 if p**width < 1 << 62 and width * (p - 1) ** 2 < 1 << 63 else object
-    if dim == 0 and start == 0:
-        # index q*p^k + r (r < p^k) puts digit q at fraction place k: grow p^k-blocks
-        num = np.zeros(1, dtype=dtype)
-        for k in range(width):
-            q = np.arange(min(p, -(-count // p**k)), dtype=dtype) * p ** (width - 1 - k)
-            num = (q[:, None] + num).ravel()
-        return num[:count], p**width
-    powers = np.array([p**j for j in range(width)], dtype=dtype)
-    digits = np.arange(start, start + count, dtype=dtype) // powers[:, None] % p  # LSD first
+    idx = np.arange(start, start + count, dtype=dtype)
+    digits = np.empty((width, count), dtype=dtype)  # LSD first
+    for j in range(width):
+        idx, digits[j] = idx // p, idx % p
     if dim > 0:
         # (C^dim)_{j,r} = C(r,j) * dim^(r-j) mod p for r >= j
         binom = _binomial_mod(p, width)
         pascal = [[binom[r][j] * pow(dim, r - j, p) % p if r >= j else 0 for r in range(width)]
                   for j in range(width)]
         digits = np.array(pascal, dtype=dtype) @ digits % p
-    return powers[::-1] @ digits, p**width
+    return np.array([p**j for j in reversed(range(width))], dtype=dtype) @ digits, p**width
 
 
 def _floor_scaled(num, den, bits):

@@ -218,6 +218,19 @@ class TestSweeps:
             BenchConfig("mul", default_pair("p2lsg"), (100,))
         with pytest.raises(ConfigurationError):
             BenchConfig("mul", default_pair("p2lsg"), (256, 64))
+        BenchConfig("mul", default_pair("p2lsg"), (1 << 24,), input_bits=12)
+        with pytest.raises(ConfigurationError, match="2\\^24"):
+            BenchConfig("mul", default_pair("p2lsg"), (64, 1 << 25))
+
+    def test_error_sums_enforce_the_caps(self):
+        # the int64 sums rely on the same caps BenchConfig applies
+        long = np.broadcast_to(np.int64(0), (1 << 25,))  # no allocation
+        short = np.zeros(4, dtype=np.int64)
+        for fn in (mul_error_sum, add_error_sum):
+            with pytest.raises(ConfigurationError, match="2\\^24"):
+                fn(long, long, input_bits=8)
+            with pytest.raises(ConfigurationError, match="input_bits"):
+                fn(short, short, input_bits=13)
 
 
 class TestReports:
