@@ -107,7 +107,10 @@ def p2lsg_parallel(config, cycles):
         raise DomainError(
             f"cycles*par = {cycles * par} exceeds the counter period {config.period}"
         )
-    return p2lsg_sequence(config, cycles * par).reshape(cycles, par)
+    flat = p2lsg_sequence(
+        P2lsgConfig(config.base, config.counter_bits), cycles * par
+    )
+    return flat.reshape(cycles, par)
 
 
 def p2lsg_pair_for_length(stream_length):
