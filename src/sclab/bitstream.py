@@ -65,20 +65,24 @@ class FixedUnipolar:
 
 
 class Bitstream:
-    """An immutable-by-convention packed bit sequence of known length."""
+    """An immutable packed bit sequence of known length: `words` is read-only
+    and shares no memory with the buffer it was built from."""
 
     __slots__ = ("words", "length")
 
     def __init__(self, words, length):
-        words = np.ascontiguousarray(words, dtype=np.uint64)
+        buf = np.ascontiguousarray(words, dtype=np.uint64)
         if length < 1:
             raise DomainError(f"stream length must be >= 1, got {length}")
-        if words.shape != (-(-length // WORD_BITS),):
+        if buf.shape != (-(-length // WORD_BITS),):
             raise DomainError(
-                f"word buffer shape {words.shape} does not match length {length}"
+                f"word buffer shape {buf.shape} does not match length {length}"
             )
-        words[-1] &= _pad_mask(length)
-        self.words = words
+        if np.may_share_memory(buf, words):
+            buf = buf.copy()
+        buf[-1] &= _pad_mask(length)
+        buf.flags.writeable = False
+        self.words = buf
         self.length = length
 
     # -- constructors ------------------------------------------------------

@@ -5,6 +5,11 @@ Pixels encode value/256.  Alpha follows compositing semantics: alpha a selects
 the foreground with probability a/256, except a=255 which means fully opaque
 (an all-ones select stream), so binary mattes route bit-exactly.  The same
 mapping defines the reference compositor.
+
+No stream is simulated: a comparator-stream 2-to-1 MUX's ones are gathers
+from one cumulative histogram of (select, data) thresholds, and the 4-to-1
+MUX splits by its v select bit into two of those.  The packed-word circuits
+in `ops` are the tests' independent oracle for these counts.
 """
 
 import math
@@ -13,10 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bench import MAX_LENGTH, _levels
 from .errors import ConfigurationError, DomainError
 from .sequences import SequenceSpec, resolve_spec, sequence_thresholds
-
-_WORD = 64
 
 # default sequence assignment: data from the base-2 reversal, the u select from
 # the counter-order base-N generator, the v select from the binomial-scramble
@@ -172,24 +176,40 @@ def chroma_key_alpha(frame, green_threshold=100, dominance_margin=50):
 # shared SC machinery
 # ---------------------------------------------------------------------------
 
+# largest scale_image_sc output, in pixels (8192 x 8192)
+MAX_OUTPUT_PIXELS = 1 << 26
+# output rows gathered at a time, which bounds the int64 temporaries
+_ROW_BLOCK = 32
+# a v-table update adds one rectangle per new index up to this many (N up to
+# about 4096), else a cumulative histogram whose cost does not grow with N
+_RECT_ADDS = 16
+
+
 def _check_stream_length(n):
-    if n < 2 or n & (n - 1):
-        raise ConfigurationError(f"stream length must be a power of 2, got {n}")
+    if n < 2 or n & (n - 1) or n > MAX_LENGTH:
+        raise ConfigurationError(f"stream length must be a power of 2 in 2..2^24, got {n}")
 
 
-def _packed_table(spec, n):
-    """Packed comparator streams for every numerator 0..256 over one sequence.
+def _stream_levels(spec, n):
+    """Comparator levels of a sequence's 8-bit thresholds: the stream for k/256
+    (k = 256: the fully-opaque select) has a 1 at i exactly when level[i] <= k."""
+    return _levels(sequence_thresholds(resolve_spec(spec, n), n, bits=8), 256)
 
-    Row k holds bits [threshold < k]; row 256 is all ones (the fully-opaque
-    select).
-    """
-    thr = sequence_thresholds(resolve_spec(spec, n), n, bits=8)
-    bits = thr[None, :] < np.arange(257, dtype=np.int64)[:, None]
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    words = -(-n // _WORD)
-    buf = np.zeros((257, words * 8), dtype=np.uint8)
-    buf[:, : packed.shape[1]] = packed
-    return buf.view("<u8")
+
+def _count_table(sel_level, data_level):
+    """C[a, k] = #{i : sel_level[i] <= a, data_level[i] <= k}, a, k in 0..256: the
+    ones in the AND of the select stream for a and the data stream for k."""
+    table = np.bincount(sel_level * 257 + data_level, minlength=257 * 257).reshape(257, 257)
+    np.cumsum(table, axis=0, out=table)
+    np.cumsum(table, axis=1, out=table)
+    return table
+
+
+def _mux2_counts(table, sel_cells, d0, d1):
+    """Ones of 2-to-1 MUXes routing d0 on select 0, d1 on select 1 (sel_cells =
+    257 * select numerator): d0's ones outside the select plus d1's under it."""
+    cells = table.ravel()
+    return table[256][d0] - cells[sel_cells + d0] + cells[sel_cells + d1]
 
 
 def _counts_to_pixels(counts, n):
@@ -198,48 +218,52 @@ def _counts_to_pixels(counts, n):
 
 
 def _axis_map(size, out_size):
-    """Corner-aligned source mapping: exact base index and 8-bit offset per
-    output coordinate (src = dst*(size-1)/(out_size-1), edges clamped)."""
-    base = np.empty(out_size, dtype=np.int64)
-    off8 = np.empty(out_size, dtype=np.int64)
-    for d in range(out_size):
-        if out_size == 1:
-            s = Fraction(0)
-        else:
-            s = Fraction(d * (size - 1), out_size - 1)
-        i = s.numerator // s.denominator
-        base[d] = i
-        off8[d] = min(255, round((s - i) * 256))
-    return base, off8
+    """Corner-aligned source mapping src = dst*(size-1)/(out_size-1) (0 for a
+    single output), in exact integers: the neighbors floor(src) and
+    min(floor(src)+1, size-1), the offset round((src - floor(src))*256) with
+    ties to even, capped at 255, and that offset unrounded as float64."""
+    den = max(out_size - 1, 1)
+    base, rem = np.divmod(np.arange(out_size, dtype=np.int64) * (size - 1), den)
+    off8, twice = np.divmod(rem * 512, 2 * den)
+    off8 += (twice > den) | ((twice == den) & (off8 & 1 == 1))
+    return base, np.minimum(base + 1, size - 1), np.minimum(off8, 255), rem / den
 
 
 # ---------------------------------------------------------------------------
 # bilinear scaling
 # ---------------------------------------------------------------------------
 
-def _scale_plane_sc(pix, out_h, out_w, n, val, usel, vsel):
-    h, w = pix.shape
-    x1, u8 = _axis_map(w, out_w)
-    y1, v8 = _axis_map(h, out_h)
-    x2 = np.minimum(x1 + 1, w - 1)
-    y2 = np.minimum(y1 + 1, h - 1)
-    sel_u = usel[u8]  # (out_w, words)
-    out = np.empty((out_h, out_w), dtype=np.uint8)
-    for yo in range(out_h):
-        r1, r2 = y1[yo], y2[yo]
-        sel_v = vsel[v8[yo]][None, :]
-        i11 = val[pix[r1, x1]]
-        i12 = val[pix[r2, x1]]
-        i21 = val[pix[r1, x2]]
-        i22 = val[pix[r2, x2]]
-        words = (
-            (i11 & ~sel_u & ~sel_v)
-            | (i12 & ~sel_u & sel_v)
-            | (i21 & sel_u & ~sel_v)
-            | (i22 & sel_u & sel_v)
-        )
-        counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-        out[yo] = _counts_to_pixels(counts, n)
+def _scale_sc(pix, out_h, out_w, n, data, u_level, v_level):
+    """4-to-1 MUX scaling of an (H, W, C) raster from comparator counts.
+
+    For one v offset the indices split by the v select bit, and each half is a
+    2-to-1 MUX over u.  Rows are visited in ascending v offset, so the count
+    table of the half whose v bit is 1 only ever grows.
+    """
+    y1, y2, v8, _ = _axis_map(pix.shape[0], out_h)
+    x1, x2, u8, _ = _axis_map(pix.shape[1], out_w)
+    u_cells = 257 * u8[:, None]
+    whole = _count_table(u_level, data)
+    upper = np.zeros_like(whole)
+    by_v = np.argsort(v_level, kind="stable")
+    sorted_v, added = v_level[by_v], 0
+    rows_by_v = np.argsort(v8, kind="stable")
+    out = np.empty((out_h, out_w, pix.shape[2]), dtype=np.uint8)
+    for rows in np.split(rows_by_v, np.flatnonzero(np.diff(v8[rows_by_v])) + 1):
+        stop = np.searchsorted(sorted_v, v8[rows[0]], side="right")
+        new = by_v[added:stop]
+        if new.size > _RECT_ADDS:
+            upper += _count_table(u_level[new], data[new])
+        else:
+            for i in new:
+                upper[u_level[i]:, data[i]:] += 1
+        added, lower = stop, whole - upper
+        for r in range(0, rows.size, _ROW_BLOCK):
+            block = rows[r : r + _ROW_BLOCK]
+            top, bottom = (pix[y[block]].astype(np.int64) for y in (y1, y2))
+            counts = (_mux2_counts(lower, u_cells, top.take(x1, 1), top.take(x2, 1))
+                      + _mux2_counts(upper, u_cells, bottom.take(x1, 1), bottom.take(x2, 1)))
+            out[block] = _counts_to_pixels(counts, n)
     return out
 
 
@@ -247,7 +271,10 @@ def _output_dims(h, w, factor):
     f = Fraction(factor)
     if f < 1:
         raise DomainError(f"scale factor must be >= 1, got {factor}")
-    return round(h * f), round(w * f)
+    out_h, out_w = round(h * f), round(w * f)
+    if out_h * out_w > MAX_OUTPUT_PIXELS:
+        raise DomainError(f"scaled size {out_h}x{out_w} exceeds {MAX_OUTPUT_PIXELS} pixels")
+    return out_h, out_w
 
 
 def scale_image_sc(image, scale_factor, stream_length=256,
@@ -259,47 +286,25 @@ def scale_image_sc(image, scale_factor, stream_length=256,
     u and v drive the two select streams from two further sequences.
     """
     _check_stream_length(stream_length)
-    out_h, out_w = _output_dims(
-        image.pixels.shape[0], image.pixels.shape[1], scale_factor
-    )
-    val = _packed_table(seq_data, stream_length)
-    usel = _packed_table(seq_u, stream_length)
-    vsel = _packed_table(seq_v, stream_length)
+    pix = image.pixels
+    out_h, out_w = _output_dims(pix.shape[0], pix.shape[1], scale_factor)
+    levels = [_stream_levels(spec, stream_length) for spec in (seq_data, seq_u, seq_v)]
     if isinstance(image, GrayImage):
-        return GrayImage(
-            _scale_plane_sc(image.pixels, out_h, out_w, stream_length, val, usel, vsel)
-        )
-    planes = [
-        _scale_plane_sc(image.pixels[..., c], out_h, out_w, stream_length, val, usel, vsel)
-        for c in range(3)
-    ]
-    return RgbImage(np.stack(planes, axis=-1))
+        return GrayImage(_scale_sc(pix[..., None], out_h, out_w, stream_length, *levels)[..., 0])
+    return RgbImage(_scale_sc(pix, out_h, out_w, stream_length, *levels))
 
 
 def bilinear_reference(image, scale_factor):
     """Exact bilinear resampling oracle as float64, same grid convention."""
     pix = image.pixels if isinstance(image, (GrayImage, RgbImage)) else np.asarray(image)
     gray = pix.ndim == 2
-    if gray:
-        pix = pix[..., None]
+    pix = pix.reshape(*pix.shape[:2], -1)
     h, w = pix.shape[:2]
     out_h, out_w = _output_dims(h, w, scale_factor)
-    # exact integer coordinate ratios, converted to float at the end
-    def axis(size, out_size):
-        if out_size == 1:
-            return np.zeros(1, np.int64), np.zeros(1)
-        num = np.arange(out_size, dtype=np.int64) * (size - 1)
-        den = out_size - 1
-        base = num // den
-        frac = (num - base * den) / den
-        return base, frac
-    x1, u = axis(w, out_w)
-    y1, v = axis(h, out_h)
-    x2 = np.minimum(x1 + 1, w - 1)
-    y2 = np.minimum(y1 + 1, h - 1)
+    x1, x2, _, u = _axis_map(w, out_w)
+    y1, y2, _, v = _axis_map(h, out_h)
     p = pix.astype(np.float64)
-    uu = u[None, :, None]
-    vv = v[:, None, None]
+    uu, vv = u[None, :, None], v[:, None, None]
     out = (
         (1 - uu) * (1 - vv) * p[y1][:, x1]
         + (1 - uu) * vv * p[y2][:, x1]
@@ -333,18 +338,12 @@ def merge_scene_sc(background, foreground, alpha, stream_length=256,
             f"dimension mismatch: bg {bg.shape}, fg {fg.shape}, alpha {alpha.alpha.shape}"
         )
     n = stream_length
-    val = _packed_table(seq_data, n)
-    sel_table = _packed_table(seq_select, n)
-    sel_nums = _alpha_select_numerators(alpha.alpha)
+    table = _count_table(_stream_levels(seq_select, n), _stream_levels(seq_data, n))
+    sel_cells = 257 * _alpha_select_numerators(alpha.alpha)[..., None]
     out = np.empty_like(bg)
-    for row in range(bg.shape[0]):
-        sel = sel_table[sel_nums[row]]  # (W, words)
-        for c in range(3):
-            bg_s = val[bg[row, :, c]]
-            fg_s = val[fg[row, :, c]]
-            words = (bg_s & ~sel) | (fg_s & sel)
-            counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-            out[row, :, c] = _counts_to_pixels(counts, n)
+    for r in range(0, bg.shape[0], _ROW_BLOCK):
+        rows = slice(r, r + _ROW_BLOCK)
+        out[rows] = _counts_to_pixels(_mux2_counts(table, sel_cells[rows], bg[rows], fg[rows]), n)
     return RgbImage(out)
 
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -60,6 +61,22 @@ class TestBitstreamPacking:
         s = Bitstream.ones(70)
         assert int(s.words[1]) == (1 << 6) - 1
         assert s.popcount() == 70
+
+    def test_caller_buffer_neither_rewritten_nor_shared(self):
+        w = np.array([0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+        s = Bitstream(w, 3)
+        assert int(w[0]) == 0xFFFFFFFFFFFFFFFF
+        w[0] = 0
+        assert s.popcount() == 3
+        with pytest.raises(ValueError):
+            s.words[0] = 0xFF
+        assert s.popcount() == 3 and s.to01() == "111"
+
+    def test_read_only_input_accepted(self):
+        w = np.array([5, 0xFFFF], dtype=np.uint64)
+        w.flags.writeable = False
+        s = Bitstream(w, 70)
+        assert int(s.words[1]) == 0x3F and int(w[1]) == 0xFFFF
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=200))
     def test_bools_inverse_of_from_bits(self, bits):

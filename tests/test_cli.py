@@ -275,6 +275,30 @@ class TestMediaCommands:
         merged, _ = read_pnm_file(out_dir / "f1.ppm")
         assert np.all(merged == 250)
 
+    @pytest.mark.parametrize("n, factor", [
+        ("1073741824", "2"),
+        (str(1 << 25), "2"),
+        ("256", "100000"),
+    ])
+    def test_scale_oversized_rejected_before_allocating(self, capsys, tmp_path, n, factor):
+        write_pnm_file(tmp_path / "in.pgm", np.zeros((4, 4), dtype=np.uint8))
+        code, out, err = run(capsys, "scale", "--in", str(tmp_path / "in.pgm"),
+                             "--out", str(tmp_path / "out.pgm"), "--factor", factor, "--n", n)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("sclab: ")
+        assert not (tmp_path / "out.pgm").exists()
+
+    def test_merge_oversized_length_rejected(self, capsys, tmp_path):
+        write_pnm_file(tmp_path / "bg.ppm", np.zeros((4, 4, 3), dtype=np.uint8))
+        (tmp_path / "frames").mkdir()
+        write_pnm_file(tmp_path / "frames" / "f1.ppm", np.zeros((4, 4, 3), dtype=np.uint8))
+        code, out, err = run(capsys, "merge", "--bg", str(tmp_path / "bg.ppm"),
+                             "--fg-dir", str(tmp_path / "frames"),
+                             "--out-dir", str(tmp_path / "out"), "--n", "1073741824")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "2^24" in err
+        assert not (tmp_path / "out" / "f1.ppm").exists()
+
     def test_score(self, capsys, tmp_path, gray_file):
         code, out, _ = run(capsys, "score", "--ref", str(gray_file),
                            "--test", str(gray_file))

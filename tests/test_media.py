@@ -1,19 +1,24 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from sclab import media
 from sclab.bitstream import Bitstream, FixedUnipolar, sng_generate
 from sclab.errors import ConfigurationError, DomainError
 from sclab.media import (
     AlphaMap,
     DATA_SPEC,
     GrayImage,
+    MAX_OUTPUT_PIXELS,
     MERGE_SELECT_SPEC,
     RgbImage,
     U_SELECT_SPEC,
     V_SELECT_SPEC,
+    _axis_map,
+    _output_dims,
     bilinear_reference,
     chroma_key_alpha,
     merge_reference,
@@ -23,7 +28,32 @@ from sclab.media import (
     ssim,
 )
 from sclab.ops import mux2, mux4
-from sclab.sequences import resolve_spec, sequence_thresholds
+from sclab.sequences import SequenceSpec, resolve_spec, sequence_thresholds
+
+# (data, u select, v select) triples; merging uses the first two as (data, select)
+SPEC_SETS = {
+    "default": (DATA_SPEC, U_SELECT_SPEC, V_SELECT_SPEC),
+    "other": tuple(SequenceSpec.parse(t) for t in ("halton:base=3", "lfsr:seed=1", "weyl")),
+}
+ORACLE_LENGTHS = (2, 8, 64, 256, 1024)
+
+
+@lru_cache(maxsize=None)
+def comparator_streams(spec, n):
+    """sng_generate's stream for every numerator 0..255, then the all-ones
+    stream (the fully-opaque select)."""
+    thr = sequence_thresholds(resolve_spec(spec, n), n)
+    return [sng_generate(FixedUnipolar(k, 8), thr) for k in range(256)] + [Bitstream.ones(n)]
+
+
+def fraction_axis(size, out_size):
+    """(base index, 8-bit offset) per output coordinate, from exact rationals."""
+    mapped = []
+    for d in range(out_size):
+        s = Fraction(d * (size - 1), out_size - 1) if out_size > 1 else Fraction(0)
+        base = s.numerator // s.denominator
+        mapped.append((base, min(255, round((s - base) * 256))))
+    return mapped
 
 
 class TestPsnr:
@@ -189,8 +219,9 @@ class TestScaling:
 
     def test_bad_stream_length(self):
         img = GrayImage(np.zeros((4, 4), np.uint8))
-        with pytest.raises(ConfigurationError):
-            scale_image_sc(img, 2, stream_length=100)
+        for n in (100, 1 << 25):
+            with pytest.raises(ConfigurationError):
+                scale_image_sc(img, 2, stream_length=n)
 
     def test_empty_image_rejected(self):
         with pytest.raises(DomainError):
@@ -200,35 +231,69 @@ class TestScaling:
         with pytest.raises(DomainError):
             scale_image_sc(GrayImage(np.zeros((4, 4), np.uint8)), Fraction(1, 2))
 
-    def test_matches_mux4_op_per_pixel(self):
-        # the row-vectorized kernel must agree with the circuit-level op
+    @pytest.mark.parametrize("specs", sorted(SPEC_SETS))
+    @pytest.mark.parametrize("channels", [1, 3], ids=["gray", "rgb"])
+    @pytest.mark.parametrize("factor", [1, Fraction(3, 2), 2, Fraction(7, 3)],
+                             ids=["x1", "x3_2", "x2", "x7_3"])
+    @pytest.mark.parametrize("n", ORACLE_LENGTHS)
+    def test_matches_mux4_op_per_pixel(self, n, factor, channels, specs):
+        # every output pixel agrees with the circuit-level op over sng streams
         rng = np.random.default_rng(8)
-        img = GrayImage(rng.integers(0, 256, (4, 4), dtype=np.uint8))
-        n = 256
-        out = scale_image_sc(img, 2, stream_length=n).pixels
-        thr_d = sequence_thresholds(resolve_spec(DATA_SPEC, n), n)
-        thr_u = sequence_thresholds(resolve_spec(U_SELECT_SPEC, n), n)
-        thr_v = sequence_thresholds(resolve_spec(V_SELECT_SPEC, n), n)
-        for yo, xo in [(0, 0), (3, 5), (7, 7), (5, 2)]:
-            sy = Fraction(yo * 3, 7)
-            sx = Fraction(xo * 3, 7)
-            y1, x1 = int(sy), int(sx)
-            v8 = min(255, round((sy - y1) * 256))
-            u8 = min(255, round((sx - x1) * 256))
-            y2, x2 = min(y1 + 1, 3), min(x1 + 1, 3)
-            mk = lambda k, thr: sng_generate(FixedUnipolar(k, 8), thr)
-            sel_u = mk(u8, thr_u)
-            sel_v = mk(v8, thr_v)
-            stream = mux4(
-                mk(int(img.pixels[y1, x1]), thr_d),
-                mk(int(img.pixels[y2, x1]), thr_d),
-                mk(int(img.pixels[y1, x2]), thr_d),
-                mk(int(img.pixels[y2, x2]), thr_d),
-                sel_u,
-                sel_v,
-            )
-            want = min(255, (stream.popcount() * 256 + n // 2) // n)
-            assert out[yo, xo] == want
+        pix = rng.integers(0, 256, (3, 4, channels), dtype=np.uint8)
+        img = GrayImage(pix[..., 0]) if channels == 1 else RgbImage(pix)
+        out = scale_image_sc(img, factor, n, *SPEC_SETS[specs]).pixels
+        out = out.reshape(*out.shape[:2], channels)
+        data, sel_u, sel_v = (comparator_streams(spec, n) for spec in SPEC_SETS[specs])
+        rows, cols = fraction_axis(3, out.shape[0]), fraction_axis(4, out.shape[1])
+        assert out.shape[:2] == (round(3 * Fraction(factor)), round(4 * Fraction(factor)))
+        for yo, (y1, v8) in enumerate(rows):
+            y2 = min(y1 + 1, 2)
+            for xo, (x1, u8) in enumerate(cols):
+                x2 = min(x1 + 1, 3)
+                for c in range(channels):
+                    stream = mux4(
+                        data[pix[y1, x1, c]],
+                        data[pix[y2, x1, c]],
+                        data[pix[y1, x2, c]],
+                        data[pix[y2, x2, c]],
+                        sel_u[u8],
+                        sel_v[v8],
+                    )
+                    assert out[yo, xo, c] == min(255, (stream.popcount() * 256 + n // 2) // n)
+
+    @pytest.mark.parametrize("n", [64, 1024, 8192])
+    def test_table_update_paths_agree(self, n, monkeypatch):
+        # the v-half table grows by rectangle adds or by a cumulative histogram
+        rng = np.random.default_rng(12)
+        img = RgbImage(rng.integers(0, 256, (5, 6, 3), dtype=np.uint8))
+        results = []
+        for rect_adds in (0, n):
+            monkeypatch.setattr(media, "_RECT_ADDS", rect_adds)
+            results.append(scale_image_sc(img, Fraction(7, 3), n).pixels)
+        assert np.array_equal(*results)
+
+    def test_oversized_output_rejected(self):
+        assert _output_dims(4096, 4096, 2) == (8192, 8192)
+        assert 8192 * 8192 == MAX_OUTPUT_PIXELS
+        with pytest.raises(DomainError):
+            _output_dims(8192, 8193, 1)
+        with pytest.raises(DomainError):
+            scale_image_sc(GrayImage(np.zeros((4, 4), np.uint8)), 100000)
+
+
+class TestAxisMap:
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 8])
+    def test_matches_fraction_formula(self, size):
+        # out size 513 (den 512) puts odd offsets exactly halfway between 8-bit steps
+        for out_size in [*range(1, 40), 257, 513]:
+            base, nxt, off8, frac = _axis_map(size, out_size)
+            want = fraction_axis(size, out_size)
+            assert base.tolist() == [b for b, _ in want]
+            assert off8.tolist() == [o for _, o in want]
+            assert nxt.tolist() == [min(b + 1, size - 1) for b, _ in want]
+            exact = [Fraction(d * (size - 1), max(out_size - 1, 1)) - b
+                     for d, (b, _) in enumerate(want)]
+            assert frac.tolist() == [float(f) for f in exact]
 
 
 def make_scene(h=24, w=32):
@@ -293,28 +358,26 @@ class TestMerging:
         with pytest.raises(DomainError):
             merge_scene_sc(bg, fg, AlphaMap(np.zeros((4, 4), np.uint8)))
 
-    def test_matches_mux2_op_per_pixel(self):
-        bg, fg, _ = make_scene(8, 8)
+    @pytest.mark.parametrize("specs", sorted(SPEC_SETS))
+    @pytest.mark.parametrize("alpha_value", [0, 1, 128, 254, 255])
+    @pytest.mark.parametrize("n", ORACLE_LENGTHS)
+    def test_matches_mux2_op_per_pixel(self, n, alpha_value, specs):
+        # every output pixel agrees with the circuit-level op over sng streams
         rng = np.random.default_rng(10)
-        alpha = AlphaMap(rng.integers(0, 256, (8, 8), dtype=np.uint8))
-        n = 256
-        out = merge_scene_sc(bg, fg, alpha).pixels
-        thr_d = sequence_thresholds(resolve_spec(DATA_SPEC, n), n)
-        thr_s = sequence_thresholds(resolve_spec(MERGE_SELECT_SPEC, n), n)
-        for y, x in [(0, 0), (3, 5), (7, 7)]:
-            a = int(alpha.alpha[y, x])
-            if a == 255:
-                sel = Bitstream.ones(n)
-            else:
-                sel = sng_generate(FixedUnipolar(a, 8), thr_s)
-            for c in range(3):
-                s = mux2(
-                    sng_generate(FixedUnipolar(int(bg.pixels[y, x, c]), 8), thr_d),
-                    sng_generate(FixedUnipolar(int(fg.pixels[y, x, c]), 8), thr_d),
-                    sel,
-                )
-                want = min(255, (s.popcount() * 256 + n // 2) // n)
-                assert out[y, x, c] == want
+        bg, fg = (rng.integers(0, 256, (4, 5, 3), dtype=np.uint8) for _ in range(2))
+        alpha = rng.integers(0, 256, (4, 5), dtype=np.uint8)
+        alpha[:, ::2] = alpha_value
+        seq_data, seq_select = SPEC_SETS[specs][:2]
+        out = merge_scene_sc(RgbImage(bg), RgbImage(fg), AlphaMap(alpha), n,
+                             seq_data, seq_select).pixels
+        data, select = comparator_streams(seq_data, n), comparator_streams(seq_select, n)
+        for y in range(4):
+            for x in range(5):
+                a = int(alpha[y, x])
+                sel = select[256 if a == 255 else a]
+                for c in range(3):
+                    s = mux2(data[bg[y, x, c]], data[fg[y, x, c]], sel)
+                    assert out[y, x, c] == min(255, (s.popcount() * 256 + n // 2) // n)
 
     def test_reference_alpha_semantics(self):
         bg = RgbImage(np.zeros((1, 3, 3), dtype=np.uint8))
