@@ -4,6 +4,10 @@ A Bitstream packs bits into 64-bit words: bit i lives in word i // 64 at bit
 position i % 64, and pad bits in the last word are always zero.  Encoding
 follows the comparator rule: bit i is 1 exactly when the input numerator is
 strictly greater than the i-th random number.
+
+Stream text is '0'/'1' characters with any whitespace `str.split` skips.  One
+parser reads it for `Bitstream.from01` and `load_stream_ascii` as a byte
+array, and `to01` writes it as one, with no per-character Python loop.
 """
 
 from dataclasses import dataclass
@@ -72,18 +76,28 @@ class Bitstream:
 
     def __init__(self, words, length):
         buf = np.ascontiguousarray(words, dtype=np.uint64)
-        if length < 1:
-            raise DomainError(f"stream length must be >= 1, got {length}")
-        if buf.shape != (-(-length // WORD_BITS),):
+        if length >= 1 and buf.shape != (-(-length // WORD_BITS),):
             raise DomainError(
                 f"word buffer shape {buf.shape} does not match length {length}"
             )
-        if np.may_share_memory(buf, words):
-            buf = buf.copy()
+        self._seal(buf.copy() if np.may_share_memory(buf, words) else buf, length)
+
+    def _seal(self, buf, length):
+        if length < 1:
+            raise DomainError(f"stream length must be >= 1, got {length}")
         buf[-1] &= _pad_mask(length)
         buf.flags.writeable = False
         self.words = buf
         self.length = length
+
+    @classmethod
+    def _adopt(cls, buf, length):
+        """Wrap a word buffer of the right shape that the package itself just
+        allocated: no alias check and no copy, but pad bits are still masked
+        (`~` sets them) and `words` still becomes read-only."""
+        stream = cls.__new__(cls)
+        stream._seal(buf, length)
+        return stream
 
     # -- constructors ------------------------------------------------------
 
@@ -93,7 +107,7 @@ class Bitstream:
         packed = np.packbits(flags, bitorder="little")
         padded = np.zeros(-(-flags.size // WORD_BITS) * 8, dtype=np.uint8)
         padded[: packed.size] = packed
-        return cls(padded.view("<u8"), flags.size)
+        return cls._adopt(padded.view("<u8"), flags.size)
 
     @classmethod
     def from_bits(cls, bits):
@@ -101,10 +115,7 @@ class Bitstream:
 
     @classmethod
     def from01(cls, text):
-        stripped = "".join(text.split())
-        if not stripped or set(stripped) - {"0", "1"}:
-            raise DomainError("bit-stream text must be nonempty '0'/'1' characters")
-        return cls.from_bits(stripped)
+        return _parse01(text, DomainError)
 
     @classmethod
     def zeros(cls, length):
@@ -139,7 +150,8 @@ class Bitstream:
         ).astype(bool)
 
     def to01(self):
-        return "".join("1" if b else "0" for b in self.bools())
+        bits = np.unpackbits(self.words.view(np.uint8), count=self.length, bitorder="little")
+        return (bits + ord("0")).tobytes().decode("ascii")
 
     def popcount(self):
         return int(np.bitwise_count(self.words).sum())
@@ -224,11 +236,18 @@ def dump_stream_ascii(stream):
     return "\n".join(bits[i : i + 64] for i in range(0, len(bits), 64)) + "\n"
 
 
+def _parse01(text, error):
+    """The stream spelled by the '0'/'1' characters of `text`, whitespace (as
+    `str.split` defines it) ignored; any other character raises `error`."""
+    chars = "".join(text.split())
+    codes = np.frombuffer(chars.encode("ascii", "replace"), dtype=np.uint8)
+    if codes.size == 0 or np.any((codes | 1) != ord("1")):
+        raise error("bit-stream text must be nonempty '0'/'1' characters")
+    return Bitstream.from_bools(codes == ord("1"))
+
+
 def load_stream_ascii(text):
-    stripped = "".join(text.split())
-    if not stripped or set(stripped) - {"0", "1"}:
-        raise ParseError("bit-stream text must be nonempty '0'/'1' characters")
-    return Bitstream.from01(stripped)
+    return _parse01(text, ParseError)
 
 
 def dump_stream_raw(stream):
@@ -248,4 +267,4 @@ def load_stream_raw(data):
         raise ParseError(
             f"raw bit-stream body is {len(body)} bytes, expected {8 * n_words}"
         )
-    return Bitstream(np.frombuffer(body, dtype="<u8").copy(), length)
+    return Bitstream(np.frombuffer(body, dtype="<u8"), length)

@@ -12,7 +12,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .bench import BenchConfig, emit_report, run_bench
+import numpy as np
+
+from .bench import MAX_LENGTH, BenchConfig, emit_report, run_bench
 from .bitstream import load_stream_ascii, load_stream_raw, scc
 from .errors import ConfigurationError, DomainError, ParseError, WorkbenchError
 from .media import (
@@ -29,14 +31,14 @@ from .media import (
     scale_image_sc,
     ssim,
 )
-from .p2lsg import P2lsgConfig, group_reverse, p2lsg_parallel
+from .p2lsg import P2lsgConfig, p2lsg_parallel
 from .pnm import read_pnm_file, write_pnm_file
 from .sequences import (
     FAMILIES,
     SequenceSpec,
     default_pair,
     parse_spec_pair,
-    sequence_fractions,
+    sequence_numerators,
     sequence_thresholds,
 )
 
@@ -111,45 +113,46 @@ def _gen_spec_from_flags(args):
 def _cmd_gen(args):
     if args.count < 1:
         raise DomainError(f"--count must be positive, got {args.count}")
+    if args.index < 0:
+        raise DomainError(f"--index must be non-negative, got {args.index}")
+    # p2lsg's parallel mode ignores --index and emits --par values per cycle
+    parallel = args.family == "p2lsg" and args.par > 1
+    end = args.count * args.par if parallel else args.index + args.count
+    if end > MAX_LENGTH:
+        raise DomainError(f"gen stops at index 2^24 ({MAX_LENGTH}); this run would reach {end}")
+    spec = _gen_spec_from_flags(args)
     if args.family == "p2lsg":
         if args.base is None or args.base == "N":
             raise ConfigurationError("gen --family p2lsg needs --base <power of 2>")
-        bits = args.bits if args.bits is not None else 8
-        if args.par and args.par > 1:
-            cfg = P2lsgConfig(base=args.base, counter_bits=bits, par=args.par)
-            for row in p2lsg_parallel(cfg, args.count):
-                print(",".join(str(int(v)) for v in row))
+        cfg = P2lsgConfig(args.base, 8 if args.bits is None else args.bits, args.par)
+        if parallel:
+            values = _value_texts(p2lsg_parallel(cfg, args.count).ravel(), 1)
+            lines = [",".join(values[i : i + cfg.par]) for i in range(0, len(values), cfg.par)]
         else:
-            n = 1 << bits
-            if args.index + args.count > n:
-                raise DomainError(
-                    f"indices {args.index}..{args.index + args.count - 1} exceed the "
-                    f"counter period {n}"
-                )
-            for i in range(args.index, args.index + args.count):
-                print(group_reverse(i, bits, args.base))
-        return 0
-
-    spec = _gen_spec_from_flags(args)
-    if args.scale_bits is not None:
-        values = sequence_thresholds(spec, args.index + args.count, args.scale_bits)
-        for v in values[args.index :]:
-            print(int(v))
-        return 0
-    if args.family == "hammersley" and spec.get("dim") is None:
-        from .sequences import gen_hammersley_pair
-
-        for i in range(args.index, args.index + args.count):
-            a, b = gen_hammersley_pair(i)
-            print(f"{_fmt_fraction(a, args.decimal)},{_fmt_fraction(b, args.decimal)}")
-        return 0
-    for v in sequence_fractions(spec, args.count, start=args.index):
-        print(_fmt_fraction(v, args.decimal))
+            lines = _value_texts(sequence_numerators(spec, args.count, args.index)[0], 1)
+    elif args.scale_bits is not None:
+        values = sequence_thresholds(spec, args.count, args.scale_bits, start=args.index)
+        lines = _value_texts(values, 1)
+    elif args.family == "hammersley" and spec.get("dim") is None:
+        pair = (sequence_numerators(spec.with_param("dim", d), args.count, args.index)
+                for d in (0, 1))
+        lines = map(",".join, zip(*(_value_texts(*nd, args.decimal) for nd in pair)))
+    else:
+        lines = _value_texts(*sequence_numerators(spec, args.count, args.index), args.decimal)
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
-def _fmt_fraction(v, as_decimal):
-    return repr(float(v)) if as_decimal else str(v)
+def _value_texts(num, den, decimal=False):
+    """Each num[i] / den as str(Fraction) prints it or, with `decimal`, as
+    repr(float(Fraction)), which is the correctly rounded n / den."""
+    if decimal:
+        return [repr(n / den) for n in num.tolist()]
+    if den >= 1 << 63:
+        num = num.astype(object)
+    g = np.gcd(num, den)
+    return [f"{n}/{d}" if d != 1 else str(n)
+            for n, d in zip((num // g).tolist(), (den // g).tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +162,13 @@ def _fmt_fraction(v, as_decimal):
 def _load_stream(path, fmt):
     if fmt == "raw":
         return load_stream_raw(Path(path).read_bytes())
-    return load_stream_ascii(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not a text bit-stream file ({exc.reason} at byte {exc.start})"
+        ) from exc
+    return load_stream_ascii(text)
 
 
 def _cmd_scc(args):
@@ -239,7 +248,6 @@ def _cmd_merge(args):
     seq_data = _spec_or_default(args.seq_data, DATA_SPEC)
     seq_select = _spec_or_default(args.seq_select, MERGE_SELECT_SPEC)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for frame_path in _frame_paths(args.fg_dir):
         fg = _read_image(frame_path)
         if not isinstance(fg, RgbImage):
@@ -257,6 +265,8 @@ def _cmd_merge(args):
         merged = merge_scene_sc(
             bg, fg, alpha, stream_length=args.n, seq_data=seq_data, seq_select=seq_select
         )
+        # made only once a frame has merged, so a rejected run leaves no directory
+        out_dir.mkdir(parents=True, exist_ok=True)
         write_pnm_file(out_dir / frame_path.name, merged.pixels)
     return 0
 

@@ -20,13 +20,13 @@ def _check_lengths(*streams):
 def mul_unipolar(s1, s2):
     """Unipolar product: bitwise AND."""
     n = _check_lengths(s1, s2)
-    return Bitstream(s1.words & s2.words, n)
+    return Bitstream._adopt(s1.words & s2.words, n)
 
 
 def mul_bipolar(s1, s2):
     """Bipolar product: bitwise XNOR."""
     n = _check_lengths(s1, s2)
-    return Bitstream(~(s1.words ^ s2.words), n)
+    return Bitstream._adopt(~(s1.words ^ s2.words), n)
 
 
 def min_correlated(s1, s2):
@@ -37,13 +37,13 @@ def min_correlated(s1, s2):
 def mux2(s1, s2, select):
     """Scaled addition MUX: bit i routes s1 on select 0, s2 on select 1."""
     n = _check_lengths(s1, s2, select)
-    return Bitstream((s1.words & ~select.words) | (s2.words & select.words), n)
+    return Bitstream._adopt((s1.words & ~select.words) | (s2.words & select.words), n)
 
 
 def mux2_sub(s1, s2, select):
     """Scaled subtraction: MUX with one inverter on the second input."""
     n = _check_lengths(s1, s2, select)
-    return Bitstream((s1.words & ~select.words) | (~s2.words & select.words), n)
+    return Bitstream._adopt((s1.words & ~select.words) | (~s2.words & select.words), n)
 
 
 def mux4(i11, i12, i21, i22, sel_u, sel_v):
@@ -56,4 +56,4 @@ def mux4(i11, i12, i21, i22, sel_u, sel_v):
         | (i21.words & u & ~v)
         | (i22.words & u & v)
     )
-    return Bitstream(words, n)
+    return Bitstream._adopt(words, n)

@@ -73,16 +73,19 @@ def group_reverse(counter_value, counter_bits, base):
     return out >> (n_groups * g - counter_bits)
 
 
-def p2lsg_sequence(config, count):
-    """First `count` outputs: element i equals group_reverse(i, n, base)."""
+def p2lsg_sequence(config, count, start=0):
+    """`count` outputs from counter value `start`: element i equals
+    group_reverse(start + i, n, base)."""
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
-    if count > config.period:
+    if start < 0:
+        raise DomainError(f"start must be non-negative, got {start}")
+    if start + count > config.period:
         raise DomainError(
-            f"count {count} exceeds the counter period {config.period}"
+            f"indices {start}..{start + count - 1} exceed the counter period {config.period}"
         )
     n, g = config.counter_bits, config.group_bits
-    idx = np.arange(count, dtype=np.int64)
+    idx = np.arange(start, start + count, dtype=np.int64)
     mask = (1 << min(g, n)) - 1
     out = np.zeros(count, dtype=np.int64)
     for j in range(-(-n // g)):

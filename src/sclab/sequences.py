@@ -7,8 +7,10 @@ Binary-matrix families (sobol, niederreiter) and the lfsr emit n-bit integers.
 Seeded families (latin_hypercube, poisson_disk) draw from xorshift64*.
 
 `SequenceSpec` is the tagged description used by the CLI and the benchmark
-harness; `sequence_thresholds` turns any family into the comparator-ready
-integer form floor(2^bits * r_i).
+harness.  `sequence_numerators` gives any family's values from any index as
+one array of numerators over a common denominator; `sequence_fractions` (exact
+rationals) and `sequence_thresholds` (the comparator-ready integer form
+floor(2^bits * r_i)) are built on it.
 """
 
 import bisect
@@ -52,14 +54,6 @@ def _is_prime(n):
             return False
         f += 2
     return True
-
-
-def rescale_integers(values, from_bits, to_bits):
-    """floor(2^to_bits * v / 2^from_bits) elementwise; lossless when widening."""
-    values = np.asarray(values, dtype=np.int64)
-    if from_bits >= to_bits:
-        return values >> (from_bits - to_bits)
-    return values << (to_bits - from_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +306,7 @@ def gen_niederreiter(dimension, count, precision_bits, skip=0):
     nbits = max(precision_bits, max(1, (total - 1)).bit_length())
     rows = _niederreiter_rows(dimension, nbits)
     out = _gf2_outputs(rows, np.arange(skip, total, dtype=np.uint64))
-    return rescale_integers(out, nbits, precision_bits)
+    return _floor_scaled(out, 1 << nbits, precision_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +581,6 @@ def _weyl_products(spec, start, count):
         a = _INV_PLASTIC_64[d]
     else:
         a = _fixed64(_weyl_alpha(spec))
-    if start < 0:
-        raise DomainError(f"index must be non-negative, got {start}")
     with np.errstate(over="ignore"):
         return np.arange(start, start + count, dtype=np.uint64) * np.uint64(a)  # wraps mod 2^64
 
@@ -610,41 +602,18 @@ def _require_seed(spec):
     return seed
 
 
-def sequence_fractions(spec, count, start=0):
-    """`count` exact unit-interval values of the described sequence."""
+def sequence_numerators(spec, count, start=0):
+    """(numerators, denominator): the values at indices start.. of the described
+    sequence as one integer array (int64, uint64 or, past int64, object) over a
+    common denominator.  Every family's dispatch lives here."""
     spec = resolve_spec(spec)
     fam = spec.family
+    if start < 0:
+        raise DomainError(f"index must be non-negative, got {start}")
     if fam in _DIGIT_FAMILIES:
-        num, den = _radical_inverse(spec, start, count)
-        return [Fraction(v, den) for v in num.tolist()]
+        return _radical_inverse(spec, start, count)
     if fam in ("weyl", "r2"):
-        return [Fraction(v, 1 << 64) for v in _weyl_products(spec, start, count).tolist()]
-    if fam in ("p2lsg", "sobol", "niederreiter", "lfsr"):
-        bits = spec.get("bits", 8)
-        scaled = sequence_thresholds(spec, start + count, bits)[start:]
-        return [Fraction(int(v), 1 << bits) for v in scaled]
-    if fam == "latin_hypercube":
-        vals = gen_latin_hypercube(start + count, _require_seed(spec))
-        return vals[start:]
-    if fam == "poisson_disk":
-        r = _fraction_param(spec, "min_distance", Fraction(1, 4 * (start + count)))
-        vals = gen_poisson_disk(
-            start + count, r, _require_seed(spec), spec.get("max_attempts", 10000)
-        )
-        return vals[start:]
-    raise ConfigurationError(f"family {fam!r} does not produce scalar values")
-
-
-def sequence_thresholds(spec, count, bits=8):
-    """floor(2^bits * r_i) for the first `count` values, as an int64 array.
-
-    This is the comparator-ready form: bit i of the stream encoding k/2^bits
-    is 1 exactly when k > thresholds[i].
-    """
-    if not 1 <= bits <= 62:
-        raise ConfigurationError(f"bits must be in 1..62, got {bits}")
-    spec = resolve_spec(spec)
-    fam = spec.family
+        return _weyl_products(spec, start, count), 1 << 64
     if fam == "p2lsg":
         base = spec.get("base")
         if base == "N":
@@ -652,33 +621,47 @@ def sequence_thresholds(spec, count, bits=8):
                 "p2lsg base=N is only meaningful with a stream length; "
                 "resolve the spec against one first"
             )
-        n = spec.get("bits", 8)
-        cfg = P2lsgConfig(base=base, counter_bits=n)
-        return rescale_integers(p2lsg_sequence(cfg, count), n, bits)
+        cfg = P2lsgConfig(base=base, counter_bits=spec.get("bits", 8))
+        return p2lsg_sequence(cfg, count, start), cfg.period
+    end = start + count
     if fam == "sobol":
         n = spec.get("bits", 8)
-        dva = sobol_direction_vectors(spec.get("dim", 1), n)
-        return rescale_integers(gen_sobol(dva, count), n, bits)
+        return gen_sobol(sobol_direction_vectors(spec.get("dim", 1), n), end)[start:], 1 << n
     if fam == "niederreiter":
         n = spec.get("bits", 8)
-        vals = gen_niederreiter(spec.get("dim", 0), count, n, skip=spec.get("skip", 0))
-        return rescale_integers(vals, n, bits)
+        vals = gen_niederreiter(spec.get("dim", 0), end, n, skip=spec.get("skip", 0))
+        return vals[start:], 1 << n
     if fam == "lfsr":
         n = spec.get("bits", LFSR_DEFAULT_BITS)
         taps = spec.get("taps", LFSR_DEFAULT_TAPS)
-        vals = gen_lfsr(taps, _require_seed(spec), count, n)
-        return rescale_integers(vals, n, bits)
-    if fam in ("weyl", "r2"):
-        return (_weyl_products(spec, 0, count) >> np.uint64(64 - bits)).astype(np.int64)
-    if fam in _DIGIT_FAMILIES:
-        return _floor_scaled(*_radical_inverse(spec, 0, count), bits)
-    # seeded fraction-valued families
-    vals = sequence_fractions(spec, count)
-    return np.fromiter(
-        ((v.numerator << bits) // v.denominator for v in vals),
-        dtype=np.int64,
-        count=count,
-    )
+        return gen_lfsr(taps, _require_seed(spec), end, n)[start:], 1 << n
+    # seeded families draw exact rationals over a fixed scale
+    if fam == "latin_hypercube":
+        den = end << 53
+        vals = gen_latin_hypercube(end, _require_seed(spec))
+    else:
+        den = 1 << 53
+        r = _fraction_param(spec, "min_distance", Fraction(1, 4 * end))
+        vals = gen_poisson_disk(end, r, _require_seed(spec), spec.get("max_attempts", 10000))
+    num = [v.numerator * (den // v.denominator) for v in vals[start:]]
+    return np.array(num, dtype=object), den
+
+
+def sequence_fractions(spec, count, start=0):
+    """`count` exact unit-interval values of the described sequence."""
+    num, den = sequence_numerators(spec, count, start)
+    return [Fraction(v, den) for v in num.tolist()]
+
+
+def sequence_thresholds(spec, count, bits=8, start=0):
+    """floor(2^bits * r_i) for `count` values from index `start`, as an int64 array.
+
+    This is the comparator-ready form: bit i of the stream encoding k/2^bits
+    is 1 exactly when k > thresholds[i].
+    """
+    if not 1 <= bits <= 62:
+        raise ConfigurationError(f"bits must be in 1..62, got {bits}")
+    return _floor_scaled(*sequence_numerators(spec, count, start), bits)
 
 
 _DIGIT_FAMILIES = ("vdc", "halton", "hammersley", "faure")
@@ -717,8 +700,6 @@ def _radical_inverse(spec, start, count):
     in int64 unless p^L or the matrix product could overflow it.
     """
     p, dim = _digit_base(spec)
-    if start < 0:
-        raise DomainError(f"index must be non-negative, got {start}")
     width = 1
     while p**width < start + count:
         width += 1
@@ -737,8 +718,12 @@ def _radical_inverse(spec, start, count):
 
 
 def _floor_scaled(num, den, bits):
-    """floor(num * 2^bits / den) for 0 <= num < den, as int64, by long division
-    a few bits per step so every shifted remainder stays below 2^63."""
+    """floor(num * 2^bits / den) for 0 <= num < den, as int64: a shift when den
+    is a power of 2, else long division a few bits per step so every shifted
+    remainder stays below 2^63."""
+    if den & (den - 1) == 0:
+        shift = den.bit_length() - 1 - bits
+        return (num >> shift if shift >= 0 else num << -shift).astype(np.int64)
     step = max(1, 63 - den.bit_length())
     out = np.zeros(num.size, dtype=num.dtype)
     for done in range(0, bits, step):

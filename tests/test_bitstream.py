@@ -83,6 +83,28 @@ class TestBitstreamPacking:
         s = Bitstream.from_bits(bits)
         assert list(s.bools().astype(int)) == bits
         assert s.popcount() == sum(bits)
+        text = "".join(map(str, bits))
+        assert s.to01() == text
+        assert Bitstream.from01(text) == s
+        assert load_stream_ascii(dump_stream_ascii(s)) == s
+
+    # every character str.split() treats as whitespace is skipped; anything else
+    # that is not an ASCII '0'/'1' (non-ASCII digits included) is rejected
+    @given(st.text(st.sampled_from(
+        "0011 \t\n\r\v\f\x1c\x1d\x1e\x1f\x85\u00a0\u2028\u3000"
+        "2a?\x00\u0660\u0661\u00b9\uff11\U0001d7ce"
+    ), max_size=200))
+    def test_text_parse_matches_per_character_rule(self, text):
+        chars = "".join(text.split())
+        if chars and set(chars) <= {"0", "1"}:
+            want = Bitstream.from_bits([int(c) for c in chars])
+            assert Bitstream.from01(text) == want
+            assert load_stream_ascii(text) == want
+        else:
+            with pytest.raises(DomainError):
+                Bitstream.from01(text)
+            with pytest.raises(ParseError):
+                load_stream_ascii(text)
 
     def test_serialization_ascii(self):
         s = Bitstream.from_bits([random.Random(1).randint(0, 1) for _ in range(130)])
@@ -102,10 +124,9 @@ class TestBitstreamPacking:
             load_stream_raw(b"\x01")
 
     def test_ascii_garbage_detected(self):
-        with pytest.raises(ParseError):
-            load_stream_ascii("10a1")
-        with pytest.raises(ParseError):
-            load_stream_ascii("")
+        for text in ("10a1", "", " \n\u2028", "1\u0661", "10\uff11", "0\x00"):
+            with pytest.raises(ParseError):
+                load_stream_ascii(text)
 
 
 class TestSng:

@@ -1,16 +1,88 @@
+import contextlib
+import io
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sclab.cli import main
+from sclab.p2lsg import group_reverse
 from sclab.pnm import read_pnm_file, write_pnm_file
+from sclab.sequences import (
+    PI_FRACTIONAL,
+    SILVER_RATIO,
+    gen_faure,
+    gen_halton,
+    gen_hammersley_pair,
+    gen_latin_hypercube,
+    gen_lfsr,
+    gen_niederreiter,
+    gen_poisson_disk,
+    gen_r2,
+    gen_sobol,
+    gen_vdc,
+    gen_weyl,
+    sobol_direction_vectors,
+)
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def gen_stdout(*argv):
+    """Exit code and stdout of one `gen` run (no pytest fixture, so hypothesis
+    can call it once per example)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["gen", *map(str, argv)])
+    return code, out.getvalue()
+
+
+def per_value_lines(values, decimal):
+    """The reference formatting: one line per value (a tuple joins with commas),
+    each as str(Fraction) or, with --decimal, repr(float(Fraction))."""
+    fmt = (lambda v: repr(float(v))) if decimal else str
+    return "".join(
+        ",".join(map(fmt, v if isinstance(v, tuple) else (v,))) + "\n" for v in values
+    )
+
+
+def _scaled(values, bits):
+    return [Fraction(int(v), 1 << bits) for v in values]
+
+
+# gen flags, and the values at indices 0..end-1 from the scalar generators
+GEN_ORACLES = {
+    "vdc": (["--family", "vdc", "--base", "3"],
+            lambda end: [gen_vdc(3, i) for i in range(end)]),
+    "halton": (["--family", "halton", "--base", "13"],
+               lambda end: [gen_halton(13, i) for i in range(end)]),
+    "hammersley-pair": (["--family", "hammersley"],
+                        lambda end: [gen_hammersley_pair(i) for i in range(end)]),
+    "hammersley-dim": (["--family", "hammersley", "--dim", "1"],
+                       lambda end: [gen_vdc(3, i) for i in range(end)]),
+    "faure": (["--family", "faure", "--base", "7", "--dim", "2"],
+              lambda end: [gen_faure(7, 2, i) for i in range(end)]),
+    "weyl": (["--family", "weyl", "--irrational", "silver"],
+             lambda end: [gen_weyl(SILVER_RATIO, i) for i in range(end)]),
+    "r2": (["--family", "r2", "--dim", "1"], lambda end: [gen_r2(1, i) for i in range(end)]),
+    "sobol": (["--family", "sobol", "--dim", "2", "--bits", "10"],
+              lambda end: _scaled(gen_sobol(sobol_direction_vectors(2, 10), end), 10)),
+    "niederreiter": (["--family", "niederreiter", "--dim", "3", "--bits", "10", "--skip", "5"],
+                     lambda end: _scaled(gen_niederreiter(3, end, 10, skip=5), 10)),
+    "lfsr": (["--family", "lfsr", "--seed", "7"],
+             lambda end: _scaled(gen_lfsr(0x71, 7, end), 8)),
+    "latin_hypercube": (["--family", "latin_hypercube", "--seed", "4"],
+                        lambda end: gen_latin_hypercube(end, 4)),
+    "poisson_disk": (["--family", "poisson_disk", "--seed", "2"],
+                     lambda end: gen_poisson_disk(end, Fraction(1, 4 * end), 2)),
+}
 
 
 class TestGen:
@@ -66,6 +138,107 @@ class TestGen:
         assert code == 0
         assert out.splitlines() == ["0,0", "1/2,1/3"]
 
+    @pytest.mark.parametrize("family", GEN_ORACLES)
+    @settings(max_examples=12, deadline=None)
+    @given(index=st.integers(0, 300), count=st.integers(1, 120), decimal=st.booleans())
+    def test_matches_per_value_formatting(self, family, index, count, decimal):
+        flags, oracle = GEN_ORACLES[family]
+        code, out = gen_stdout(*flags, "--index", index, "--count", count,
+                               *(["--decimal"] if decimal else []))
+        assert code == 0
+        assert out == per_value_lines(oracle(index + count)[index:], decimal)
+
+    @pytest.mark.parametrize("family", sorted(set(GEN_ORACLES) - {"hammersley-pair"}))
+    @settings(max_examples=8, deadline=None)
+    @given(index=st.integers(0, 300), count=st.integers(1, 120), bits=st.sampled_from([1, 8, 62]))
+    def test_scale_bits_is_floor_of_value(self, family, index, count, bits):
+        flags, oracle = GEN_ORACLES[family]
+        code, out = gen_stdout(*flags, "--index", index, "--count", count, "--scale-bits", bits)
+        assert code == 0
+        want = [(v.numerator << bits) // v.denominator for v in oracle(index + count)[index:]]
+        assert out == "".join(f"{v}\n" for v in want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(base=st.sampled_from([2, 4, 8, 16, 256]), bits=st.integers(1, 12),
+           data=st.data(), decimal=st.booleans())
+    def test_p2lsg_matches_scalar_group_reverse(self, base, bits, data, decimal):
+        index = data.draw(st.integers(0, (1 << bits) - 1))
+        count = data.draw(st.integers(1, (1 << bits) - index))
+        code, out = gen_stdout("--family", "p2lsg", "--base", base, "--bits", bits,
+                               "--index", index, "--count", count,
+                               *(["--decimal"] if decimal else []))
+        assert code == 0
+        assert out == "".join(f"{group_reverse(i, bits, base)}\n"
+                              for i in range(index, index + count))
+
+    @pytest.mark.parametrize("base, bits, par", [(2, 8, 2), (16, 10, 8), (4, 7, 64)])
+    def test_p2lsg_parallel_matches_scalar_group_reverse(self, base, bits, par):
+        cycles = (1 << bits) // par
+        code, out = gen_stdout("--family", "p2lsg", "--base", base, "--bits", bits,
+                               "--par", par, "--count", cycles)
+        assert code == 0
+        assert out == "".join(
+            ",".join(str(group_reverse(c * par + j, bits, base)) for j in range(par)) + "\n"
+            for c in range(cycles)
+        )
+
+    @pytest.mark.parametrize("flags, oracle", [
+        # a base whose Pascal products pass int64: object-dtype numerators
+        (["--family", "halton", "--base", "3037000507"], lambda i: gen_halton(3037000507, i)),
+        (["--family", "vdc", "--base", str(10**20)], lambda i: gen_vdc(10**20, i)),
+        (["--family", "faure", "--base", "3037000507", "--dim", "1"],
+         lambda i: gen_faure(3037000507, 1, i)),
+        # the largest indices gen accepts, and 2^64 denominators
+        (["--family", "halton", "--base", "13"], lambda i: gen_halton(13, i)),
+        (["--family", "hammersley"], gen_hammersley_pair),
+        (["--family", "weyl"], lambda i: gen_weyl(PI_FRACTIONAL, i)),
+        (["--family", "r2", "--dim", "0"], lambda i: gen_r2(0, i)),
+    ])
+    @pytest.mark.parametrize("decimal", [False, True])
+    def test_matches_per_value_formatting_at_the_extremes(self, flags, oracle, decimal):
+        index = (1 << 24) - 9
+        code, out = gen_stdout(*flags, "--index", index, "--count", 9,
+                               *(["--decimal"] if decimal else []))
+        assert code == 0
+        assert out == per_value_lines([oracle(i) for i in range(index, index + 9)], decimal)
+
+    @pytest.mark.parametrize("flags", [
+        ("--family", "sobol", "--dim", "2", "--bits", "8", "--scale-bits", "8"),
+        ("--family", "vdc", "--base", "2"),
+        ("--family", "p2lsg", "--base", "2"),
+        ("--family", "hammersley"),
+        ("--family", "latin_hypercube", "--seed", "1"),
+    ])
+    def test_negative_index_rejected(self, capsys, flags):
+        code, out, err = run(capsys, "gen", *flags, "--count", "3", "--index", "-1")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "--index" in err
+
+    @pytest.mark.parametrize("flags", [
+        ("--family", "weyl", "--count", str((1 << 24) + 1)),
+        ("--family", "vdc", "--base", "2", "--index", str(1 << 24), "--count", "1"),
+        ("--family", "p2lsg", "--base", "2", "--bits", "62", "--index", str((1 << 24) - 1),
+         "--count", "2"),
+        ("--family", "p2lsg", "--base", "2", "--bits", "62", "--par", str(1 << 30),
+         "--count", "1"),
+    ])
+    def test_over_two_to_the_24_values_rejected(self, capsys, flags):
+        code, out, err = run(capsys, "gen", *flags)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and str(1 << 24) in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--bits", "70"), "counter_bits must be in 1..62"),
+        (("--bits", "0"), "counter_bits must be in 1..62"),
+        (("--par", "0"), "par must be a power of 2"),
+        (("--par", "3"), "par must be a power of 2"),
+    ])
+    def test_p2lsg_config_checked(self, capsys, flags, message):
+        code, out, err = run(capsys, "gen", "--family", "p2lsg", "--base", "16",
+                             "--count", "2", *flags)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and message in err
+
     def test_seeded_family_needs_seed(self, capsys):
         code, _, err = run(capsys, "gen", "--family", "latin_hypercube", "--count", "4")
         assert code == 2
@@ -117,6 +290,14 @@ class TestExitCodes:
         b.write_text("110010\n")
         code, _, err = run(capsys, "scc", "--a", str(a), "--b", str(b))
         assert code == 2
+
+    def test_non_utf8_stream_file_is_parse_error(self, capsys, tmp_path):
+        bad, ok = tmp_path / "bad.txt", tmp_path / "ok.txt"
+        bad.write_bytes(b"\xff0101\n")
+        ok.write_text("0101\n")
+        code, out, err = run(capsys, "scc", "--a", str(bad), "--b", str(ok))
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and err.startswith("sclab: ") and "byte 0" in err
 
     def test_parse_error_is_exit_three(self, capsys, tmp_path):
         bad = tmp_path / "bad.pgm"
@@ -297,7 +478,19 @@ class TestMediaCommands:
                              "--out-dir", str(tmp_path / "out"), "--n", "1073741824")
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "2^24" in err
-        assert not (tmp_path / "out" / "f1.ppm").exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bg, n", [("bg.ppm", "3"), ("bg.pgm", "256")])
+    def test_merge_rejected_run_leaves_no_output_dir(self, capsys, tmp_path, bg, n):
+        write_pnm_file(tmp_path / "bg.ppm", np.zeros((4, 4, 3), dtype=np.uint8))
+        write_pnm_file(tmp_path / "bg.pgm", np.zeros((4, 4), dtype=np.uint8))
+        (tmp_path / "frames").mkdir()
+        write_pnm_file(tmp_path / "frames" / "f1.ppm", np.zeros((4, 4, 3), dtype=np.uint8))
+        code, out, err = run(capsys, "merge", "--bg", str(tmp_path / bg),
+                             "--fg-dir", str(tmp_path / "frames"),
+                             "--out-dir", str(tmp_path / "out"), "--n", n)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_score(self, capsys, tmp_path, gray_file):
         code, out, _ = run(capsys, "score", "--ref", str(gray_file),

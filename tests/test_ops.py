@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -204,3 +205,14 @@ class TestPackedAgainstNaive:
             assert naive_bits(
                 mux4(streams[0], streams[1], streams[2], streams[3], streams[4], streams[5])
             ) == naive_mux4(bits[0], bits[1], bits[2], bits[3], bits[4], bits[5])
+
+    def test_results_own_read_only_words_with_zero_pad(self, rng):
+        # 70 bits leave 58 pad bits in the last word; XNOR's ~ sets them
+        streams = [from_naive(random_bit_list(rng, 70)) for _ in range(6)]
+        results = (mul_unipolar(*streams[:2]), mul_bipolar(*streams[:2]),
+                   mux2(*streams[:3]), mux2_sub(*streams[:3]), mux4(*streams))
+        for out in results:
+            assert out.popcount() == sum(naive_bits(out))
+            assert not any(np.may_share_memory(out.words, s.words) for s in streams)
+            with pytest.raises(ValueError):
+                out.words[0] = 0

@@ -114,12 +114,19 @@ class TestSequence:
         "base,bits", [(2, 16), (65536, 16), (8, 16), (16, 8), (4, 7), (4096, 8), (1 << 80, 8)]
     )
     def test_matches_scalar_group_reverse(self, base, bits):
-        seq = p2lsg_sequence(P2lsgConfig(base, bits), 1 << bits)
-        assert seq.tolist() == [group_reverse(i, bits, base) for i in range(1 << bits)]
+        cfg = P2lsgConfig(base, bits)
+        want = [group_reverse(i, bits, base) for i in range(1 << bits)]
+        assert p2lsg_sequence(cfg, 1 << bits).tolist() == want
+        for start in (1, 37, (1 << bits) - 5):
+            assert p2lsg_sequence(cfg, 5, start=start).tolist() == want[start : start + 5]
 
     def test_count_beyond_period_rejected(self):
         with pytest.raises(DomainError):
             p2lsg_sequence(P2lsgConfig(2, 4), 17)
+        with pytest.raises(DomainError, match="exceed the counter period"):
+            p2lsg_sequence(P2lsgConfig(2, 4), 2, start=15)
+        with pytest.raises(DomainError, match="non-negative"):
+            p2lsg_sequence(P2lsgConfig(2, 4), 2, start=-1)
 
 
 class TestParallel:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sclab.errors import ConfigurationError, DomainError, GenerationError
-from sclab.p2lsg import P2lsgConfig, p2lsg_sequence
+from sclab.p2lsg import P2lsgConfig, group_reverse, p2lsg_sequence
 from sclab.sequences import (
     PI_FRACTIONAL,
     SILVER_RATIO,
@@ -26,6 +26,8 @@ from sclab.sequences import (
     gen_weyl,
     parse_spec_pair,
     resolve_spec,
+    sequence_fractions,
+    sequence_numerators,
     sequence_thresholds,
     sobol_direction_vectors,
 )
@@ -480,6 +482,37 @@ class TestThresholds:
                 got = sequence_thresholds(spec, count, bits).tolist()
                 assert got == [(v.numerator << bits) // v.denominator for v in want]
             assert sequence_fractions(spec, count - 1, start=1) == want[1:]
+
+    @pytest.mark.parametrize("text,oracle", [
+        ("p2lsg:base=16,bits=8",
+         lambda end: [Fraction(group_reverse(i, 8, 16), 256) for i in range(end)]),
+        ("sobol:dim=3,bits=8",
+         lambda end: [Fraction(int(v), 256) for v in gen_sobol(sobol_direction_vectors(3, 8), end)]),
+        ("niederreiter:dim=2,skip=7",
+         lambda end: [Fraction(int(v), 256) for v in gen_niederreiter(2, end, 8, skip=7)]),
+        ("lfsr:seed=5", lambda end: [Fraction(int(v), 256) for v in gen_lfsr(0x71, 5, end)]),
+        ("weyl:irrational=silver", lambda end: [gen_weyl(SILVER_RATIO, i) for i in range(end)]),
+        ("r2:dim=1", lambda end: [gen_r2(1, i) for i in range(end)]),
+        ("hammersley", lambda end: [gen_hammersley_pair(i)[0] for i in range(end)]),
+        ("faure:prime=5,dim=2", lambda end: [gen_faure(5, 2, i) for i in range(end)]),
+        ("latin_hypercube:seed=5", lambda end: gen_latin_hypercube(end, 5)),
+        ("poisson_disk:seed=3", lambda end: gen_poisson_disk(end, Fraction(1, 4 * end), 3)),
+    ])
+    def test_every_family_from_any_start_matches_scalar_generators(self, text, oracle):
+        spec = SequenceSpec.parse(text)
+        want = oracle(40)
+        for start in (0, 1, 17):
+            assert sequence_fractions(spec, 40 - start, start=start) == want[start:]
+            num, den = sequence_numerators(spec, 40 - start, start=start)
+            assert [Fraction(n, den) for n in num.tolist()] == want[start:]
+            for bits in (3, 62):
+                got = sequence_thresholds(spec, 40 - start, bits, start=start).tolist()
+                assert got == [(v.numerator << bits) // v.denominator for v in want[start:]]
+
+    def test_negative_start_rejected(self):
+        for text in ("p2lsg:base=2,bits=8", "vdc:base=2", "weyl", "sobol:dim=2,bits=8"):
+            with pytest.raises(DomainError, match="non-negative"):
+                sequence_numerators(SequenceSpec.parse(text), 4, start=-1)
 
     def test_faure_negative_dimension_rejected(self):
         with pytest.raises(ConfigurationError, match="dimension"):
