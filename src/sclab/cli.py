@@ -34,6 +34,7 @@ from .media import (
 from .p2lsg import P2lsgConfig, p2lsg_parallel
 from .pnm import read_pnm_file, write_pnm_file
 from .sequences import (
+    _REGISTRY,
     FAMILIES,
     SequenceSpec,
     default_pair,
@@ -71,60 +72,38 @@ def _parse_lengths(text):
 
 
 def _parse_seq_pair(text):
-    if "," not in text and ":" not in text and text in FAMILIES:
-        return "family-default", text
+    if text in FAMILIES:
+        return default_pair(text)
     specs = parse_spec_pair(text)
     if len(specs) != 2:
         raise ConfigurationError(
             f"--seqs needs exactly two sequence specs, got {len(specs)} in {text!r}"
         )
-    return "pair", tuple(specs)
+    return tuple(specs)
 
 
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
 
-def _gen_spec_from_flags(args):
-    params = []
-    if args.base is not None:
-        params.append(("base", args.base))
-    if args.family == "faure" and args.base is not None:
-        params = [("prime", args.base)]
-    if args.bits is not None:
-        params.append(("bits", args.bits))
-    if args.dim is not None:
-        params.append(("dim", args.dim))
-    if args.irrational is not None:
-        params.append(("irrational", args.irrational))
-    if args.seed is not None:
-        params.append(("seed", args.seed))
-    if args.min_distance is not None:
-        params.append(("min_distance", args.min_distance))
-    if args.max_attempts is not None:
-        params.append(("max_attempts", args.max_attempts))
-    if args.taps is not None:
-        params.append(("taps", args.taps))
-    if args.skip:
-        params.append(("skip", args.skip))
-    return SequenceSpec(args.family, tuple(params))
-
-
 def _cmd_gen(args):
     if args.count < 1:
         raise DomainError(f"--count must be positive, got {args.count}")
     if args.index < 0:
         raise DomainError(f"--index must be non-negative, got {args.index}")
-    # p2lsg's parallel mode ignores --index and emits --par values per cycle
+    # p2lsg's parallel mode emits --par values per cycle, always from index 0
     parallel = args.family == "p2lsg" and args.par > 1
+    if parallel and args.index:
+        raise DomainError(f"--index must be 0 with --par {args.par}, got {args.index}")
     end = args.count * args.par if parallel else args.index + args.count
     if end > MAX_LENGTH:
         raise DomainError(f"gen stops at index 2^24 ({MAX_LENGTH}); this run would reach {end}")
-    spec = _gen_spec_from_flags(args)
+    # the family's declared parameters whose flags were given; --base is faure's prime
+    flags = dict(vars(args), prime=args.base)
+    spec = SequenceSpec(args.family, tuple(
+        (k, flags[k]) for k in _REGISTRY[args.family].params if flags[k] is not None))
     if args.family == "p2lsg":
-        if args.base is None or args.base == "N":
-            raise ConfigurationError("gen --family p2lsg needs --base <power of 2>")
-        cfg = P2lsgConfig(args.base, 8 if args.bits is None else args.bits, args.par)
+        cfg = P2lsgConfig(spec.get("base"), spec.get("bits"), args.par)
         if parallel:
             values = _value_texts(p2lsg_parallel(cfg, args.count).ravel(), 1)
             lines = [",".join(values[i : i + cfg.par]) for i in range(0, len(values), cfg.par)]
@@ -133,7 +112,7 @@ def _cmd_gen(args):
     elif args.scale_bits is not None:
         values = sequence_thresholds(spec, args.count, args.scale_bits, start=args.index)
         lines = _value_texts(values, 1)
-    elif args.family == "hammersley" and spec.get("dim") is None:
+    elif args.family == "hammersley" and args.dim is None:
         pair = (sequence_numerators(spec.with_param("dim", d), args.count, args.index)
                 for d in (0, 1))
         lines = map(",".join, zip(*(_value_texts(*nd, args.decimal) for nd in pair)))
@@ -184,16 +163,10 @@ def _cmd_scc(args):
 # ---------------------------------------------------------------------------
 
 def _cmd_bench(args, operation):
-    kind, parsed = _parse_seq_pair(args.seqs)
-    lengths = args.lengths if isinstance(args.lengths, tuple) else _parse_lengths(args.lengths)
-    if kind == "family-default":
-        pair = default_pair(parsed)
-    else:
-        pair = parsed
     config = BenchConfig(
         operation=operation,
-        sequence_pair=pair,
-        lengths=lengths,
+        sequence_pair=_parse_seq_pair(args.seqs),
+        lengths=args.lengths,
         input_bits=args.input_bits,
         workers=args.workers,
     )

@@ -19,7 +19,7 @@ from .errors import ConfigurationError, DomainError
 
 
 def _log2_exact(value, what):
-    if value < 2 or value & (value - 1):
+    if not isinstance(value, int) or value < 2 or value & (value - 1):
         raise ConfigurationError(f"{what} must be a power of 2 >= 2, got {value}")
     return value.bit_length() - 1
 

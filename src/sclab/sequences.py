@@ -7,14 +7,18 @@ Binary-matrix families (sobol, niederreiter) and the lfsr emit n-bit integers.
 Seeded families (latin_hypercube, poisson_disk) draw from xorshift64*.
 
 `SequenceSpec` is the tagged description used by the CLI and the benchmark
-harness.  `sequence_numerators` gives any family's values from any index as
+harness.  Each family's parameters, defaults, default pair and stream-length
+rules are declared once, in the family table `_REGISTRY`, which every spec
+reader uses.  `sequence_numerators` gives any family's values from any index as
 one array of numerators over a common denominator; `sequence_fractions` (exact
 rationals) and `sequence_thresholds` (the comparator-ready integer form
 floor(2^bits * r_i)) are built on it.
 """
 
 import bisect
+import contextlib
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,6 +34,7 @@ _M64 = (1 << 64) - 1
 PI_FRACTIONAL = Fraction(2611923443488327891, 1 << 64)
 # floor((sqrt(2) - 1) * 2^64), derived exactly from the integer square root
 SILVER_RATIO = Fraction(math.isqrt(1 << 129) - (1 << 64), 1 << 64)
+_NAMED_IRRATIONALS = {"pi": PI_FRACTIONAL, "silver": SILVER_RATIO}  # weyl's irrational=
 # 1/rho and 1/rho^2 where rho is the real root of x^3 = x + 1 (plastic constant)
 _INV_PLASTIC_64 = (13925035116211876495, 10511698010929265436)
 
@@ -37,23 +42,34 @@ _INV_PLASTIC_64 = (13925035116211876495, 10511698010929265436)
 LFSR_DEFAULT_TAPS = 0x71
 LFSR_DEFAULT_BITS = 8
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+# Miller-Rabin over these bases decides every n below 3.3e24 exactly
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
+    if n < 2 or any(n % p == 0 for p in _WITNESSES):
+        return n in _WITNESSES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-    f = 17
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
     return True
+
+
+def _check_prime(p, family):
+    if p >= 1 << 81:  # past the range where _is_prime is exact
+        raise ConfigurationError(f"{family} base must be below 2^81, got {p}")
+    if not _is_prime(p):
+        raise ConfigurationError(f"{family} base must be prime, got {p}")
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +92,7 @@ def gen_vdc(base, index):
 
 def gen_halton(prime_base, index):
     """Van der Corput in a prime base; dimensions pair distinct primes."""
-    if not _is_prime(prime_base):
-        raise ConfigurationError(f"halton base must be prime, got {prime_base}")
+    _check_prime(prime_base, "halton")
     return gen_vdc(prime_base, index)
 
 
@@ -109,8 +124,7 @@ def _faure_digits(digits, p, dim):
 def gen_faure(prime, dimension, index):
     """Faure point: dimension 0 is VDC-p, higher dimensions apply the
     binomial (Pascal) digit scrambling raised to the dimension power."""
-    if not _is_prime(prime):
-        raise ConfigurationError(f"faure base must be prime, got {prime}")
+    _check_prime(prime, "faure")
     if dimension < 0:
         raise ConfigurationError(f"faure dimension must be >= 0, got {dimension}")
     if index < 0:
@@ -303,6 +317,8 @@ def gen_niederreiter(dimension, count, precision_bits, skip=0):
     if skip < 0:
         raise DomainError(f"skip must be non-negative, got {skip}")
     total = count + skip
+    if total > 1 << 63:  # the index bits, and so the rows, must fit in 63
+        raise DomainError(f"skip + count must be at most 2^63, got {total}")
     nbits = max(precision_bits, max(1, (total - 1)).bit_length())
     rows = _niederreiter_rows(dimension, nbits)
     out = _gf2_outputs(rows, np.arange(skip, total, dtype=np.uint64))
@@ -427,14 +443,30 @@ def gen_lfsr(taps, seed, count, bits=LFSR_DEFAULT_BITS):
 # tagged sequence descriptions
 # ---------------------------------------------------------------------------
 
-FAMILIES = (
-    "vdc", "sobol", "halton", "hammersley", "faure", "niederreiter",
-    "weyl", "r2", "latin_hypercube", "poisson_disk", "lfsr", "p2lsg",
-)
+# One record per family: its parameters, each mapped to its default or, when a
+# spec must give it, to `int`; its default two-input pair, as spec texts; and
+# the parameters that a stream length N decides (see resolve_spec).
+_Family = namedtuple("_Family", "params pair sized", defaults=((),))
+_REGISTRY = {
+    "vdc": _Family({"base": int}, ("vdc:base=2", "vdc:base=3")),
+    "sobol": _Family({"dim": 1, "bits": 8}, ("sobol:dim=1", "sobol:dim=2"), ("bits",)),
+    "halton": _Family({"base": 11}, ("halton:base=11", "halton:base=13")),
+    "hammersley": _Family({"dim": 0}, ("vdc:base=2", "vdc:base=3")),
+    "faure": _Family({"prime": 7, "dim": 0}, ("faure:prime=7,dim=0", "faure:prime=7,dim=1")),
+    "niederreiter": _Family({"dim": 0, "bits": 8, "skip": 0},
+                            ("niederreiter:dim=2,skip=4096", "niederreiter:dim=4,skip=4096"),
+                            ("bits",)),
+    "weyl": _Family({"irrational": "pi"}, ("weyl:irrational=pi", "weyl:irrational=silver")),
+    "r2": _Family({"dim": 0}, ("r2:dim=0", "r2:dim=1")),
+    "latin_hypercube": _Family({"seed": int}, ("latin_hypercube:seed=1", "latin_hypercube:seed=2")),
+    "poisson_disk": _Family({"seed": int, "min_distance": None, "max_attempts": 10000},
+                            ("poisson_disk:seed=1", "poisson_disk:seed=2"), ("min_distance",)),
+    "lfsr": _Family({"seed": int, "taps": LFSR_DEFAULT_TAPS, "bits": LFSR_DEFAULT_BITS},
+                    ("lfsr:seed=1", "lfsr:seed=90")),
+    "p2lsg": _Family({"base": int, "bits": 8}, ("p2lsg2", "p2lsgN"), ("base", "bits")),
+}
 
-_SEEDED = ("latin_hypercube", "poisson_disk", "lfsr")
-
-_INT_PARAMS = ("base", "bits", "dim", "prime", "seed", "skip", "taps", "max_attempts")
+FAMILIES = tuple(_REGISTRY)
 
 
 @dataclass(frozen=True)
@@ -446,10 +478,20 @@ class SequenceSpec:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in _REGISTRY:
             raise ConfigurationError(
                 f"unknown sequence family {self.family!r} (known: {', '.join(FAMILIES)})"
             )
+        record = _REGISTRY[self.family]
+        for key, value in self.params:
+            if key not in record.params:
+                raise ConfigurationError(
+                    f"unknown {self.family} parameter {key!r} (known: {', '.join(record.params)})"
+                )
+            declared = record.params[key]
+            alias = value == "N" and key in record.sized and declared is int
+            if int in (declared, type(declared)) and not isinstance(value, int) and not alias:
+                raise ConfigurationError(f"parameter {key}={value!r} is not an integer")
 
     @classmethod
     def parse(cls, text):
@@ -460,6 +502,7 @@ class SequenceSpec:
         if text == "p2lsgN":
             return cls("p2lsg", (("base", "N"),))
         family, _, rest = text.partition(":")
+        declared = _REGISTRY[family].params if family in _REGISTRY else {}
         params = []
         if rest:
             for item in rest.split(","):
@@ -468,18 +511,22 @@ class SequenceSpec:
                     raise ConfigurationError(f"malformed sequence parameter {item!r} in {text!r}")
                 key = key.strip()
                 value = value.strip()
-                if key in _INT_PARAMS and not (key == "base" and value == "N"):
-                    try:
+                if int in (declared.get(key), type(declared.get(key))):
+                    # a value int() cannot read is left for __post_init__ to reject
+                    with contextlib.suppress(ValueError):
                         value = int(value, 0)
-                    except ValueError as exc:
-                        raise ConfigurationError(f"parameter {key}={value!r} is not an integer") from exc
                 params.append((key, value))
         return cls(family, tuple(params))
 
-    def get(self, key, default=None):
+    def get(self, key):
+        """The spec's value for `key`, else the family's default; a parameter
+        the family requires and the spec leaves out is an error."""
         for k, v in self.params:
             if k == key:
                 return v
+        default = _REGISTRY[self.family].params[key]
+        if default is int:
+            raise ConfigurationError(f"{self.family} spec needs {key}=<int>")
         return default
 
     def with_param(self, key, value):
@@ -510,139 +557,86 @@ def parse_spec_pair(text):
     return [SequenceSpec.parse(g) for g in groups]
 
 
-def resolve_spec(spec, stream_length=None):
-    """Fill stream-length-dependent defaults (base=N alias, bits=log2 N)."""
+def resolve_spec(spec, stream_length):
+    """Fill what a power-of-2 stream length decides: each sized parameter the
+    spec leaves out, and the alias base=N."""
+    if stream_length < 2 or stream_length & (stream_length - 1):
+        raise ConfigurationError(f"stream length must be a power of 2, got {stream_length}")
+    n = stream_length
+    sized = {"base": n, "bits": n.bit_length() - 1, "min_distance": f"1/{4 * n}"}
+    record = _REGISTRY[spec.family]
+    given = dict(spec.params)
     out = spec
-    m = None
-    if stream_length is not None:
-        if stream_length < 2 or stream_length & (stream_length - 1):
-            raise ConfigurationError(f"stream length must be a power of 2, got {stream_length}")
-        m = stream_length.bit_length() - 1
-    if spec.family == "p2lsg":
-        base = spec.get("base")
-        if base == "N":
-            if stream_length is not None:
-                out = out.with_param("base", stream_length)
-        elif base is None:
-            raise ConfigurationError("p2lsg spec needs base=<power of 2> (or base=N)")
-        if out.get("bits") is None and m is not None:
-            out = out.with_param("bits", m)
-    elif spec.family in ("sobol", "niederreiter"):
-        if out.get("bits") is None and m is not None:
-            out = out.with_param("bits", m)
-    elif spec.family == "poisson_disk":
-        if out.get("min_distance") is None and stream_length is not None:
-            out = out.with_param("min_distance", f"1/{4 * stream_length}")
+    for key in record.sized:
+        # left out and not required, or p2lsg's alias base=N
+        if given.get(key) == "N" or key not in given and record.params[key] is not int:
+            out = out.with_param(key, sized[key])
     return out
 
 
 def default_pair(family, stream_length=None):
-    """The two-sequence configuration a family uses for two-input SC ops."""
-    pairs = {
-        "p2lsg": ("p2lsg2", "p2lsgN"),
-        "sobol": ("sobol:dim=1", "sobol:dim=2"),
-        "halton": ("halton:base=11", "halton:base=13"),
-        "hammersley": ("vdc:base=2", "vdc:base=3"),
-        "faure": ("faure:prime=7,dim=0", "faure:prime=7,dim=1"),
-        "niederreiter": ("niederreiter:dim=2,skip=4096", "niederreiter:dim=4,skip=4096"),
-        "weyl": ("weyl:irrational=pi", "weyl:irrational=silver"),
-        "r2": ("r2:dim=0", "r2:dim=1"),
-        "vdc": ("vdc:base=2", "vdc:base=3"),
-        "latin_hypercube": ("latin_hypercube:seed=1", "latin_hypercube:seed=2"),
-        "poisson_disk": ("poisson_disk:seed=1", "poisson_disk:seed=2"),
-        "lfsr": ("lfsr:seed=1", "lfsr:seed=90"),
-    }
-    if family not in pairs:
+    """The two-sequence configuration a family uses for two-input SC ops,
+    resolved against `stream_length` when one is given."""
+    if family not in _REGISTRY:
         raise ConfigurationError(f"no default sequence pair for family {family!r}")
-    a, b = pairs[family]
-    return (
-        resolve_spec(SequenceSpec.parse(a), stream_length),
-        resolve_spec(SequenceSpec.parse(b), stream_length),
-    )
-
-
-def _weyl_alpha(spec):
-    named = {"pi": PI_FRACTIONAL, "silver": SILVER_RATIO, None: PI_FRACTIONAL}
-    raw = spec.get("irrational")
-    if raw in named:
-        return named[raw]
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigurationError(f"bad irrational constant {raw!r}") from exc
+    pair = tuple(SequenceSpec.parse(text) for text in _REGISTRY[family].pair)
+    return pair if stream_length is None else tuple(resolve_spec(s, stream_length) for s in pair)
 
 
 def _weyl_products(spec, start, count):
     """frac(i * alpha) for i in start.. in 64-bit fixed point (weyl and r2), as uint64."""
     if spec.family == "r2":
-        d = spec.get("dim", 0)
+        d = spec.get("dim")
         if d not in (0, 1):
             raise ConfigurationError(f"r2 dimension must be 0 or 1, got {d}")
         a = _INV_PLASTIC_64[d]
     else:
-        a = _fixed64(_weyl_alpha(spec))
+        raw = spec.get("irrational")
+        a = _fixed64(_NAMED_IRRATIONALS.get(raw) or _fraction(raw, "irrational"))
     with np.errstate(over="ignore"):
         return np.arange(start, start + count, dtype=np.uint64) * np.uint64(a)  # wraps mod 2^64
 
 
-def _fraction_param(spec, key, default=None):
-    raw = spec.get(key)
-    if raw is None:
-        return default
+def _fraction(raw, key):
     try:
         return Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigurationError(f"bad {key} value {raw!r}") from exc
 
 
-def _require_seed(spec):
-    seed = spec.get("seed")
-    if seed is None:
-        raise ConfigurationError(f"{spec.family} is a seeded family; give seed=<int>")
-    return seed
-
-
 def sequence_numerators(spec, count, start=0):
     """(numerators, denominator): the values at indices start.. of the described
     sequence as one integer array (int64, uint64 or, past int64, object) over a
     common denominator.  Every family's dispatch lives here."""
-    spec = resolve_spec(spec)
     fam = spec.family
     if start < 0:
         raise DomainError(f"index must be non-negative, got {start}")
-    if fam in _DIGIT_FAMILIES:
+    if fam in ("vdc", "halton", "hammersley", "faure"):
         return _radical_inverse(spec, start, count)
     if fam in ("weyl", "r2"):
         return _weyl_products(spec, start, count), 1 << 64
     if fam == "p2lsg":
-        base = spec.get("base")
-        if base == "N":
-            raise ConfigurationError(
-                "p2lsg base=N is only meaningful with a stream length; "
-                "resolve the spec against one first"
-            )
-        cfg = P2lsgConfig(base=base, counter_bits=spec.get("bits", 8))
+        cfg = P2lsgConfig(base=spec.get("base"), counter_bits=spec.get("bits"))
         return p2lsg_sequence(cfg, count, start), cfg.period
     end = start + count
-    if fam == "sobol":
-        n = spec.get("bits", 8)
-        return gen_sobol(sobol_direction_vectors(spec.get("dim", 1), n), end)[start:], 1 << n
-    if fam == "niederreiter":
-        n = spec.get("bits", 8)
-        vals = gen_niederreiter(spec.get("dim", 0), end, n, skip=spec.get("skip", 0))
+    if fam in ("sobol", "niederreiter", "lfsr"):  # n-bit integers
+        n = spec.get("bits")
+        if fam == "sobol":
+            vals = gen_sobol(sobol_direction_vectors(spec.get("dim"), n), end)
+        elif fam == "niederreiter":
+            vals = gen_niederreiter(spec.get("dim"), end, n, skip=spec.get("skip"))
+        else:
+            vals = gen_lfsr(spec.get("taps"), spec.get("seed"), end, n)
         return vals[start:], 1 << n
-    if fam == "lfsr":
-        n = spec.get("bits", LFSR_DEFAULT_BITS)
-        taps = spec.get("taps", LFSR_DEFAULT_TAPS)
-        return gen_lfsr(taps, _require_seed(spec), end, n)[start:], 1 << n
     # seeded families draw exact rationals over a fixed scale
     if fam == "latin_hypercube":
         den = end << 53
-        vals = gen_latin_hypercube(end, _require_seed(spec))
+        vals = gen_latin_hypercube(end, spec.get("seed"))
     else:
         den = 1 << 53
-        r = _fraction_param(spec, "min_distance", Fraction(1, 4 * end))
-        vals = gen_poisson_disk(end, r, _require_seed(spec), spec.get("max_attempts", 10000))
+        r = spec.get("min_distance")
+        r = Fraction(1, 4 * end) if r is None else _fraction(r, "min_distance")
+        vals = gen_poisson_disk(end, r, spec.get("seed"), spec.get("max_attempts"))
     num = [v.numerator * (den // v.denominator) for v in vals[start:]]
     return np.array(num, dtype=object), den
 
@@ -664,32 +658,23 @@ def sequence_thresholds(spec, count, bits=8, start=0):
     return _floor_scaled(*sequence_numerators(spec, count, start), bits)
 
 
-_DIGIT_FAMILIES = ("vdc", "halton", "hammersley", "faure")
-
-
 def _digit_base(spec):
     """(base, Faure dimension) of a digit-reversal spec, validated."""
     fam = spec.family
-    if fam == "faure":
-        p, dim = spec.get("prime", 7), spec.get("dim", 0)
-        if not _is_prime(p):
-            raise ConfigurationError(f"faure base must be prime, got {p}")
-        if dim < 0:
-            raise ConfigurationError(f"faure dimension must be >= 0, got {dim}")
-        return p, dim
     if fam == "hammersley":
-        d = spec.get("dim", 0)
+        d = spec.get("dim")
         if d not in (0, 1):
             raise ConfigurationError(f"hammersley dim must be 0 or 1, got {d}")
         return (2, 3)[d], 0
-    p = spec.get("base", 11 if fam == "halton" else None)
-    if p is None:
-        raise ConfigurationError("vdc spec needs base=<int >= 2>")
-    if fam == "halton" and not _is_prime(p):
-        raise ConfigurationError(f"halton base must be prime, got {p}")
+    p = spec.get("prime" if fam == "faure" else "base")
+    if fam != "vdc":
+        _check_prime(p, fam)
     if p < 2:
         raise ConfigurationError(f"vdc base must be >= 2, got {p}")
-    return p, 0
+    dim = spec.get("dim") if fam == "faure" else 0
+    if dim < 0:
+        raise ConfigurationError(f"faure dimension must be >= 0, got {dim}")
+    return p, dim
 
 
 def _radical_inverse(spec, start, count):

@@ -12,6 +12,8 @@ from sclab.cli import main
 from sclab.p2lsg import group_reverse
 from sclab.pnm import read_pnm_file, write_pnm_file
 from sclab.sequences import (
+    _REGISTRY,
+    FAMILIES,
     PI_FRACTIONAL,
     SILVER_RATIO,
     gen_faure,
@@ -35,13 +37,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_quiet(*argv):
+    """Exit code, stdout and stderr of one run (no pytest fixture, so
+    hypothesis can call it once per example)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(map(str, argv)))
+    return code, out.getvalue(), err.getvalue()
+
+
 def gen_stdout(*argv):
-    """Exit code and stdout of one `gen` run (no pytest fixture, so hypothesis
-    can call it once per example)."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(["gen", *map(str, argv)])
-    return code, out.getvalue()
+    """Exit code and stdout of one `gen` run."""
+    code, out, _ = run_quiet("gen", *argv)
+    return code, out
 
 
 def per_value_lines(values, decimal):
@@ -239,6 +247,36 @@ class TestGen:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and message in err
 
+    def test_par_rejects_a_nonzero_index(self, capsys):
+        flags = ("gen", "--family", "p2lsg", "--base", "16", "--bits", "10", "--par", "8",
+                 "--count", "1")
+        code, out, err = run(capsys, *flags, "--index", "3")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "--index" in err
+        code, out, _ = run(capsys, *flags, "--index", "0")
+        assert code == 0 and out == ",".join(str(i * 64) for i in range(8)) + "\n"
+
+    def test_large_prime_base_is_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "gen", "--family", "halton", "--base", str((1 << 61) - 1),
+                           "--count", "1")
+        assert time.perf_counter() - start < 1
+        assert code == 0 and out == "0\n"
+
+    @pytest.mark.parametrize("family", ["halton", "faure"])
+    def test_prime_base_past_2_to_the_81_rejected(self, capsys, family):
+        code, out, err = run(capsys, "gen", "--family", family, "--base", str((1 << 89) - 1),
+                             "--count", "1")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "2^81" in err
+
+    @pytest.mark.parametrize("family, flag", [("vdc", "--base"), ("halton", "--base"),
+                                              ("faure", "--base"), ("p2lsg", "--base")])
+    def test_base_n_rejected(self, capsys, family, flag):
+        code, out, err = run(capsys, "gen", "--family", family, flag, "N", "--count", "1")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+
     def test_seeded_family_needs_seed(self, capsys):
         code, _, err = run(capsys, "gen", "--family", "latin_hypercube", "--count", "4")
         assert code == 2
@@ -379,6 +417,28 @@ class TestBench:
                            "--input-bits", "12", "--out", "csv")
         assert code == 0
         assert out.splitlines()[1].startswith("64,1.9466444849967957,")
+
+    @pytest.mark.parametrize("op", ["mul", "add"])
+    @pytest.mark.parametrize("spec", ["vdc:base=N", "halton:base=N", "halton:bse=13"])
+    def test_bad_spec_is_one_line_exit_two(self, capsys, op, spec):
+        code, out, err = run(capsys, f"bench-{op}", "--seqs", f"{spec},sobol:dim=1",
+                             "--lengths", "6")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(family=st.sampled_from(FAMILIES + ("fib",)),
+           items=st.lists(st.tuples(
+               st.sampled_from(sorted({k for r in _REGISTRY.values() for k in r.params}) + ["bse"]),
+               st.integers(-(1 << 90), 1 << 90).map(str)
+               | st.sampled_from(["N", "0x71", "1/3", "1/256", "pi", "silver", "1e400", "1/0"])
+               | st.text(min_size=1, max_size=6)), max_size=3),
+           op=st.sampled_from(["mul", "add"]))
+    def test_arbitrary_specs_exit_zero_or_two(self, family, items, op):
+        spec = family + (":" + ",".join(f"{k}={v}" for k, v in items) if items else "")
+        code, _, err = run_quiet(f"bench-{op}", "--seqs", f"{spec},sobol:dim=1", "--lengths", 6)
+        assert code in (0, 2)
+        assert err.count("\n") <= 1
 
     def test_bad_seqs(self, capsys):
         code, _, err = run(capsys, "bench-mul", "--seqs", "p2lsg2", "--lengths", "6")

@@ -1,16 +1,23 @@
 import math
+import re
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sclab.errors import ConfigurationError, DomainError, GenerationError
 from sclab.p2lsg import P2lsgConfig, group_reverse, p2lsg_sequence
 from sclab.sequences import (
+    _REGISTRY,
+    FAMILIES,
     PI_FRACTIONAL,
     SILVER_RATIO,
     SequenceSpec,
+    _is_prime,
     Xorshift64Star,
     default_pair,
     gen_faure,
@@ -130,6 +137,24 @@ class TestHalton:
     def test_equals_vdc_definitionally(self):
         for i in range(200):
             assert gen_halton(11, i) == gen_vdc(11, i)
+
+    def test_primality_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+        assert [n for n in range(5000) if _is_prime(n)] == [n for n in range(5000) if trial(n)]
+
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051, 318665857834031151167461])
+    def test_strong_pseudoprimes_rejected(self, n):
+        with pytest.raises(ConfigurationError, match="must be prime"):
+            gen_halton(n, 1)
+
+    def test_large_prime_bases_bounded(self):
+        assert gen_halton((1 << 61) - 1, 1) == Fraction(1, (1 << 61) - 1)
+        for family in ("halton:base", "faure:prime"):
+            with pytest.raises(ConfigurationError, match="below 2\\^81"):
+                sequence_thresholds(SequenceSpec.parse(f"{family}={(1 << 89) - 1}"), 4, 8)
 
 
 class TestHammersley:
@@ -279,6 +304,11 @@ class TestNiederreiter:
             vals = gen_niederreiter(dim, 256, 8)
             assert np.array_equal(np.sort(vals), np.arange(256))
 
+    def test_indices_past_63_bits_rejected(self):
+        assert gen_niederreiter(2, 1, 8, skip=(1 << 63) - 1).size == 1
+        with pytest.raises(DomainError, match="2\\^63"):
+            gen_niederreiter(2, 2, 8, skip=(1 << 63) - 1)
+
     def test_skip_drops_prefix(self):
         base = gen_niederreiter(2, 64, 8)
         skipped = gen_niederreiter(2, 32, 8, skip=32)
@@ -405,7 +435,108 @@ def test_weyl_beats_prng_discrepancy():
         assert star_discrepancy(weyl) < star_discrepancy(prng)
 
 
+# spec values that describe() prints and parse() reads back: integers for
+# integer parameters (and p2lsg's base=N), else text without the `,` that
+# separates parameters or the spaces parse() strips
+_SPEC_TEXT = st.text(st.characters(blacklist_characters=",", blacklist_categories=("Cs",)),
+                     min_size=1).map(str.strip).filter(bool)
+
+
+@st.composite
+def registered_specs(draw):
+    family = draw(st.sampled_from(FAMILIES))
+    declared = _REGISTRY[family].params
+    params = []
+    for key in draw(st.lists(st.sampled_from(list(declared)), unique=True)):
+        if declared[key] is int or isinstance(declared[key], int):
+            values = st.integers() | st.just("N") if (family, key) == ("p2lsg", "base") else st.integers()
+        else:
+            values = _SPEC_TEXT
+        params.append((key, draw(values)))
+    return SequenceSpec(family, tuple(params))
+
+
+def readme_family_table():
+    """{family: [defaults, required, stream-length rules, pair]} as the
+    backquoted tokens of README's family table."""
+    lines = (Path(__file__).parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("| family | parameters (default) | required | from stream length N "
+                        "| default pair |") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        cells = [re.findall(r"`([^`]*)`", cell) for cell in line.strip("|").split("|")]
+        rows[cells[0][0]] = cells[1:]
+    return rows
+
+
 class TestSequenceSpec:
+    @settings(max_examples=200, deadline=None)
+    @given(spec=registered_specs())
+    def test_parse_describe_round_trip(self, spec):
+        assert SequenceSpec.parse(spec.describe()) == spec
+
+    @pytest.mark.parametrize("text", ["halton:bse=13", "sobol:dim=2,seed=1", "p2lsg:base=2,prime=3"])
+    def test_undeclared_key_names_the_family_parameters(self, text):
+        family = text.partition(":")[0]
+        known = ", ".join(_REGISTRY[family].params)
+        with pytest.raises(ConfigurationError, match=re.escape(f"(known: {known})")):
+            SequenceSpec.parse(text)
+
+    @pytest.mark.parametrize("text", ["vdc:base=N", "halton:base=N", "faure:prime=N",
+                                      "sobol:bits=N", "lfsr:seed=N", "p2lsg:bits=N"])
+    def test_n_is_only_p2lsg_base(self, text):
+        with pytest.raises(ConfigurationError, match="is not an integer"):
+            SequenceSpec.parse(text)
+
+    @pytest.mark.parametrize("text, key", [
+        ("vdc", "base"), ("p2lsg:bits=4", "base"), ("latin_hypercube", "seed"),
+        ("poisson_disk", "seed"), ("lfsr:taps=0x71", "seed"),
+    ])
+    def test_required_parameter_checked(self, text, key):
+        given = SequenceSpec.parse(text)
+        # a stream length fills the alias base=N, never a missing base
+        for spec in (given, resolve_spec(given, 16)):
+            with pytest.raises(ConfigurationError, match=f"{given.family} spec needs {key}="):
+                sequence_thresholds(spec, 16, 8)
+
+    def test_unresolved_base_n_rejected(self):
+        with pytest.raises(ConfigurationError, match="power of 2"):
+            sequence_thresholds(SequenceSpec.parse("p2lsgN"), 16, 8)
+
+    def test_get_reads_family_defaults(self):
+        assert SequenceSpec.parse("halton").get("base") == 11
+        assert SequenceSpec.parse("weyl").get("irrational") == "pi"
+        assert SequenceSpec.parse("lfsr:seed=3").get("taps") == 0x71
+
+    def test_resolve_fills_only_what_the_spec_leaves_out(self):
+        assert resolve_spec(SequenceSpec.parse("poisson_disk:seed=1"), 64).get("min_distance") == "1/256"
+        assert resolve_spec(SequenceSpec.parse("sobol:bits=5"), 64).get("bits") == 5
+        assert resolve_spec(SequenceSpec.parse("lfsr:seed=1"), 64) == SequenceSpec.parse("lfsr:seed=1")
+
+    def test_readme_family_table_matches_registry(self):
+        rows = readme_family_table()
+        assert list(rows) == list(FAMILIES)
+        rules = {"N": lambda n: n, "log2(N)": lambda n: n.bit_length() - 1,
+                 "1/(4N)": lambda n: f"1/{4 * n}"}
+        for family, (defaults, required, sized, pair) in rows.items():
+            record = _REGISTRY[family]
+            documented = {}
+            for token in defaults:
+                key, eq, value = token.partition("=")
+                documented[key] = (int(value, 0) if value.isdigit() or value.startswith("0x")
+                                   else value) if eq else None
+            assert documented == {k: v for k, v in record.params.items() if v is not int}
+            assert required == [k for k, v in record.params.items() if v is int]
+            assert pair == list(record.pair)
+            assert [token.partition("=")[0] for token in sized] == list(record.sized)
+            for token in sized:  # each documented rule is what resolve_spec does
+                key, _, rule = token.partition("=")
+                spec = SequenceSpec(family, ((key, "N"),) if record.params[key] is int else ())
+                for n in (64, 4096):
+                    assert resolve_spec(spec, n).get(key) == rules[rule](n)
+
     def test_parse_with_params(self):
         spec = SequenceSpec.parse("p2lsg:base=16,bits=8")
         assert spec.family == "p2lsg"
@@ -435,8 +566,7 @@ class TestSequenceSpec:
         assert spec.get("bits") == 10
 
     def test_default_pairs_resolve(self):
-        for family in ("p2lsg", "sobol", "halton", "hammersley", "faure",
-                       "niederreiter", "weyl", "r2", "latin_hypercube", "lfsr"):
+        for family in FAMILIES:
             a, b = default_pair(family, 256)
             ta = sequence_thresholds(a, 64, 8)
             tb = sequence_thresholds(b, 64, 8)
