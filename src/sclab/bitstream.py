@@ -180,9 +180,8 @@ def sng_generate(value, rng_values, length=None, rng_bits=None):
             f"sequence supplied {rng_values.size} values, need {length}"
         )
     rng_values = rng_values[:length]
-    if rng_values.size and (
-        rng_values.min() < 0 or rng_values.max() >= (1 << value.precision_bits)
-    ):
+    # one reduction: a negative value reads as 2^63 or more through uint64
+    if rng_values.size and rng_values.view(np.uint64).max() >= 1 << value.precision_bits:
         raise ConfigurationError(
             f"sequence values outside [0, 2^{value.precision_bits}) "
             "(precision mismatch?)"

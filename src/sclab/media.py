@@ -7,9 +7,12 @@ the foreground with probability a/256, except a=255 which means fully opaque
 mapping defines the reference compositor.
 
 No stream is simulated: a comparator-stream 2-to-1 MUX's ones are gathers
-from one cumulative histogram of (select, data) thresholds, and the 4-to-1
-MUX splits by its v select bit into two of those.  The packed-word circuits
-in `ops` are the tests' independent oracle for these counts.
+from one cumulative histogram C of (select, data) thresholds, and the 4-to-1
+MUX splits by its v select bit into two of those.  A merged sample's ones are
+`(C[256] - C)[a, bg] + C[a, fg]`, two gathers once the pre-subtracted table is
+built per frame.  Counts c of N = 2^k round to 8 bits by shifts alone (see
+`_counts_to_pixels`).  The packed-word circuits in `ops` are the tests'
+independent oracle for these counts.
 """
 
 import math
@@ -213,8 +216,19 @@ def _mux2_counts(table, sel_cells, d0, d1):
 
 
 def _counts_to_pixels(counts, n):
-    # nearest 8-bit value for counts/n, ties away from zero, capped at 255
-    return np.minimum((counts * 256 + n // 2) // n, 255).astype(np.uint8)
+    """Nearest 8-bit value for counts/n, ties away from zero, capped at 255.
+
+    n = 2^k (see _check_stream_length), so round(256 c / n) is
+    (c + 2^(k-9)) >> (k-8) for k > 8 and c << (8-k) otherwise; the shifts
+    run in place, so `counts` must be a fresh array.
+    """
+    k = n.bit_length() - 1
+    if k > 8:
+        counts += n >> 9
+        counts >>= k - 8
+    else:
+        counts <<= 8 - k
+    return np.minimum(counts, 255, out=counts).astype(np.uint8)
 
 
 def _axis_map(size, out_size):
@@ -324,6 +338,10 @@ def _alpha_select_numerators(alpha):
     return np.where(a == 255, 256, a)
 
 
+# table cell offset 257 * numerator of each alpha byte's select stream
+_SELECT_CELLS = 257 * _alpha_select_numerators(np.arange(256))
+
+
 def merge_scene_sc(background, foreground, alpha, stream_length=256,
                    seq_data=DATA_SPEC, seq_select=MERGE_SELECT_SPEC):
     """Per-pixel 2-to-1 MUX compositing: select 0 routes the background.
@@ -339,11 +357,15 @@ def merge_scene_sc(background, foreground, alpha, stream_length=256,
         )
     n = stream_length
     table = _count_table(_stream_levels(seq_select, n), _stream_levels(seq_data, n))
-    sel_cells = 257 * _alpha_select_numerators(alpha.alpha)[..., None]
+    # a sample's ones: the background's outside the select plus the foreground's under it
+    inside, outside = table.ravel(), (table[256] - table).ravel()
     out = np.empty_like(bg)
     for r in range(0, bg.shape[0], _ROW_BLOCK):
         rows = slice(r, r + _ROW_BLOCK)
-        out[rows] = _counts_to_pixels(_mux2_counts(table, sel_cells[rows], bg[rows], fg[rows]), n)
+        sel_cells = _SELECT_CELLS[alpha.alpha[rows]][..., None]
+        counts = outside.take(sel_cells + bg[rows])
+        counts += inside.take(sel_cells + fg[rows])
+        out[rows] = _counts_to_pixels(counts, n)
     return RgbImage(out)
 
 

@@ -18,6 +18,7 @@ floor(2^bits * r_i)) are built on it.
 import bisect
 import contextlib
 import math
+import re
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +42,15 @@ _INV_PLASTIC_64 = (13925035116211876495, 10511698010929265436)
 # Fibonacci LFSR recurrence mask for x^8 + x^6 + x^5 + x^4 + 1 (maximal, period 255)
 LFSR_DEFAULT_TAPS = 0x71
 LFSR_DEFAULT_BITS = 8
+
+# largest poisson_disk rejection budget: a spacing that cannot be met fails in
+# at most this many draws
+MAX_ATTEMPTS = 1 << 16
+# largest decimal exponent magnitude in a spec's fraction text: Fraction()
+# expands 10^e exactly, so larger ones cost time without bound (4300 is
+# Python's own limit on int digits)
+_MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 # Miller-Rabin over these bases decides every n below 3.3e24 exactly
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -377,8 +387,8 @@ def gen_poisson_disk(n_points, min_distance, seed, max_attempts=10000):
     """
     if n_points < 1:
         raise DomainError(f"n_points must be positive, got {n_points}")
-    if max_attempts < 1:
-        raise DomainError(f"max_attempts must be positive, got {max_attempts}")
+    if not 1 <= max_attempts <= MAX_ATTEMPTS:
+        raise DomainError(f"max_attempts must be in 1..{MAX_ATTEMPTS}, got {max_attempts}")
     r = Fraction(min_distance)
     if r < 0 or r * (n_points - 1) >= 1:
         raise GenerationError(
@@ -598,6 +608,13 @@ def _weyl_products(spec, start, count):
 
 
 def _fraction(raw, key):
+    exponent = isinstance(raw, str) and _EXPONENT.search(raw)
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > 4 or int(digits or 0) > _MAX_DECIMAL_EXPONENT:
+            raise ConfigurationError(
+                f"bad {key} value: decimal exponent beyond +/-{_MAX_DECIMAL_EXPONENT}"
+            )
     try:
         return Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:

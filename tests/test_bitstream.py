@@ -158,6 +158,8 @@ class TestSng:
             sng_generate(FixedUnipolar(1, 8), [0, 1], rng_bits=4)
         with pytest.raises(ConfigurationError):
             sng_generate(FixedUnipolar(1, 2), [0, 9])  # value 9 needs > 2 bits
+        with pytest.raises(ConfigurationError, match=r"outside \[0, 2\^8\)"):
+            sng_generate(FixedUnipolar(1, 8), [0, -1])  # negative thresholds are out of range too
 
 
 class TestDecode:

@@ -270,6 +270,39 @@ class TestGen:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "2^81" in err
 
+    @pytest.mark.parametrize("flags", [
+        ("--family", "weyl", "--irrational", "1e-1000000"),
+        ("--family", "weyl", "--irrational", "1E+4_301"),
+        ("--family", "poisson_disk", "--seed", "1", "--min-distance", "1e-1000000"),
+        ("--family", "poisson_disk", "--seed", "1", "--min-distance", "5e" + "9" * 5000),
+    ])
+    def test_decimal_exponent_past_4300_rejected(self, capsys, flags):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gen", *flags, "--count", "1")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "4300" in err
+
+    @pytest.mark.parametrize("flags", [
+        ("--family", "weyl", "--irrational", "1e-4300"),
+        ("--family", "poisson_disk", "--seed", "1", "--min-distance", "1e-4300"),
+    ])
+    def test_decimal_exponent_at_4300_runs(self, capsys, flags):
+        code, out, _ = run(capsys, "gen", *flags, "--count", "1")
+        assert code == 0 and out.count("\n") == 1
+
+    @pytest.mark.parametrize("attempts", ["0", "65537", "1000000"])
+    def test_max_attempts_past_2_to_the_16_rejected(self, capsys, attempts):
+        code, out, err = run(capsys, "gen", "--family", "poisson_disk", "--seed", "1",
+                             "--min-distance", "1/65", "--max-attempts", attempts, "--count", "64")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "max_attempts must be in 1..65536" in err
+
+    def test_max_attempts_at_2_to_the_16_runs(self, capsys):
+        code, out, _ = run(capsys, "gen", "--family", "poisson_disk", "--seed", "1",
+                           "--max-attempts", "65536", "--count", "4")
+        assert code == 0 and out.count("\n") == 4
+
     @pytest.mark.parametrize("family, flag", [("vdc", "--base"), ("halton", "--base"),
                                               ("faure", "--base"), ("p2lsg", "--base")])
     def test_base_n_rejected(self, capsys, family, flag):
@@ -419,7 +452,11 @@ class TestBench:
         assert out.splitlines()[1].startswith("64,1.9466444849967957,")
 
     @pytest.mark.parametrize("op", ["mul", "add"])
-    @pytest.mark.parametrize("spec", ["vdc:base=N", "halton:base=N", "halton:bse=13"])
+    @pytest.mark.parametrize("spec", [
+        "vdc:base=N", "halton:base=N", "halton:bse=13", "weyl:irrational=1e-1000000",
+        "poisson_disk:seed=1,min_distance=1e-99999",
+        "poisson_disk:seed=1,min_distance=1/65,max_attempts=1000000",
+    ])
     def test_bad_spec_is_one_line_exit_two(self, capsys, op, spec):
         code, out, err = run(capsys, f"bench-{op}", "--seqs", f"{spec},sobol:dim=1",
                              "--lengths", "6")

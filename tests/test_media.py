@@ -281,6 +281,27 @@ class TestScaling:
             scale_image_sc(GrayImage(np.zeros((4, 4), np.uint8)), 100000)
 
 
+def rounded_pixel(count, n):
+    return min(math.floor(Fraction(256 * count, n) + Fraction(1, 2)), 255)
+
+
+class TestCountsToPixels:
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_every_count_matches_fraction_rounding(self, k):
+        n = 1 << k
+        got = media._counts_to_pixels(np.arange(n + 1, dtype=np.int64), n)
+        assert got.dtype == np.uint8
+        assert got.tolist() == [rounded_pixel(c, n) for c in range(n + 1)]
+
+    def test_ties_at_two_to_the_24(self):
+        # 256 c / n is a half-integer at c = (2j - 1) n / 512
+        n = 1 << 24
+        ties = [(2 * j - 1) * (n >> 9) for j in range(1, 257)]
+        counts = sorted({0, n - 1, n} | {t + d for t in ties for d in (-1, 0, 1)})
+        got = media._counts_to_pixels(np.array(counts, dtype=np.int64), n)
+        assert got.tolist() == [rounded_pixel(c, n) for c in counts]
+
+
 class TestAxisMap:
     @pytest.mark.parametrize("size", [1, 2, 3, 5, 8])
     def test_matches_fraction_formula(self, size):
@@ -294,6 +315,19 @@ class TestAxisMap:
             exact = [Fraction(d * (size - 1), max(out_size - 1, 1)) - b
                      for d, (b, _) in enumerate(want)]
             assert frac.tolist() == [float(f) for f in exact]
+
+
+def assert_matches_mux2_op(bg, fg, alpha, n, seq_data, seq_select):
+    """Every merged pixel equals the rounded ones fraction of the circuit-level
+    2-to-1 MUX over sng streams."""
+    out = merge_scene_sc(RgbImage(bg), RgbImage(fg), AlphaMap(alpha), n,
+                         seq_data, seq_select).pixels
+    data, select = comparator_streams(seq_data, n), comparator_streams(seq_select, n)
+    for (y, x), a in np.ndenumerate(alpha):
+        sel = select[256 if a == 255 else a]
+        for c in range(3):
+            s = mux2(data[bg[y, x, c]], data[fg[y, x, c]], sel)
+            assert out[y, x, c] == min(255, (s.popcount() * 256 + n // 2) // n)
 
 
 def make_scene(h=24, w=32):
@@ -367,17 +401,19 @@ class TestMerging:
         bg, fg = (rng.integers(0, 256, (4, 5, 3), dtype=np.uint8) for _ in range(2))
         alpha = rng.integers(0, 256, (4, 5), dtype=np.uint8)
         alpha[:, ::2] = alpha_value
-        seq_data, seq_select = SPEC_SETS[specs][:2]
-        out = merge_scene_sc(RgbImage(bg), RgbImage(fg), AlphaMap(alpha), n,
-                             seq_data, seq_select).pixels
-        data, select = comparator_streams(seq_data, n), comparator_streams(seq_select, n)
-        for y in range(4):
-            for x in range(5):
-                a = int(alpha[y, x])
-                sel = select[256 if a == 255 else a]
-                for c in range(3):
-                    s = mux2(data[bg[y, x, c]], data[fg[y, x, c]], sel)
-                    assert out[y, x, c] == min(255, (s.popcount() * 256 + n // 2) // n)
+        assert_matches_mux2_op(bg, fg, alpha, n, *SPEC_SETS[specs][:2])
+
+    @pytest.mark.parametrize("n", [2, 512])
+    def test_matches_mux2_op_across_row_blocks(self, n):
+        # 70 rows span three row blocks, the last one partial; at n = 512 the
+        # rounding adds n >> 9 = 1 before its shift
+        rng = np.random.default_rng(11)
+        bg, fg = (rng.integers(0, 256, (70, 5, 3), dtype=np.uint8) for _ in range(2))
+        alpha = rng.integers(0, 256, (70, 5), dtype=np.uint8)
+        alpha[::3] = 255
+        alpha[1::3, ::2] = 0
+        assert 2 * media._ROW_BLOCK < 70 < 3 * media._ROW_BLOCK
+        assert_matches_mux2_op(bg, fg, alpha, n, DATA_SPEC, MERGE_SELECT_SPEC)
 
     def test_reference_alpha_semantics(self):
         bg = RgbImage(np.zeros((1, 3, 3), dtype=np.uint8))
