@@ -83,6 +83,16 @@ def _levels(thresholds, k_count):
     return np.clip(np.asarray(thresholds, dtype=np.int64), -1, k_count - 1) + 1
 
 
+def count_table(row_level, col_level, rows, cols):
+    """C[r, c] = #{i : row_level[i] <= r, col_level[i] <= c} for levels below
+    rows and cols: the ones in the AND of the two comparator streams, as a
+    rows x cols int64 cumulative histogram."""
+    table = np.bincount(row_level * cols + col_level, minlength=rows * cols).reshape(rows, cols)
+    np.cumsum(table, axis=0, out=table)
+    np.cumsum(table, axis=1, out=table)
+    return table
+
+
 def mul_error_sum(thr_a, thr_b, input_bits=8, workers=None):
     """Exact integer sum over all input pairs of |cnt*K^2 - k1*k2*N|.
 
@@ -102,11 +112,7 @@ def mul_error_sum(thr_a, thr_b, input_bits=8, workers=None):
     for r0 in range(0, k_count, step):
         rows = ks[r0 : r0 + step]
         inside = (la >= r0) & (la < r0 + rows.size)
-        counts = np.bincount(
-            (la[inside] - r0) * k_count + lb[inside], minlength=rows.size * k_count
-        ).reshape(rows.size, k_count)
-        np.cumsum(counts, axis=1, out=counts)
-        np.cumsum(counts, axis=0, out=counts)
+        counts = count_table(la[inside] - r0, lb[inside], rows.size, k_count)
         counts += carry
         carry = counts[-1]
         err = np.abs(counts * (k_count * k_count) - np.outer(rows * n, ks))

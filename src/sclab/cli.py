@@ -67,8 +67,17 @@ def _parse_lengths(text):
         else:
             exponents.append(int(part))
     if not exponents or any(e < 1 or e > 24 for e in exponents):
-        raise ConfigurationError(f"length exponents out of range in {text!r}")
+        raise argparse.ArgumentTypeError(f"length exponents out of range in {text!r}")
     return tuple(1 << e for e in exponents)
+
+
+def _parse_factor(text):
+    # argparse turns only ValueError and ArgumentTypeError into usage errors,
+    # and Fraction("1/0") raises ZeroDivisionError
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
 def _parse_seq_pair(text):
@@ -278,7 +287,8 @@ def build_parser():
     gen.add_argument("--bits", type=int, help="generator precision bits")
     gen.add_argument("--par", type=int, default=1,
                      help="p2lsg parallelism; emits PAR comma-separated values per line")
-    gen.add_argument("--dim", type=int, help="dimension index (sobol/niederreiter/r2/faure)")
+    gen.add_argument("--dim", type=int,
+                     help="dimension index (sobol/niederreiter/r2/faure/hammersley)")
     gen.add_argument("--irrational", help="weyl constant: pi, silver, or a number")
     gen.add_argument("--seed", type=int, help="seed for seeded families (required there)")
     gen.add_argument("--min-distance", help="poisson_disk minimum spacing (fraction)")
@@ -319,7 +329,7 @@ def build_parser():
     sc = sub.add_parser("scale", help="SC bilinear image scaling")
     sc.add_argument("--in", dest="infile", required=True, help="input .pgm/.ppm")
     sc.add_argument("--out", required=True, help="output path")
-    sc.add_argument("--factor", required=True, type=Fraction,
+    sc.add_argument("--factor", required=True, type=_parse_factor,
                     help="scale factor >= 1 (e.g. 2, 1.5, or 3/2)")
     sc.add_argument("--n", type=int, default=256, help="bit-stream length (power of 2)")
     sc.add_argument("--seq-data", help="data stream sequence spec")

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bench import MAX_LENGTH, _levels
+from .bench import MAX_LENGTH, _levels, count_table
 from .errors import ConfigurationError, DomainError
 from .sequences import SequenceSpec, resolve_spec, sequence_thresholds
 
@@ -55,14 +55,6 @@ class GrayImage:
     def __post_init__(self):
         self.pixels = _as_uint8(self.pixels, 2, "gray image")
 
-    @property
-    def height(self):
-        return self.pixels.shape[0]
-
-    @property
-    def width(self):
-        return self.pixels.shape[1]
-
 
 @dataclass
 class RgbImage:
@@ -76,14 +68,6 @@ class RgbImage:
             raise DomainError(f"rgb image must have shape (H, W, 3), got {arr.shape}")
         self.pixels = _as_uint8(arr, 3, "rgb image")
 
-    @property
-    def height(self):
-        return self.pixels.shape[0]
-
-    @property
-    def width(self):
-        return self.pixels.shape[1]
-
 
 @dataclass
 class AlphaMap:
@@ -93,14 +77,6 @@ class AlphaMap:
 
     def __post_init__(self):
         self.alpha = _as_uint8(self.alpha, 2, "alpha map")
-
-    @property
-    def height(self):
-        return self.alpha.shape[0]
-
-    @property
-    def width(self):
-        return self.alpha.shape[1]
 
 
 def image_from_array(pixels):
@@ -199,15 +175,6 @@ def _stream_levels(spec, n):
     return _levels(sequence_thresholds(resolve_spec(spec, n), n, bits=8), 256)
 
 
-def _count_table(sel_level, data_level):
-    """C[a, k] = #{i : sel_level[i] <= a, data_level[i] <= k}, a, k in 0..256: the
-    ones in the AND of the select stream for a and the data stream for k."""
-    table = np.bincount(sel_level * 257 + data_level, minlength=257 * 257).reshape(257, 257)
-    np.cumsum(table, axis=0, out=table)
-    np.cumsum(table, axis=1, out=table)
-    return table
-
-
 def _mux2_counts(table, sel_cells, d0, d1):
     """Ones of 2-to-1 MUXes routing d0 on select 0, d1 on select 1 (sel_cells =
     257 * select numerator): d0's ones outside the select plus d1's under it."""
@@ -257,7 +224,7 @@ def _scale_sc(pix, out_h, out_w, n, data, u_level, v_level):
     y1, y2, v8, _ = _axis_map(pix.shape[0], out_h)
     x1, x2, u8, _ = _axis_map(pix.shape[1], out_w)
     u_cells = 257 * u8[:, None]
-    whole = _count_table(u_level, data)
+    whole = count_table(u_level, data, 257, 257)
     upper = np.zeros_like(whole)
     by_v = np.argsort(v_level, kind="stable")
     sorted_v, added = v_level[by_v], 0
@@ -267,7 +234,7 @@ def _scale_sc(pix, out_h, out_w, n, data, u_level, v_level):
         stop = np.searchsorted(sorted_v, v8[rows[0]], side="right")
         new = by_v[added:stop]
         if new.size > _RECT_ADDS:
-            upper += _count_table(u_level[new], data[new])
+            upper += count_table(u_level[new], data[new], 257, 257)
         else:
             for i in new:
                 upper[u_level[i]:, data[i]:] += 1
@@ -356,7 +323,7 @@ def merge_scene_sc(background, foreground, alpha, stream_length=256,
             f"dimension mismatch: bg {bg.shape}, fg {fg.shape}, alpha {alpha.alpha.shape}"
         )
     n = stream_length
-    table = _count_table(_stream_levels(seq_select, n), _stream_levels(seq_data, n))
+    table = count_table(_stream_levels(seq_select, n), _stream_levels(seq_data, n), 257, 257)
     # a sample's ones: the background's outside the select plus the foreground's under it
     inside, outside = table.ravel(), (table[256] - table).ravel()
     out = np.empty_like(bg)

@@ -4,49 +4,29 @@ Header comments are tolerated on read and never emitted on write.  Parse
 failures raise PnmError carrying the byte offset of the offending data.
 """
 
+import re
+
 import numpy as np
 
 from .errors import PnmError
 
 _WHITESPACE = b" \t\r\n\v\f"
+# whitespace and `#` comments (to the end of their line), then one token,
+# possibly empty; the match is always the first attempt, so it never backtracks
+_TOKEN = re.compile(rb"(?:[ \t\r\n\v\f]|#[^\n]*\n?)*([^ \t\r\n\v\f#]*)")
 
 
-class _Cursor:
-    def __init__(self, data):
-        self.data = data
-        self.pos = 0
-
-    def skip_space_and_comments(self):
-        while self.pos < len(self.data):
-            ch = self.data[self.pos : self.pos + 1]
-            if ch in _WHITESPACE:
-                self.pos += 1
-            elif ch == b"#":
-                nl = self.data.find(b"\n", self.pos)
-                self.pos = len(self.data) if nl < 0 else nl + 1
-            else:
-                return
-
-    def read_token(self):
-        self.skip_space_and_comments()
-        start = self.pos
-        while (
-            self.pos < len(self.data)
-            and self.data[self.pos : self.pos + 1] not in _WHITESPACE + b"#"
-        ):
-            self.pos += 1
-        if self.pos == start:
-            raise PnmError("unexpected end of header", offset=start)
-        return self.data[start : self.pos]
-
-    def read_int(self, what):
-        start = self.pos
-        token = self.read_token()
-        try:
-            value = int(token)
-        except ValueError:
-            raise PnmError(f"{what} is not an integer: {token!r}", offset=start) from None
-        return value
+def _read_int(data, pos, what):
+    """(value, end) of the integer token after pos; errors point at the token,
+    or at pos when it does not parse."""
+    match = _TOKEN.match(data, pos)
+    token = match[1]
+    if not token:
+        raise PnmError("unexpected end of header", offset=match.start(1))
+    try:
+        return int(token), match.end()
+    except ValueError:
+        raise PnmError(f"{what} is not an integer: {token!r}", offset=pos) from None
 
 
 def read_pnm(data):
@@ -54,30 +34,27 @@ def read_pnm(data):
 
     Returns (pixels, mode) with mode 'gray' or 'rgb'.
     """
-    cur = _Cursor(bytes(data))
     magic = data[:2]
     if magic not in (b"P5", b"P6"):
         raise PnmError(f"unsupported format magic {magic!r} (need P5 or P6)", offset=0)
-    cur.pos = 2
-    width = cur.read_int("width")
-    height = cur.read_int("height")
+    width, pos = _read_int(data, 2, "width")
+    height, pos = _read_int(data, pos, "height")
     if width < 1 or height < 1:
         raise PnmError(f"invalid dimensions {width}x{height}", offset=2)
-    maxval_at = cur.pos
-    maxval = cur.read_int("maxval")
+    maxval, end = _read_int(data, pos, "maxval")
     if maxval != 255:
-        raise PnmError(f"unsupported maxval {maxval} (need 255)", offset=maxval_at)
+        raise PnmError(f"unsupported maxval {maxval} (need 255)", offset=pos)
     # exactly one whitespace byte separates the header from the raster
-    if cur.pos >= len(data) or data[cur.pos : cur.pos + 1] not in _WHITESPACE:
-        raise PnmError("missing whitespace after maxval", offset=cur.pos)
-    cur.pos += 1
+    if end >= len(data) or data[end : end + 1] not in _WHITESPACE:
+        raise PnmError("missing whitespace after maxval", offset=end)
+    pos = end + 1
     channels = 1 if magic == b"P5" else 3
     need = width * height * channels
-    body = data[cur.pos : cur.pos + need]
+    body = data[pos : pos + need]
     if len(body) < need:
         raise PnmError(
             f"truncated raster: need {need} bytes, have {len(body)}",
-            offset=cur.pos + len(body),
+            offset=pos + len(body),
         )
     pixels = np.frombuffer(body, dtype=np.uint8).copy()
     if channels == 1:

@@ -111,22 +111,12 @@ def gen_hammersley_pair(index):
     return gen_vdc(2, index), gen_vdc(3, index)
 
 
-@lru_cache(maxsize=None)
-def _binomial_mod(p, size):
-    table = [[0] * size for _ in range(size)]
-    for r in range(size):
-        table[r][0] = 1 % p
-        for j in range(1, r + 1):
-            table[r][j] = (table[r - 1][j - 1] + table[r - 1][j]) % p
-    return table
-
 def _faure_digits(digits, p, dim):
     # (C^dim)_{j,r} = C(r,j) * dim^(r-j) mod p, applied to the LSD-first digits
     k = len(digits)
-    binom = _binomial_mod(p, k)
     powers = [pow(dim, e, p) for e in range(k)]
     return [
-        sum(binom[r][j] * powers[r - j] * digits[r] for r in range(j, k)) % p
+        sum(math.comb(r, j) % p * powers[r - j] * digits[r] for r in range(j, k)) % p
         for j in range(k)
     ]
 
@@ -257,59 +247,35 @@ def _gf2_outputs(rows, idx):
 _NIED_POLYS = (0b10, 0b11, 0b111, 0b1011, 0b1101, 0b10011, 0b11001, 0b11111)
 
 
-def _gf2_series_inverse(q, length):
-    # power-series inverse of q(t) with q(0)=1, as a bitmask over t^r
-    s = 1
-    for r in range(1, length):
-        bit = 0
-        k = 1
-        qq = q >> 1
-        while qq and k <= r:
-            if qq & 1 and (s >> (r - k)) & 1:
-                bit ^= 1
-            qq >>= 1
-            k += 1
-        s |= bit << r
+def _gf2_series_div(a, q, length):
+    # power series a(t) / q(t) with q(0)=1, as a bitmask over t^r: GF(2) long
+    # division, lowest term first
+    s = 0
+    for r in range(length):
+        if a >> r & 1:
+            s |= 1 << r
+            a ^= q << r
     return s
-
-
-def _gf2_series_mul(a, b, length):
-    out = 0
-    for k in range(length):
-        if (a >> k) & 1:
-            out ^= b << k
-    return out & ((1 << length) - 1)
 
 
 @lru_cache(maxsize=None)
 def _niederreiter_rows(dimension, bits):
     # generator-matrix rows: row j holds the Laurent coefficients of
-    # x^(e-1-u) / p(x)^(Q+1) with j-1 = Q*e + u, as a bitmask over columns r
+    # x^(e-1-u) / p(x)^(Q+1) with j = Q*e + u, as a bitmask over columns r.
+    # With q(t) = t^e p(1/t) that is t^(j+1) / q(t)^(Q+1) at t = 1/x, so row j
+    # is the series of 1/q^(Q+1) shifted up by j.
     if not 0 <= dimension < len(_NIED_POLYS):
         raise ConfigurationError(
             f"niederreiter dimension must be in 0..{len(_NIED_POLYS) - 1}, got {dimension}"
         )
     poly = _NIED_POLYS[dimension]
     e = poly.bit_length() - 1
-    q = 0
-    for k in range(e + 1):
-        if (poly >> k) & 1:
-            q |= 1 << (e - k)
-    length = bits + e * (bits // e + 2)
-    inv = _gf2_series_inverse(q, length)
-    powers = {1: inv}
-    rows = []
-    for j in range(1, bits + 1):
-        qq, u = divmod(j - 1, e)
-        if qq + 1 not in powers:
-            powers[qq + 1] = _gf2_series_mul(powers[qq], inv, length)
-        series = powers[qq + 1]
-        shift = e * qq + u + 1
-        row = 0
-        for r in range(shift - 1, bits):
-            if (series >> (r + 1 - shift)) & 1:
-                row |= 1 << r
-        rows.append(row)
+    q = int(f"{poly:b}"[::-1], 2)
+    series, rows = 1, []
+    for j in range(bits):
+        if j % e == 0:
+            series = _gf2_series_div(series, q, bits)  # now 1/q^(Q+1)
+        rows.append(series << j & ((1 << bits) - 1))
     return tuple(rows)
 
 
@@ -712,9 +678,8 @@ def _radical_inverse(spec, start, count):
         idx, digits[j] = idx // p, idx % p
     if dim > 0:
         # (C^dim)_{j,r} = C(r,j) * dim^(r-j) mod p for r >= j
-        binom = _binomial_mod(p, width)
-        pascal = [[binom[r][j] * pow(dim, r - j, p) % p if r >= j else 0 for r in range(width)]
-                  for j in range(width)]
+        pascal = [[math.comb(r, j) * pow(dim, r - j, p) % p if r >= j else 0
+                   for r in range(width)] for j in range(width)]
         digits = np.array(pascal, dtype=dtype) @ digits % p
     return np.array([p**j for j in reversed(range(width))], dtype=dtype) @ digits, p**width
 

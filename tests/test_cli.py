@@ -340,6 +340,27 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (("bench-mul", "--lengths", "30"), "length exponents out of range in '30'"),
+        (("bench-mul", "--lengths", "25"), "length exponents out of range in '25'"),
+        (("bench-mul", "--lengths", "6..3"), "length exponents out of range in '6..3'"),
+        (("bench-add", "--lengths", "0"), "length exponents out of range in '0'"),
+        (("bench-mul", "--lengths", "x"), "invalid _parse_lengths value: 'x'"),
+        (("scale", "--in", "a.pgm", "--out", "b.pgm", "--factor", "1/0"),
+         "invalid Fraction value: '1/0'"),
+        (("scale", "--in", "a.pgm", "--out", "b.pgm", "--factor", "nan"),
+         "invalid Fraction value: 'nan'"),
+    ])
+    def test_rejected_flag_value_is_one_line_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        err = capsys.readouterr().err
+        assert exc.value.code == 1
+        assert err.startswith("usage: sclab ") and "Traceback" not in err
+        flag = argv[-2]
+        assert err.endswith(f"sclab {argv[0]}: error: argument {flag}: {message}\n")
+        assert err.count(": error: ") == 1
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sclab.errors import PnmError
 from sclab.pnm import read_pnm, write_pnm
@@ -43,6 +45,64 @@ class TestRead:
     def test_zero_dimension(self):
         with pytest.raises(PnmError):
             read_pnm(b"P5\n0 2\n255\n")
+
+
+# (data, message, offset) for each kind of header or raster error
+HEADER_ERRORS = [
+    (b"", "unsupported format magic {magic} (need P5 or P6)", 0),
+    (b"P4\n2 2\n\x00", "unsupported format magic {magic} (need P5 or P6)", 0),
+    (b"P5", "unexpected end of header", 2),
+    (b"P5 2", "unexpected end of header", 4),
+    (b"P5\n2 2\n", "unexpected end of header", 7),
+    (b"P5 # no newline", "unexpected end of header", 15),
+    (b"P5\nxx 2\n255\n\x00", "width is not an integer: b'xx'", 2),
+    (b"P5 2 y 255\n", "height is not an integer: b'y'", 4),
+    (b"P5 2 2 2.5\n", "maxval is not an integer: b'2.5'", 6),
+    # an offset is where the token's search began, before any comment
+    (b"P5 # c\n2 # d\nzz 255\n", "height is not an integer: b'zz'", 8),
+    (b"P5 2#w\n3 # x\n#y\n255#z\n", "missing whitespace after maxval", 19),
+    (b"P5\n2 2\n65535\n\x00\x00\x00\x00", "unsupported maxval 65535 (need 255)", 6),
+    (b"P5 1 1 #m\n 0\n\x00", "unsupported maxval 0 (need 255)", 6),
+    (b"P5 1 1 255", "missing whitespace after maxval", 10),
+    (b"P5 1 1 255#x\n\x00", "missing whitespace after maxval", 10),
+    (b"P5\n0 2\n255\n", "invalid dimensions 0x2", 2),
+    (b"P6 3 -1 255\n", "invalid dimensions 3x-1", 2),
+    (b"P5\n2 2\n255\n\x00\x01", "truncated raster: need 4 bytes, have 2", 13),
+    (b"P6 1 1#c\n255\n\x00", "truncated raster: need 3 bytes, have 1", 14),
+]
+
+# headers that reach each parsing step, for the fuzz property below
+HEADER_PREFIXES = [b"", b"P5", b"P6", b"P5 2", b"P6 1 1", b"P5 2 2 255", b"P5 #c\n3 1\n255\n"]
+
+
+class TestHeaderErrors:
+    @pytest.mark.parametrize("kind", [bytes, bytearray])
+    @pytest.mark.parametrize("data, message, offset", HEADER_ERRORS)
+    def test_message_and_offset(self, kind, data, message, offset):
+        data = kind(data)
+        with pytest.raises(PnmError) as err:
+            read_pnm(data)
+        message = message.format(magic=repr(data[:2]))
+        assert str(err.value) == f"{message} (byte offset {offset})"
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray])
+    def test_comments_between_every_token(self, kind):
+        data = kind(b"P5#m\n2#w\n#x\n 1#h\n255\n\xaa\xbb")
+        pixels, mode = read_pnm(data)
+        assert mode == "gray" and pixels.tolist() == [[170, 187]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(HEADER_PREFIXES), st.binary(max_size=24),
+           st.sampled_from([bytes, bytearray]))
+    def test_arbitrary_bytes_parse_or_raise_pnm_error(self, prefix, tail, kind):
+        try:
+            pixels, mode = read_pnm(kind(prefix + tail))
+        except PnmError as err:
+            assert type(err.offset) is int
+        else:
+            assert mode in ("gray", "rgb") and pixels.dtype == np.uint8
+            assert pixels.ndim == (2 if mode == "gray" else 3)
 
 
 class TestWrite:

@@ -268,6 +268,47 @@ def pascal_mod2_matrix(size):
     ]
 
 
+# the irreducible polynomials over GF(2) of dimensions 0..7 as bitmasks:
+# x, x+1, x^2+x+1, x^3+x+1, x^3+x^2+1, x^4+x+1, x^4+x^3+1, x^4+x^3+x^2+x+1
+NIEDERREITER_POLYS = (0b10, 0b11, 0b111, 0b1011, 0b1101, 0b10011, 0b11001, 0b11111)
+
+
+def gf2_poly_mul(a, b):
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a, b = a << 1, b >> 1
+    return out
+
+
+def gf2_poly_quotient(num, den):
+    """Quotient of GF(2) polynomial long division, highest term first."""
+    quot = 0
+    while num.bit_length() >= den.bit_length():
+        shift = num.bit_length() - den.bit_length()
+        quot |= 1 << shift
+        num ^= den << shift
+    return quot
+
+
+def niederreiter_rows_oracle(dimension, bits):
+    """Row j (from 0) holds the Laurent coefficients of x^(e-1-u) / p(x)^(Q+1),
+    j = Q*e + u: bit r is the coefficient of x^-(r+1), read as the coefficient of
+    x^(bits-1-r) in the polynomial quotient of x^(e-1-u+bits) by p(x)^(Q+1)."""
+    poly = NIEDERREITER_POLYS[dimension]
+    e = poly.bit_length() - 1
+    rows = []
+    for j in range(bits):
+        q, u = divmod(j, e)
+        power = 1
+        for _ in range(q + 1):
+            power = gf2_poly_mul(power, poly)
+        quot = gf2_poly_quotient(1 << (e - 1 - u + bits), power)
+        rows.append(sum((quot >> (bits - 1 - r) & 1) << r for r in range(bits)))
+    return rows
+
+
 class TestNiederreiter:
     def test_dimension0_is_bit_reversal(self):
         assert list(gen_niederreiter(0, 4, 8)) == [0, 128, 64, 192]
@@ -281,6 +322,16 @@ class TestNiederreiter:
 
         rows = _niederreiter_rows(1, 8)
         assert list(rows) == pascal_mod2_matrix(8)
+
+    @pytest.mark.parametrize("dimension", range(len(NIEDERREITER_POLYS)))
+    def test_matrix_matches_laurent_oracle(self, dimension):
+        from sclab.sequences import _niederreiter_rows
+
+        # the first `bits` columns of a row do not depend on how many follow
+        full = niederreiter_rows_oracle(dimension, 63)
+        for bits in range(1, 64):
+            want = [row & ((1 << bits) - 1) for row in full[:bits]]
+            assert list(_niederreiter_rows(dimension, bits)) == want, bits
 
     def test_dimension1_first_outputs(self):
         # frozen from the matrix oracle: digits of i through the Pascal rows
