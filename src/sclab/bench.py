@@ -29,14 +29,12 @@ _BLOCK_CELLS = 1 << 20
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """One sweep: operation, the two sequence specs, and the lengths to visit.
-    `workers` is accepted for compatibility and has no effect."""
+    """One sweep: operation, the two sequence specs, and the lengths to visit."""
 
     operation: str
     sequence_pair: tuple
     lengths: tuple
     input_bits: int = 8
-    workers: int = None
 
     def __post_init__(self):
         if self.operation not in ("mul", "add"):
@@ -47,8 +45,6 @@ class BenchConfig:
             if n < 2 or n & (n - 1):
                 raise ConfigurationError(f"lengths must be powers of 2, got {n}")
         _check_size(max(self.lengths, default=2), self.input_bits)
-        if self.workers is not None and self.workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -93,11 +89,10 @@ def count_table(row_level, col_level, rows, cols):
     return table
 
 
-def mul_error_sum(thr_a, thr_b, input_bits=8, workers=None):
+def mul_error_sum(thr_a, thr_b, input_bits=8):
     """Exact integer sum over all input pairs of |cnt*K^2 - k1*k2*N|.
 
-    The per-pair MAE contribution is that numerator over N*K^2.  `workers`
-    has no effect.
+    The per-pair MAE contribution is that numerator over N*K^2.
     """
     k_count = 1 << input_bits
     n = len(thr_a)
@@ -136,11 +131,11 @@ def _sum_abs_outer(a, b):
     return int((above - below).sum())
 
 
-def add_error_sum(thr_data, thr_select, input_bits=8, workers=None):
+def add_error_sum(thr_data, thr_select, input_bits=8):
     """Exact integer sum over all pairs of |cnt*2K - (k1+k2)*N| for the MUX adder.
 
     Both addends come from thr_data (maximally correlated); the select stream
-    encodes one half from thr_select.  `workers` has no effect.
+    encodes one half from thr_select.
     """
     k_count = 1 << input_bits
     n = len(thr_data)

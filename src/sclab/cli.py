@@ -9,7 +9,6 @@ run-dependent field).
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +18,7 @@ from .bitstream import load_stream_ascii, load_stream_raw, scc
 from .errors import ConfigurationError, DomainError, ParseError, WorkbenchError
 from .media import (
     AlphaMap,
-    DATA_SPEC,
-    MERGE_SELECT_SPEC,
     RgbImage,
-    U_SELECT_SPEC,
-    V_SELECT_SPEC,
     chroma_key_alpha,
     image_from_array,
     merge_scene_sc,
@@ -37,6 +32,7 @@ from .sequences import (
     _REGISTRY,
     FAMILIES,
     SequenceSpec,
+    _fraction,
     default_pair,
     parse_spec_pair,
     sequence_numerators,
@@ -59,25 +55,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_lengths(text):
-    exponents = []
+    ranges = []
     for part in text.split(","):
-        if ".." in part:
-            lo, _, hi = part.partition("..")
-            exponents.extend(range(int(lo), int(hi) + 1))
-        else:
-            exponents.append(int(part))
-    if not exponents or any(e < 1 or e > 24 for e in exponents):
+        lo, dots, hi = part.partition("..")
+        ranges.append(range(int(lo), int(hi if dots else lo) + 1))
+    # bounds are checked before any range is expanded, so `1..10**15` costs nothing
+    top = MAX_LENGTH.bit_length() - 1
+    if not any(ranges) or any(r and (r[0] < 1 or r[-1] > top) for r in ranges):
         raise argparse.ArgumentTypeError(f"length exponents out of range in {text!r}")
-    return tuple(1 << e for e in exponents)
+    return tuple(1 << e for r in ranges for e in r)
 
 
 def _parse_factor(text):
-    # argparse turns only ValueError and ArgumentTypeError into usage errors,
-    # and Fraction("1/0") raises ZeroDivisionError
+    # argparse turns only ValueError and ArgumentTypeError into usage errors.
+    # _fraction bounds the decimal exponent, whose 10^e Fraction() would expand
+    # without limit; its other failures (nan, 1/0) keep argparse's wording
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+        return _fraction(text, "factor")
+    except ConfigurationError as exc:
+        message = str(exc) if exc.__cause__ is None else f"invalid Fraction value: {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
 
 
 def _parse_seq_pair(text):
@@ -106,7 +103,8 @@ def _cmd_gen(args):
         raise DomainError(f"--index must be 0 with --par {args.par}, got {args.index}")
     end = args.count * args.par if parallel else args.index + args.count
     if end > MAX_LENGTH:
-        raise DomainError(f"gen stops at index 2^24 ({MAX_LENGTH}); this run would reach {end}")
+        # the run's end is not printed: it may have more digits than str() allows
+        raise DomainError(f"gen stops at index 2^24 ({MAX_LENGTH}); this run would pass it")
     # the family's declared parameters whose flags were given; --base is faure's prime
     flags = dict(vars(args), prime=args.base)
     spec = SequenceSpec(args.family, tuple(
@@ -177,7 +175,6 @@ def _cmd_bench(args, operation):
         sequence_pair=_parse_seq_pair(args.seqs),
         lengths=args.lengths,
         input_bits=args.input_bits,
-        workers=args.workers,
     )
     report = run_bench(config)
     sys.stdout.write(emit_report(report, args.out))
@@ -193,20 +190,17 @@ def _read_image(path):
     return image_from_array(pixels)
 
 
-def _spec_or_default(text, default):
-    return default if text is None else SequenceSpec.parse(text)
+def _given_specs(args, *names):
+    """The `--seq-*` specs the user gave, by keyword; media's signatures hold
+    the defaults of the rest."""
+    return {name: SequenceSpec.parse(getattr(args, name))
+            for name in names if getattr(args, name) is not None}
 
 
 def _cmd_scale(args):
     image = _read_image(args.infile)
-    result = scale_image_sc(
-        image,
-        args.factor,
-        stream_length=args.n,
-        seq_data=_spec_or_default(args.seq_data, DATA_SPEC),
-        seq_u=_spec_or_default(args.seq_u, U_SELECT_SPEC),
-        seq_v=_spec_or_default(args.seq_v, V_SELECT_SPEC),
-    )
+    specs = _given_specs(args, "seq_data", "seq_u", "seq_v")
+    result = scale_image_sc(image, args.factor, stream_length=args.n, **specs)
     write_pnm_file(args.out, result.pixels)
     return 0
 
@@ -227,8 +221,7 @@ def _cmd_merge(args):
     bg = _read_image(args.bg)
     if not isinstance(bg, RgbImage):
         raise DomainError("--bg must be an RGB (P6) image")
-    seq_data = _spec_or_default(args.seq_data, DATA_SPEC)
-    seq_select = _spec_or_default(args.seq_select, MERGE_SELECT_SPEC)
+    specs = _given_specs(args, "seq_data", "seq_select")
     out_dir = Path(args.out_dir)
     for frame_path in _frame_paths(args.fg_dir):
         fg = _read_image(frame_path)
@@ -244,9 +237,7 @@ def _cmd_merge(args):
             alpha = chroma_key_alpha(
                 fg, green_threshold=args.green_threshold, dominance_margin=args.margin
             )
-        merged = merge_scene_sc(
-            bg, fg, alpha, stream_length=args.n, seq_data=seq_data, seq_select=seq_select
-        )
+        merged = merge_scene_sc(bg, fg, alpha, stream_length=args.n, **specs)
         # made only once a frame has merged, so a rejected run leaves no directory
         out_dir.mkdir(parents=True, exist_ok=True)
         write_pnm_file(out_dir / frame_path.name, merged.pixels)
@@ -294,7 +285,7 @@ def build_parser():
     gen.add_argument("--min-distance", help="poisson_disk minimum spacing (fraction)")
     gen.add_argument("--max-attempts", type=int, help="poisson_disk rejection budget")
     gen.add_argument("--taps", type=lambda s: int(s, 0), help="lfsr recurrence mask")
-    gen.add_argument("--skip", type=int, default=0, help="niederreiter warm-up skip")
+    gen.add_argument("--skip", type=int, help="niederreiter warm-up skip")
     gen.add_argument("--scale-bits", type=int,
                      help="emit floor(2^bits * value) integers instead of fractions")
     gen.add_argument("--decimal", action="store_true", help="print decimals, not fractions")
@@ -316,14 +307,11 @@ def build_parser():
             + "; --seqs takes `specA,specB` (params bind to the spec on their left) "
             "or a single family name for its default pair.",
         )
-        b.add_argument("--seqs", default="p2lsg2,p2lsgN")
+        b.add_argument("--seqs", default="p2lsg")
         b.add_argument("--lengths", default=deflen, type=_parse_lengths,
                        help="length exponents: `6..16`, `8`, or `6,8,10` (powers of 2)")
         b.add_argument("--out", choices=("table", "csv"), default="table")
         b.add_argument("--input-bits", type=int, default=8)
-        b.add_argument("--workers", type=int, default=None,
-                       help="accepted for compatibility, no effect: the sweep counts each "
-                       "pair's ones from cumulative threshold histograms in one thread")
         b.set_defaults(func=lambda a, _op=op: _cmd_bench(a, _op))
 
     sc = sub.add_parser("scale", help="SC bilinear image scaling")

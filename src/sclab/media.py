@@ -249,12 +249,14 @@ def _scale_sc(pix, out_h, out_w, n, data, u_level, v_level):
 
 
 def _output_dims(h, w, factor):
+    # neither the factor nor the scaled size is printed: an exact factor such
+    # as 1e-4300 has more digits than str() converts
     f = Fraction(factor)
     if f < 1:
-        raise DomainError(f"scale factor must be >= 1, got {factor}")
+        raise DomainError("scale factor must be >= 1")
     out_h, out_w = round(h * f), round(w * f)
     if out_h * out_w > MAX_OUTPUT_PIXELS:
-        raise DomainError(f"scaled size {out_h}x{out_w} exceeds {MAX_OUTPUT_PIXELS} pixels")
+        raise DomainError(f"scaling the {h}x{w} image exceeds {MAX_OUTPUT_PIXELS} pixels")
     return out_h, out_w
 
 

@@ -84,7 +84,7 @@ class TestKernelsAgainstBruteForce:
             n = 16
             thr_a = np.array([rng.randrange(8) for _ in range(n)])
             thr_b = np.array([rng.randrange(8) for _ in range(n)])
-            err = mul_error_sum(thr_a, thr_b, input_bits=bits, workers=1)
+            err = mul_error_sum(thr_a, thr_b, input_bits=bits)
             got = Fraction(err, (1 << bits) ** 2 * n)
             want = brute_force_mul_error(thr_a, thr_b, bits)
             assert got == want
@@ -96,7 +96,7 @@ class TestKernelsAgainstBruteForce:
             n = 16
             thr_d = np.array([rng.randrange(8) for _ in range(n)])
             thr_s = np.array([rng.randrange(8) for _ in range(n)])
-            err = add_error_sum(thr_d, thr_s, input_bits=bits, workers=1)
+            err = add_error_sum(thr_d, thr_s, input_bits=bits)
             got = Fraction(err, 2 * (1 << bits) * n)
             want = brute_force_add_error(thr_d, thr_s, bits)
             assert got == want
@@ -140,13 +140,6 @@ class TestKernelsAgainstBruteForce:
         monkeypatch.setattr(bench, "_BLOCK_CELLS", 3 * 64)  # 3-row blocks, short last one
         assert mul_error_sum(thr_a, thr_b, input_bits=6) == whole
         assert_kernels_match(thr_a[:40], thr_b[:40], 6)
-
-    def test_worker_count_does_not_change_result(self):
-        spec_a, spec_b = default_pair("p2lsg", 256)
-        thr_a = sequence_thresholds(spec_a, 256)
-        thr_b = sequence_thresholds(spec_b, 256)
-        results = {mul_error_sum(thr_a, thr_b, workers=w) for w in (1, 2, 7)}
-        assert len(results) == 1
 
     @pytest.mark.parametrize("n", [64, 256, 1024])
     def test_packed_path_matches_unpacked_random_pairs(self, n):
@@ -206,12 +199,6 @@ class TestSweeps:
         for bits in (0, 13, 16):
             with pytest.raises(ConfigurationError, match="input_bits"):
                 BenchConfig("mul", default_pair("p2lsg"), (64,), input_bits=bits)
-
-    def test_workers_must_be_positive(self):
-        BenchConfig("mul", default_pair("p2lsg"), (64,), workers=1)
-        for workers in (0, -1):
-            with pytest.raises(ConfigurationError, match="workers"):
-                BenchConfig("mul", default_pair("p2lsg"), (64,), workers=workers)
 
     def test_bad_lengths(self):
         with pytest.raises(ConfigurationError):

@@ -1,14 +1,16 @@
 import contextlib
 import io
+import os
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sclab.cli import main
+from sclab.media import AlphaMap, GrayImage, RgbImage, merge_scene_sc, scale_image_sc
 from sclab.p2lsg import group_reverse
 from sclab.pnm import read_pnm_file, write_pnm_file
 from sclab.sequences import (
@@ -16,6 +18,7 @@ from sclab.sequences import (
     FAMILIES,
     PI_FRACTIONAL,
     SILVER_RATIO,
+    SequenceSpec,
     gen_faure,
     gen_halton,
     gen_hammersley_pair,
@@ -38,11 +41,14 @@ def run(capsys, *argv):
 
 
 def run_quiet(*argv):
-    """Exit code, stdout and stderr of one run (no pytest fixture, so
-    hypothesis can call it once per example)."""
+    """Exit code, stdout and stderr of one run, argparse's exits included (no
+    pytest fixture, so hypothesis can call it once per example)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(map(str, argv)))
+        try:
+            code = main(list(map(str, argv)))
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -84,6 +90,9 @@ GEN_ORACLES = {
               lambda end: _scaled(gen_sobol(sobol_direction_vectors(2, 10), end), 10)),
     "niederreiter": (["--family", "niederreiter", "--dim", "3", "--bits", "10", "--skip", "5"],
                      lambda end: _scaled(gen_niederreiter(3, end, 10, skip=5), 10)),
+    # no --skip: the family table's skip=0
+    "niederreiter-skip-0": (["--family", "niederreiter", "--dim", "2"],
+                            lambda end: _scaled(gen_niederreiter(2, end, 8, skip=0), 8)),
     "lfsr": (["--family", "lfsr", "--seed", "7"],
              lambda end: _scaled(gen_lfsr(0x71, 7, end), 8)),
     "latin_hypercube": (["--family", "latin_hypercube", "--seed", "4"],
@@ -229,6 +238,9 @@ class TestGen:
          "--count", "2"),
         ("--family", "p2lsg", "--base", "2", "--bits", "62", "--par", str(1 << 30),
          "--count", "1"),
+        # an end with more digits than str() converts is not printed
+        ("--family", "vdc", "--base", "2", "--count", "9" * 4300, "--index", "9" * 4300),
+        ("--family", "p2lsg", "--par", "2", "--count", "9" * 4300),
     ])
     def test_over_two_to_the_24_values_rejected(self, capsys, flags):
         code, out, err = run(capsys, "gen", *flags)
@@ -346,14 +358,24 @@ class TestExitCodes:
         (("bench-mul", "--lengths", "6..3"), "length exponents out of range in '6..3'"),
         (("bench-add", "--lengths", "0"), "length exponents out of range in '0'"),
         (("bench-mul", "--lengths", "x"), "invalid _parse_lengths value: 'x'"),
+        (("bench-mul", "--lengths", "1..30000000"),
+         "length exponents out of range in '1..30000000'"),
+        (("bench-add", "--lengths", "1..1000000000000000"),
+         "length exponents out of range in '1..1000000000000000'"),
         (("scale", "--in", "a.pgm", "--out", "b.pgm", "--factor", "1/0"),
          "invalid Fraction value: '1/0'"),
         (("scale", "--in", "a.pgm", "--out", "b.pgm", "--factor", "nan"),
          "invalid Fraction value: 'nan'"),
+        (("scale", "--in", "a.pgm", "--out", "b.pgm", "--factor", "1e4400"),
+         "bad factor value: decimal exponent beyond +/-4300"),
+        (("scale", "--in", "a.pgm", "--out", "b.pgm", "--factor", "1e-4000000"),
+         "bad factor value: decimal exponent beyond +/-4300"),
     ])
     def test_rejected_flag_value_is_one_line_usage_error(self, capsys, argv, message):
+        start = time.perf_counter()
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
+        assert time.perf_counter() - start < 1
         err = capsys.readouterr().err
         assert exc.value.code == 1
         assert err.startswith("usage: sclab ") and "Traceback" not in err
@@ -428,7 +450,7 @@ class TestScc:
 class TestBench:
     def test_csv_known_value(self, capsys):
         code, out, _ = run(capsys, "bench-mul", "--seqs", "p2lsg2,p2lsgN",
-                           "--lengths", "8", "--out", "csv", "--workers", "1")
+                           "--lengths", "8", "--out", "csv")
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "length,mae_percent,wall_seconds"
@@ -436,25 +458,32 @@ class TestBench:
 
     def test_table_output(self, capsys):
         code, out, _ = run(capsys, "bench-add", "--seqs", "p2lsg", "--lengths",
-                           "2..4", "--out", "table", "--workers", "1")
+                           "2..4", "--out", "table")
         assert code == 0
         head, row = out.splitlines()
         assert "2^2" in head and "2^4" in head
         assert "13.40" in row
 
+    @pytest.mark.parametrize("op, lengths", [("mul", "6..8"), ("add", "2..4")])
+    def test_default_seqs_is_the_p2lsg_pair(self, capsys, op, lengths):
+        code, out, _ = run(capsys, f"bench-{op}", "--lengths", lengths)
+        assert code == 0
+        assert out.splitlines()[1].startswith(f"p2lsg:base=2 & p2lsg:base=N ({op})")
+        assert run(capsys, f"bench-{op}", "--seqs", "p2lsg2,p2lsgN", "--lengths", lengths)[1] == out
+
     def test_single_family_token(self, capsys):
         code, out, _ = run(capsys, "bench-mul", "--seqs", "hammersley",
-                           "--lengths", "6", "--out", "csv", "--workers", "1")
+                           "--lengths", "6", "--out", "csv")
         assert code == 0
         assert out.splitlines()[1].startswith("64,")
 
-    @pytest.mark.parametrize("workers", ["0", "-1"])
-    def test_workers_below_one_rejected(self, capsys, workers):
-        code, out, err = run(capsys, "bench-mul", "--seqs", "p2lsg", "--lengths", "6",
-                             "--workers", workers)
-        assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1 and "workers must be >= 1" in err
+    def test_workers_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench-mul", "--workers", "1"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 1
+        assert err.startswith("usage: sclab ") and err.count("error:") == 1
+        assert err.endswith("error: unrecognized arguments: --workers 1\n")
 
     @pytest.mark.parametrize("bits", ["13", "16"])
     def test_input_bits_over_cap_rejected_before_sweeping(self, capsys, bits):
@@ -504,7 +533,7 @@ class TestBench:
 
     def test_deterministic_mae_column(self, capsys):
         args = ("bench-mul", "--seqs", "sobol:dim=1,sobol:dim=2", "--lengths",
-                "6,7", "--out", "csv", "--workers", "2")
+                "6,7", "--out", "csv")
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         strip = lambda text: [",".join(l.split(",")[:2]) for l in text.splitlines()]
@@ -536,6 +565,35 @@ class TestMediaCommands:
         original, _ = read_pnm_file(gray_file)
         scaled, _ = read_pnm_file(out_path)
         assert np.array_equal(original, scaled)
+
+    @pytest.mark.parametrize("given", [{}, {"seq_data": "lfsr:seed=3"},
+                                       {"seq_u": "halton:base=13", "seq_v": "sobol:dim=3"}])
+    def test_scale_passes_only_the_given_specs(self, capsys, tmp_path, gray_file, given):
+        flags = [a for k, v in given.items() for a in ("--" + k.replace("_", "-"), v)]
+        code, _, _ = run(capsys, "scale", "--in", str(gray_file), "--out", str(tmp_path / "o.pgm"),
+                         "--factor", "3/2", "--n", "64", *flags)
+        assert code == 0
+        want = scale_image_sc(GrayImage(read_pnm_file(gray_file)[0]), Fraction(3, 2), 64,
+                              **{k: SequenceSpec.parse(v) for k, v in given.items()})
+        assert np.array_equal(read_pnm_file(tmp_path / "o.pgm")[0], want.pixels)
+
+    @pytest.mark.parametrize("given", [{}, {"seq_select": "sobol:dim=3"},
+                                       {"seq_data": "lfsr:seed=3", "seq_select": "vdc:base=3"}])
+    def test_merge_passes_only_the_given_specs(self, capsys, tmp_path, given):
+        rng = np.random.default_rng(5)
+        bg, fg = (rng.integers(0, 256, (5, 6, 3), dtype=np.uint8) for _ in range(2))
+        alpha = rng.integers(0, 256, (5, 6), dtype=np.uint8)
+        for path, pixels in (("bg.ppm", bg), ("fg/f.ppm", fg), ("al/f.pgm", alpha)):
+            (tmp_path / path).parent.mkdir(exist_ok=True)
+            write_pnm_file(tmp_path / path, pixels)
+        flags = [a for k, v in given.items() for a in ("--" + k.replace("_", "-"), v)]
+        code, _, _ = run(capsys, "merge", "--bg", str(tmp_path / "bg.ppm"),
+                         "--fg-dir", str(tmp_path / "fg"), "--alpha-dir", str(tmp_path / "al"),
+                         "--out-dir", str(tmp_path / "out"), "--n", "64", *flags)
+        assert code == 0
+        want = merge_scene_sc(RgbImage(bg), RgbImage(fg), AlphaMap(alpha), 64,
+                              **{k: SequenceSpec.parse(v) for k, v in given.items()})
+        assert np.array_equal(read_pnm_file(tmp_path / "out" / "f.ppm")[0], want.pixels)
 
     def test_merge_chroma_path(self, capsys, tmp_path):
         bg = np.zeros((8, 8, 3), dtype=np.uint8)
@@ -578,13 +636,16 @@ class TestMediaCommands:
         ("1073741824", "2"),
         (str(1 << 25), "2"),
         ("256", "100000"),
+        # factors inside the decimal exponent bound whose digits str() cannot convert
+        ("256", "1e4300"),
+        ("256", "1e-4300"),
     ])
     def test_scale_oversized_rejected_before_allocating(self, capsys, tmp_path, n, factor):
         write_pnm_file(tmp_path / "in.pgm", np.zeros((4, 4), dtype=np.uint8))
         code, out, err = run(capsys, "scale", "--in", str(tmp_path / "in.pgm"),
                              "--out", str(tmp_path / "out.pgm"), "--factor", factor, "--n", n)
         assert code == 2 and out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("sclab: ")
+        assert len(err.splitlines()) == 1 and err.startswith("sclab: ") and len(err) <= 200
         assert not (tmp_path / "out.pgm").exists()
 
     def test_merge_oversized_length_rejected(self, capsys, tmp_path):
@@ -624,3 +685,148 @@ class TestMediaCommands:
                            "--test", str(other))
         assert code == 0
         assert out.splitlines()[0] == "PSNR: 48.13 dB"
+
+
+# ---------------------------------------------------------------------------
+# arbitrary argv
+# ---------------------------------------------------------------------------
+
+_HUGE = ["9" * 4300, "-" + "9" * 4300, str(1 << 89)]
+# values any flag may draw: huge, negative and 4300-digit ints, and text that
+# reaches a parser's edges
+_ANY = ["0", "1", "-1", "N", "1e4300", "1..1000000000000000", "nan", "1/0", "", *_HUGE]
+_IMAGES = ["gray.pgm", "rgb.ppm", "junk.pgm", "dir", "missing.pgm"]
+_SPECS = ["p2lsg:base=2", "p2lsg:base=N", "sobol:dim=2", "halton:base=N", "lfsr:seed=1",
+          "weyl:irrational=silver", "vdc", "nope"]
+_LENGTHS = ["2", "256", "4096", "3", str(1 << 25)]
+# the only flags that write files; they draw only from their own pool
+_OUTPUTS = {"--out": ["out.pgm", "out.ppm", "dir", "missing/x.pgm"],
+            "--out-dir": ["outdir", "gray.pgm", "new/outdir"]}
+# subcommand -> ({required flag: value pool}, {optional flag: value pool}), a
+# pool of None for a switch; counts stay at 64 or below unless past the 2^24
+# cap, length exponents at 8 or below
+_ARGV_FLAGS = {
+    "gen": ({"--family": list(FAMILIES), "--count": ["1", "4", "64", str((1 << 24) + 1)]}, {
+        "--index": ["3", "64", str(1 << 24)],
+        "--base": ["2", "3", "7", "13", "16", "0x10", str((1 << 89) - 1)],
+        "--bits": ["8", "10", "32", "62", "63"],
+        "--par": ["2", "4", "3", str(1 << 30)],
+        "--dim": ["2", "7", "8"],
+        "--irrational": ["pi", "silver", "1/3", "1e-4300", "1e-1000000"],
+        "--seed": ["7", "256"],
+        "--min-distance": ["1/65", "1/2", "2", "1e-4300"],
+        "--max-attempts": ["100", "65537"],
+        "--taps": ["0x71", "0xE1", "0x1ff"],
+        "--skip": ["5", str(1 << 63)],
+        "--scale-bits": ["8", "60", "62", "63"],
+        "--decimal": None,
+    }),
+    "scc": ({"--a": ["s1.txt", "s2.txt"], "--b": ["s1.txt", "s2.txt", "short.txt"]}, {
+        "--format": ["ascii", "raw", "bits.bin"],
+    }),
+    **dict.fromkeys(("bench-mul", "bench-add"), ({
+        "--lengths": ["2", "6", "8", "2..4", "6..8", "6,8", "25", "30", "6..3", "1..30000000"],
+    }, {
+        "--seqs": [*FAMILIES, "p2lsg2,p2lsgN", "sobol:dim=1,sobol:dim=2", "p2lsg2",
+                   "halton:base=N,vdc:base=2", "weyl:irrational=1e-4300,r2:dim=1"],
+        "--out": ["table", "csv", "json"],
+        "--input-bits": ["4", "8", "13"],
+    })),
+    "scale": ({"--in": _IMAGES, "--out": _OUTPUTS["--out"],
+               "--factor": ["2", "3/2", "1.5", "7/3", "-2", "1/2", "100000", "1e-4300",
+                            "1e4400", "1e-4000000", "inf"]}, {
+        "--n": _LENGTHS,
+        "--seq-data": _SPECS, "--seq-u": _SPECS, "--seq-v": _SPECS,
+    }),
+    "merge": ({"--bg": _IMAGES, "--fg-dir": ["frames", "mixed", "dir", "gray.pgm"],
+               "--out-dir": _OUTPUTS["--out-dir"]}, {
+        "--n": _LENGTHS,
+        "--alpha-dir": ["alphas", "frames", "dir"],
+        "--green-threshold": ["100", "255"],
+        "--margin": ["50", "255"],
+        "--seq-data": _SPECS, "--seq-select": _SPECS,
+    }),
+    "score": ({"--ref": _IMAGES, "--test": _IMAGES}, {}),
+}
+# none of these is a prefix of a flag, so argparse never reads one as an
+# abbreviated --out or --out-dir
+_JUNK_FLAGS = ["--nope", "--workers", "-z", "-h"]
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand (or junk), most of its required flags, some of its optional
+    flags and at times a junk flag, in any order, each with a value from its
+    pool or from _ANY."""
+    command = draw(st.sampled_from([*_ARGV_FLAGS, "frobnicate", ""]))
+    required, optional = _ARGV_FLAGS.get(command, ({}, {}))
+    keep = st.sampled_from([True] * 7 + [False])  # roughly 7 times in 8
+    # bench's --lengths is always given: its 6..16 default would be slow
+    names = [f for f in required if f == "--lengths" or draw(keep)]
+    names += draw(st.permutations(sorted(optional)))[: draw(st.integers(0, 4))]
+    if not draw(keep):
+        names.append(draw(st.sampled_from(_JUNK_FLAGS)))
+    pools = {**required, **optional}
+    argv = [command]
+    for name in draw(st.permutations(names)):
+        pool = pools.get(name, _ANY)
+        argv.append(name)
+        if pool is not None:
+            # roughly one value in 8 comes from _ANY, except for outputs
+            if name not in _OUTPUTS and not draw(keep):
+                pool = _ANY
+            argv.append(draw(st.sampled_from(pool)))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    """The files `argvs` names: tiny valid P5/P6 images, junk bytes, stream
+    files, frame and alpha directories, a plain directory; missing.pgm is not
+    made."""
+    from sclab.bitstream import Bitstream, dump_stream_raw
+
+    root = tmp_path_factory.mktemp("argv")
+    rng = np.random.default_rng(3)
+    rgb = rng.integers(0, 256, (4, 4, 3), dtype=np.uint8)
+    rgb[:2, :, 1] = 255  # a green-screen half for the chroma key
+    write_pnm_file(root / "gray.pgm", rng.integers(0, 256, (4, 4), dtype=np.uint8))
+    write_pnm_file(root / "rgb.ppm", rgb)
+    (root / "junk.pgm").write_bytes(b"P5\n4 4\n255\n\x00\xff")
+    for name in ("dir", "frames", "mixed", "alphas"):
+        (root / name).mkdir()
+    write_pnm_file(root / "frames" / "f.ppm", rgb)
+    write_pnm_file(root / "mixed" / "f.ppm", rgb)
+    write_pnm_file(root / "mixed" / "g.pgm", rgb[..., 0])
+    write_pnm_file(root / "alphas" / "f.pgm", rng.integers(0, 256, (4, 4), dtype=np.uint8))
+    (root / "s1.txt").write_text("0110" * 4 + "\n")
+    (root / "s2.txt").write_text("1010" * 4 + "\n")
+    (root / "short.txt").write_text("011\n")
+    (root / "bits.bin").write_bytes(dump_stream_raw(Bitstream.from01("0110" * 4)))
+    return root
+
+
+class TestArbitraryArgv:
+    @settings(max_examples=1000, deadline=None)
+    @given(argv=argvs())
+    @example(argv=["bench-mul", "--lengths", "1..1000000000000000"])
+    @example(argv=["bench-add", "--lengths", "1..30000000"])
+    @example(argv=["scale", "--in", "gray.pgm", "--out", "out.pgm", "--factor", "1e4300"])
+    @example(argv=["scale", "--in", "gray.pgm", "--out", "out.pgm", "--factor", "1e-4300"])
+    @example(argv=["scale", "--in", "gray.pgm", "--out", "out.pgm", "--factor", "1e4400"])
+    @example(argv=["scale", "--in", "gray.pgm", "--out", "out.pgm", "--factor", "1e-4000000"])
+    @example(argv=["gen", "--family", "vdc", "--count", "9" * 4300, "--index", "9" * 4300])
+    @example(argv=["gen", "--family", "p2lsg", "--par", "2", "--count", "9" * 4300])
+    def test_exits_with_a_documented_code_and_no_traceback(self, argv_dir, argv):
+        # relative paths, junk ones included, resolve inside the fixture directory
+        cwd = os.getcwd()
+        os.chdir(argv_dir)
+        try:
+            code, _, err = run_quiet(*argv)
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        if code in (2, 3):
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("sclab: ")
