@@ -18,12 +18,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigurationError
-from .sequences import resolve_spec, sequence_thresholds
+from .sequences import MAX_LENGTH, check_stream_length, resolve_spec, sequence_thresholds
 
 # the pair-count table has 2^(2*input_bits) cells; it is built _BLOCK_CELLS at a time
 MAX_INPUT_BITS = 12
-# with MAX_INPUT_BITS this keeps every int64 error sum below 2^63
-MAX_LENGTH = 1 << 24
 _BLOCK_CELLS = 1 << 20
 
 
@@ -42,8 +40,7 @@ class BenchConfig:
         if list(self.lengths) != sorted(self.lengths):
             raise ConfigurationError("lengths must be ascending")
         for n in self.lengths:
-            if n < 2 or n & (n - 1):
-                raise ConfigurationError(f"lengths must be powers of 2, got {n}")
+            check_stream_length(n)
         _check_size(max(self.lengths, default=2), self.input_bits)
 
 
@@ -69,6 +66,7 @@ def _check_size(n, input_bits):
     """Reject sweeps whose table would not fit in memory or whose sums could overflow."""
     if not 1 <= input_bits <= MAX_INPUT_BITS:
         raise ConfigurationError(f"input_bits must be in 1..{MAX_INPUT_BITS}, got {input_bits}")
+    # with MAX_INPUT_BITS, MAX_LENGTH keeps every int64 error sum below 2^63
     if n > MAX_LENGTH:
         raise ConfigurationError(f"length must be at most 2^24, got {n}")
 

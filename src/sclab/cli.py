@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import MAX_LENGTH, BenchConfig, emit_report, run_bench
+from .bench import BenchConfig, emit_report, run_bench
 from .bitstream import load_stream_ascii, load_stream_raw, scc
 from .errors import ConfigurationError, DomainError, ParseError, WorkbenchError
 from .media import (
@@ -26,11 +26,12 @@ from .media import (
     scale_image_sc,
     ssim,
 )
-from .p2lsg import P2lsgConfig, p2lsg_parallel
+from .p2lsg import P2lsgConfig
 from .pnm import read_pnm_file, write_pnm_file
 from .sequences import (
     _REGISTRY,
     FAMILIES,
+    MAX_LENGTH,
     SequenceSpec,
     _fraction,
     default_pair,
@@ -92,39 +93,43 @@ def _parse_seq_pair(text):
 # gen
 # ---------------------------------------------------------------------------
 
+# gen's flag (argparse dest) for each family parameter: its name, but --base for faure's prime
+_GEN_FLAGS = {k: "base" if k == "prime" else k for r in _REGISTRY.values() for k in r.params}
+
+
 def _cmd_gen(args):
     if args.count < 1:
         raise DomainError(f"--count must be positive, got {args.count}")
     if args.index < 0:
         raise DomainError(f"--index must be non-negative, got {args.index}")
+    reads = {_GEN_FLAGS[k]: k for k in _REGISTRY[args.family].params}  # flag -> parameter
+    given = {f: getattr(args, f) for f in dict.fromkeys(_GEN_FLAGS.values())
+             if getattr(args, f) is not None}
+    unread = [f"--{f.replace('_', '-')}" for f in given if f not in reads]
+    if args.par != 1 and args.family != "p2lsg":
+        unread.append("--par")
+    if unread:
+        raise DomainError(f"gen --family {args.family} does not read {', '.join(unread)}")
     # p2lsg's parallel mode emits --par values per cycle, always from index 0
-    parallel = args.family == "p2lsg" and args.par > 1
-    if parallel and args.index:
+    if args.par > 1 and args.index:
         raise DomainError(f"--index must be 0 with --par {args.par}, got {args.index}")
-    end = args.count * args.par if parallel else args.index + args.count
-    if end > MAX_LENGTH:
+    count = args.count * args.par
+    if args.index + count > MAX_LENGTH:
         # the run's end is not printed: it may have more digits than str() allows
         raise DomainError(f"gen stops at index 2^24 ({MAX_LENGTH}); this run would pass it")
-    # the family's declared parameters whose flags were given; --base is faure's prime
-    flags = dict(vars(args), prime=args.base)
-    spec = SequenceSpec(args.family, tuple(
-        (k, flags[k]) for k in _REGISTRY[args.family].params if flags[k] is not None))
-    if args.family == "p2lsg":
+    spec = SequenceSpec(args.family, tuple((reads[f], v) for f, v in given.items()))
+    bits = args.scale_bits
+    if args.family == "p2lsg":  # it prints its counter values: integers at the counter width
         cfg = P2lsgConfig(spec.get("base"), spec.get("bits"), args.par)
-        if parallel:
-            values = _value_texts(p2lsg_parallel(cfg, args.count).ravel(), 1)
-            lines = [",".join(values[i : i + cfg.par]) for i in range(0, len(values), cfg.par)]
-        else:
-            lines = _value_texts(sequence_numerators(spec, args.count, args.index)[0], 1)
-    elif args.scale_bits is not None:
-        values = sequence_thresholds(spec, args.count, args.scale_bits, start=args.index)
-        lines = _value_texts(values, 1)
-    elif args.family == "hammersley" and args.dim is None:
-        pair = (sequence_numerators(spec.with_param("dim", d), args.count, args.index)
-                for d in (0, 1))
-        lines = map(",".join, zip(*(_value_texts(*nd, args.decimal) for nd in pair)))
-    else:
-        lines = _value_texts(*sequence_numerators(spec, args.count, args.index), args.decimal)
+        bits = cfg.counter_bits if bits is None else bits
+    pair = args.family == "hammersley" and args.dim is None  # both dimensions, a column each
+    specs = [spec.with_param("dim", d) for d in (0, 1)] if pair else [spec]
+    columns = [_value_texts(sequence_thresholds(s, count, bits, args.index), 1) if bits is not None
+               else _value_texts(*sequence_numerators(s, count, args.index), args.decimal)
+               for s in specs]
+    if args.par > 1:  # PAR consecutive values per line
+        columns = [columns[0][j :: args.par] for j in range(args.par)]
+    lines = columns[0] if len(columns) == 1 else map(",".join, zip(*columns))
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -353,10 +358,7 @@ def main(argv=None):
         return 1
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"sclab: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"sclab: {exc}", file=sys.stderr)
         return 3
     except WorkbenchError as exc:

@@ -21,18 +21,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bench import MAX_LENGTH, _levels, count_table
-from .errors import ConfigurationError, DomainError
-from .sequences import SequenceSpec, resolve_spec, sequence_thresholds
+from .bench import _levels, count_table
+from .errors import DomainError
+from .sequences import SequenceSpec, default_pair, resolve_spec, sequence_thresholds
 
 # default sequence assignment: data from the base-2 reversal, the u select from
 # the counter-order base-N generator, the v select from the binomial-scramble
 # dimension; a base-2 digital-net triple, so the three comparisons stay jointly
 # equidistributed off one shared counter
-DATA_SPEC = SequenceSpec.parse("p2lsg:base=2")
-U_SELECT_SPEC = SequenceSpec.parse("p2lsg:base=N")
+DATA_SPEC, U_SELECT_SPEC = default_pair("p2lsg")
 V_SELECT_SPEC = SequenceSpec.parse("sobol:dim=2")
-MERGE_SELECT_SPEC = SequenceSpec.parse("p2lsg:base=N")
+MERGE_SELECT_SPEC = U_SELECT_SPEC
 
 
 def _as_uint8(pixels, ndim, what):
@@ -164,11 +163,6 @@ _ROW_BLOCK = 32
 _RECT_ADDS = 16
 
 
-def _check_stream_length(n):
-    if n < 2 or n & (n - 1) or n > MAX_LENGTH:
-        raise ConfigurationError(f"stream length must be a power of 2 in 2..2^24, got {n}")
-
-
 def _stream_levels(spec, n):
     """Comparator levels of a sequence's 8-bit thresholds: the stream for k/256
     (k = 256: the fully-opaque select) has a 1 at i exactly when level[i] <= k."""
@@ -185,7 +179,7 @@ def _mux2_counts(table, sel_cells, d0, d1):
 def _counts_to_pixels(counts, n):
     """Nearest 8-bit value for counts/n, ties away from zero, capped at 255.
 
-    n = 2^k (see _check_stream_length), so round(256 c / n) is
+    n = 2^k (resolve_spec checks it), so round(256 c / n) is
     (c + 2^(k-9)) >> (k-8) for k > 8 and c << (8-k) otherwise; the shifts
     run in place, so `counts` must be a fresh array.
     """
@@ -268,7 +262,6 @@ def scale_image_sc(image, scale_factor, stream_length=256,
     sequence (mutual correlation is fine for MUX data); the fractional offsets
     u and v drive the two select streams from two further sequences.
     """
-    _check_stream_length(stream_length)
     pix = image.pixels
     out_h, out_w = _output_dims(pix.shape[0], pix.shape[1], scale_factor)
     levels = [_stream_levels(spec, stream_length) for spec in (seq_data, seq_u, seq_v)]
@@ -318,7 +311,6 @@ def merge_scene_sc(background, foreground, alpha, stream_length=256,
     Background and foreground streams share one sequence; the alpha select
     stream comes from a second, uncorrelated one.
     """
-    _check_stream_length(stream_length)
     bg, fg = background.pixels, foreground.pixels
     if bg.shape != fg.shape or alpha.alpha.shape != bg.shape[:2]:
         raise DomainError(

@@ -43,6 +43,7 @@ _INV_PLASTIC_64 = (13925035116211876495, 10511698010929265436)
 LFSR_DEFAULT_TAPS = 0x71
 LFSR_DEFAULT_BITS = 8
 
+MAX_LENGTH = 1 << 24  # longest stream; bench._check_size says what relies on it
 # largest poisson_disk rejection budget: a spacing that cannot be met fails in
 # at most this many draws
 MAX_ATTEMPTS = 1 << 16
@@ -50,6 +51,7 @@ MAX_ATTEMPTS = 1 << 16
 # expands 10^e exactly, so larger ones cost time without bound (4300 is
 # Python's own limit on int digits)
 _MAX_DECIMAL_EXPONENT = 4300
+_INT_BOUND = 10**_MAX_DECIMAL_EXPONENT  # int(text, 0) reads hex ints str() cannot print
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 # Miller-Rabin over these bases decides every n below 3.3e24 exactly
@@ -468,6 +470,8 @@ class SequenceSpec:
             alias = value == "N" and key in record.sized and declared is int
             if int in (declared, type(declared)) and not isinstance(value, int) and not alias:
                 raise ConfigurationError(f"parameter {key}={value!r} is not an integer")
+            if isinstance(value, int) and abs(value) >= _INT_BOUND:  # before a message prints it
+                raise ConfigurationError(f"parameter {key} has more than 4300 digits")
 
     @classmethod
     def parse(cls, text):
@@ -533,11 +537,16 @@ def parse_spec_pair(text):
     return [SequenceSpec.parse(g) for g in groups]
 
 
+def check_stream_length(n):
+    """Reject a stream length that is not a power of 2 in 2..MAX_LENGTH."""
+    if n < 2 or n & (n - 1) or n > MAX_LENGTH:
+        raise ConfigurationError(f"stream length must be a power of 2 in 2..2^24, got {n}")
+
+
 def resolve_spec(spec, stream_length):
     """Fill what a power-of-2 stream length decides: each sized parameter the
     spec leaves out, and the alias base=N."""
-    if stream_length < 2 or stream_length & (stream_length - 1):
-        raise ConfigurationError(f"stream length must be a power of 2, got {stream_length}")
+    check_stream_length(stream_length)
     n = stream_length
     sized = {"base": n, "bits": n.bit_length() - 1, "min_distance": f"1/{4 * n}"}
     record = _REGISTRY[spec.family]

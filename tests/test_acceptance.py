@@ -328,7 +328,8 @@ def test_criterion_10_packed_vs_naive():
     for name, (arity, run) in ops.items():
         for i in range(10000):
             n = rng.randrange(1, 129)
-            bits = [[rng.randint(0, 1) for _ in range(n)] for _ in range(arity)]
+            # each stream's n bits come from one n-bit draw
+            bits = [list(map(int, f"{rng.getrandbits(n):0{n}b}")) for _ in range(arity)]
             streams = [Bitstream.from_bits(x) for x in bits]
             packed, naive = run(streams, bits)
             if naive_bits(packed) != naive:

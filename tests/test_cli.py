@@ -67,6 +67,10 @@ def per_value_lines(values, decimal):
     )
 
 
+# a hex int that int(text, 0) reads, with more decimal digits than str() converts
+HEX_4000 = "0x" + "f" * 4000
+
+
 def _scaled(values, bits):
     return [Fraction(int(v), 1 << bits) for v in values]
 
@@ -99,6 +103,14 @@ GEN_ORACLES = {
                         lambda end: gen_latin_hypercube(end, 4)),
     "poisson_disk": (["--family", "poisson_disk", "--seed", "2"],
                      lambda end: gen_poisson_disk(end, Fraction(1, 4 * end), 2)),
+}
+
+
+# p2lsg prints integers, so it has a value oracle only for --scale-bits
+SCALE_BITS_ORACLES = {
+    **GEN_ORACLES,
+    "p2lsg": (["--family", "p2lsg", "--base", "16", "--bits", "10"],
+              lambda end: _scaled([group_reverse(i, 10, 16) for i in range(end)], 10)),
 }
 
 
@@ -165,15 +177,17 @@ class TestGen:
         assert code == 0
         assert out == per_value_lines(oracle(index + count)[index:], decimal)
 
-    @pytest.mark.parametrize("family", sorted(set(GEN_ORACLES) - {"hammersley-pair"}))
+    @pytest.mark.parametrize("family", sorted(SCALE_BITS_ORACLES))
     @settings(max_examples=8, deadline=None)
     @given(index=st.integers(0, 300), count=st.integers(1, 120), bits=st.sampled_from([1, 8, 62]))
     def test_scale_bits_is_floor_of_value(self, family, index, count, bits):
-        flags, oracle = GEN_ORACLES[family]
+        flags, oracle = SCALE_BITS_ORACLES[family]
         code, out = gen_stdout(*flags, "--index", index, "--count", count, "--scale-bits", bits)
         assert code == 0
-        want = [(v.numerator << bits) // v.denominator for v in oracle(index + count)[index:]]
-        assert out == "".join(f"{v}\n" for v in want)
+        floor = lambda v: (v.numerator << bits) // v.denominator
+        want = [tuple(map(floor, v)) if isinstance(v, tuple) else floor(v)
+                for v in oracle(index + count)[index:]]
+        assert out == per_value_lines(want, False)
 
     @settings(max_examples=25, deadline=None)
     @given(base=st.sampled_from([2, 4, 8, 16, 256]), bits=st.integers(1, 12),
@@ -198,6 +212,47 @@ class TestGen:
             ",".join(str(group_reverse(c * par + j, bits, base)) for j in range(par)) + "\n"
             for c in range(cycles)
         )
+
+    @pytest.mark.parametrize("base, bits, par, scale_bits", [(2, 8, 2, 3), (16, 10, 8, 62),
+                                                            (4, 7, 64, 1)])
+    def test_p2lsg_parallel_scale_bits(self, base, bits, par, scale_bits):
+        cycles = (1 << bits) // par
+        code, out = gen_stdout("--family", "p2lsg", "--base", base, "--bits", bits,
+                               "--par", par, "--count", cycles, "--scale-bits", scale_bits)
+        assert code == 0
+        assert out == "".join(
+            ",".join(str(group_reverse(c * par + j, bits, base) << scale_bits >> bits)
+                     for j in range(par)) + "\n"
+            for c in range(cycles)
+        )
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_flag_the_family_does_not_read_rejected(self, capsys, family):
+        params = _REGISTRY[family].params
+        argv = ("gen", "--family", family, "--count", "3",
+                *(a for k, default in params.items() if default is int for a in (f"--{k}", "2")))
+        assert run(capsys, *argv)[0] == 0
+        unread = [("--base" if "seed" in params else "--seed", "5")]
+        if family != "p2lsg":
+            unread.append(("--par", "2"))
+        for flag, value in unread:
+            code, out, err = run(capsys, *argv, flag, value)
+            assert code == 2 and out == ""
+            assert err.count("\n") == 1 and err.startswith("sclab: ")
+            assert flag in err and family in err
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--family", "halton", "--base", HEX_4000),
+        ("gen", "--family", "p2lsg", "--base", HEX_4000),
+        ("gen", "--family", "lfsr", "--seed", "1", "--taps", HEX_4000),
+        ("bench-mul", "--seqs", f"halton:base={HEX_4000},vdc:base=2", "--lengths", "6"),
+    ])
+    def test_long_hex_int_is_one_short_line(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, *(["--count", "1"] if argv[0] == "gen" else []))
+        assert time.perf_counter() - start < 1
+        assert code in (1, 2) and out == ""
+        assert err.count("\n") == 1 and len(err) <= 200
 
     @pytest.mark.parametrize("flags, oracle", [
         # a base whose Pascal products pass int64: object-dtype numerators
@@ -697,7 +752,7 @@ _HUGE = ["9" * 4300, "-" + "9" * 4300, str(1 << 89)]
 _ANY = ["0", "1", "-1", "N", "1e4300", "1..1000000000000000", "nan", "1/0", "", *_HUGE]
 _IMAGES = ["gray.pgm", "rgb.ppm", "junk.pgm", "dir", "missing.pgm"]
 _SPECS = ["p2lsg:base=2", "p2lsg:base=N", "sobol:dim=2", "halton:base=N", "lfsr:seed=1",
-          "weyl:irrational=silver", "vdc", "nope"]
+          "weyl:irrational=silver", "vdc", "nope", f"halton:base={HEX_4000}"]
 _LENGTHS = ["2", "256", "4096", "3", str(1 << 25)]
 # the only flags that write files; they draw only from their own pool
 _OUTPUTS = {"--out": ["out.pgm", "out.ppm", "dir", "missing/x.pgm"],
@@ -708,7 +763,7 @@ _OUTPUTS = {"--out": ["out.pgm", "out.ppm", "dir", "missing/x.pgm"],
 _ARGV_FLAGS = {
     "gen": ({"--family": list(FAMILIES), "--count": ["1", "4", "64", str((1 << 24) + 1)]}, {
         "--index": ["3", "64", str(1 << 24)],
-        "--base": ["2", "3", "7", "13", "16", "0x10", str((1 << 89) - 1)],
+        "--base": ["2", "3", "7", "13", "16", "0x10", str((1 << 89) - 1), HEX_4000],
         "--bits": ["8", "10", "32", "62", "63"],
         "--par": ["2", "4", "3", str(1 << 30)],
         "--dim": ["2", "7", "8"],
@@ -716,7 +771,7 @@ _ARGV_FLAGS = {
         "--seed": ["7", "256"],
         "--min-distance": ["1/65", "1/2", "2", "1e-4300"],
         "--max-attempts": ["100", "65537"],
-        "--taps": ["0x71", "0xE1", "0x1ff"],
+        "--taps": ["0x71", "0xE1", "0x1ff", HEX_4000],
         "--skip": ["5", str(1 << 63)],
         "--scale-bits": ["8", "60", "62", "63"],
         "--decimal": None,
@@ -817,6 +872,10 @@ class TestArbitraryArgv:
     @example(argv=["scale", "--in", "gray.pgm", "--out", "out.pgm", "--factor", "1e-4000000"])
     @example(argv=["gen", "--family", "vdc", "--count", "9" * 4300, "--index", "9" * 4300])
     @example(argv=["gen", "--family", "p2lsg", "--par", "2", "--count", "9" * 4300])
+    @example(argv=["gen", "--family", "halton", "--base", HEX_4000, "--count", "1"])
+    @example(argv=["gen", "--family", "p2lsg", "--base", HEX_4000, "--count", "1"])
+    @example(argv=["gen", "--family", "lfsr", "--seed", "1", "--taps", HEX_4000, "--count", "1"])
+    @example(argv=["bench-mul", "--seqs", f"halton:base={HEX_4000},vdc:base=2", "--lengths", "6"])
     def test_exits_with_a_documented_code_and_no_traceback(self, argv_dir, argv):
         # relative paths, junk ones included, resolve inside the fixture directory
         cwd = os.getcwd()

@@ -556,6 +556,11 @@ class TestSequenceSpec:
         with pytest.raises(ConfigurationError, match="power of 2"):
             sequence_thresholds(SequenceSpec.parse("p2lsgN"), 16, 8)
 
+    def test_resolve_rejects_lengths_past_2_to_the_24(self):
+        assert resolve_spec(SequenceSpec.parse("p2lsgN"), 1 << 24).get("bits") == 24
+        with pytest.raises(ConfigurationError, match=re.escape("2..2^24, got 33554432")):
+            resolve_spec(SequenceSpec.parse("p2lsgN"), 1 << 25)
+
     def test_get_reads_family_defaults(self):
         assert SequenceSpec.parse("halton").get("base") == 11
         assert SequenceSpec.parse("weyl").get("irrational") == "pi"
