@@ -8,6 +8,7 @@ run-dependent field).
 """
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -350,6 +351,15 @@ def build_parser():
     return parser
 
 
+# a message names the value it rejects, but an int (decimal, or hex after 0x)
+# of 33 or more digits shows only its first and last four digits and its length
+_LONG_INT = re.compile(r"(?<=0x)[0-9a-f]{33,}|\d{33,}")
+
+
+def _elide(match):
+    return f"{match[0][:4]}...{match[0][-4:]} ({len(match[0])} digits)"
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -358,12 +368,9 @@ def main(argv=None):
         return 1
     try:
         return args.func(args)
-    except (ParseError, OSError) as exc:
-        print(f"sclab: {exc}", file=sys.stderr)
-        return 3
-    except WorkbenchError as exc:
-        print(f"sclab: {exc}", file=sys.stderr)
-        return 2
+    except (WorkbenchError, OSError) as exc:
+        print("sclab: " + _LONG_INT.sub(_elide, str(exc)), file=sys.stderr)
+        return 3 if isinstance(exc, (ParseError, OSError)) else 2
 
 
 if __name__ == "__main__":

@@ -9,10 +9,10 @@ mapping defines the reference compositor.
 No stream is simulated: a comparator-stream 2-to-1 MUX's ones are gathers
 from one cumulative histogram C of (select, data) thresholds, and the 4-to-1
 MUX splits by its v select bit into two of those.  A merged sample's ones are
-`(C[256] - C)[a, bg] + C[a, fg]`, two gathers once the pre-subtracted table is
-built per frame.  Counts c of N = 2^k round to 8 bits by shifts alone (see
-`_counts_to_pixels`).  The packed-word circuits in `ops` are the tests'
-independent oracle for these counts.
+`(C[256] - C)[a, bg] + C[a, fg]`, gathered, like scaling's, from flat 256x256
+int32 tables through uint16 cells `row << 8 | sample`.  Counts c of N = 2^k
+round to 8 bits by shifts alone (see `_counts_to_pixels`).  The packed-word
+circuits in `ops` are the tests' independent oracle for these counts.
 """
 
 import math
@@ -156,7 +156,7 @@ def chroma_key_alpha(frame, green_threshold=100, dominance_margin=50):
 
 # largest scale_image_sc output, in pixels (8192 x 8192)
 MAX_OUTPUT_PIXELS = 1 << 26
-# output rows gathered at a time, which bounds the int64 temporaries
+# output rows gathered at a time: bounds the uint16 cell and int32 count arrays
 _ROW_BLOCK = 32
 # a v-table update adds one rectangle per new index up to this many (N up to
 # about 4096), else a cumulative histogram whose cost does not grow with N
@@ -167,13 +167,6 @@ def _stream_levels(spec, n):
     """Comparator levels of a sequence's 8-bit thresholds: the stream for k/256
     (k = 256: the fully-opaque select) has a 1 at i exactly when level[i] <= k."""
     return _levels(sequence_thresholds(resolve_spec(spec, n), n, bits=8), 256)
-
-
-def _mux2_counts(table, sel_cells, d0, d1):
-    """Ones of 2-to-1 MUXes routing d0 on select 0, d1 on select 1 (sel_cells =
-    257 * select numerator): d0's ones outside the select plus d1's under it."""
-    cells = table.ravel()
-    return table[256][d0] - cells[sel_cells + d0] + cells[sel_cells + d1]
 
 
 def _counts_to_pixels(counts, n):
@@ -212,14 +205,14 @@ def _scale_sc(pix, out_h, out_w, n, data, u_level, v_level):
     """4-to-1 MUX scaling of an (H, W, C) raster from comparator counts.
 
     For one v offset the indices split by the v select bit, and each half is a
-    2-to-1 MUX over u.  Rows are visited in ascending v offset, so the count
-    table of the half whose v bit is 1 only ever grows.
+    2-to-1 MUX over u: d0's ones outside the u select plus d1's under it.  Rows
+    are visited in ascending v offset, so the table of the v bit 1 half grows.
     """
     y1, y2, v8, _ = _axis_map(pix.shape[0], out_h)
     x1, x2, u8, _ = _axis_map(pix.shape[1], out_w)
-    u_cells = 257 * u8[:, None]
-    whole = count_table(u_level, data, 257, 257)
-    upper = np.zeros_like(whole)
+    u_cells = (u8.astype(np.uint16) << 8)[:, None]
+    whole = count_table(u_level, data, 257, 257)[:, :256].astype(np.int32)
+    upper, lower = np.zeros_like(whole), np.empty_like(whole)
     by_v = np.argsort(v_level, kind="stable")
     sorted_v, added = v_level[by_v], 0
     rows_by_v = np.argsort(v8, kind="stable")
@@ -228,16 +221,20 @@ def _scale_sc(pix, out_h, out_w, n, data, u_level, v_level):
         stop = np.searchsorted(sorted_v, v8[rows[0]], side="right")
         new = by_v[added:stop]
         if new.size > _RECT_ADDS:
-            upper += count_table(u_level[new], data[new], 257, 257)
+            upper += count_table(u_level[new], data[new], 257, 257)[:, :256]
         else:
             for i in new:
                 upper[u_level[i]:, data[i]:] += 1
-        added, lower = stop, whole - upper
+        added = stop
+        np.subtract(whole, upper, out=lower)
         for r in range(0, rows.size, _ROW_BLOCK):
             block = rows[r : r + _ROW_BLOCK]
-            top, bottom = (pix[y[block]].astype(np.int64) for y in (y1, y2))
-            counts = (_mux2_counts(lower, u_cells, top.take(x1, 1), top.take(x2, 1))
-                      + _mux2_counts(upper, u_cells, bottom.take(x1, 1), bottom.take(x2, 1)))
+            counts = np.zeros((block.size, out_w, pix.shape[2]), dtype=np.int32)
+            for table, y in ((lower, y1), (upper, y2)):
+                d0, d1 = (pix[y[block]].take(x, 1) for x in (x1, x2))
+                counts += table[256].take(d0)
+                counts -= table.ravel().take(u_cells | d0)
+                counts += table.ravel().take(u_cells | d1)
             out[block] = _counts_to_pixels(counts, n)
     return out
 
@@ -294,14 +291,9 @@ def bilinear_reference(image, scale_factor):
 # scene merging
 # ---------------------------------------------------------------------------
 
-def _alpha_select_numerators(alpha):
-    # alpha/256 select probability, except fully-opaque 255 -> 1.0 (row 256)
-    a = alpha.astype(np.int64)
-    return np.where(a == 255, 256, a)
-
-
-# table cell offset 257 * numerator of each alpha byte's select stream
-_SELECT_CELLS = 257 * _alpha_select_numerators(np.arange(256))
+# each alpha byte's select row: a/256 select probability, except fully-opaque
+# 255 -> 1.0 (row 256)
+_SELECT_ROWS = np.append(np.arange(255), 256)
 
 
 def merge_scene_sc(background, foreground, alpha, stream_length=256,
@@ -319,13 +311,14 @@ def merge_scene_sc(background, foreground, alpha, stream_length=256,
     n = stream_length
     table = count_table(_stream_levels(seq_select, n), _stream_levels(seq_data, n), 257, 257)
     # a sample's ones: the background's outside the select plus the foreground's under it
-    inside, outside = table.ravel(), (table[256] - table).ravel()
+    inside = table[_SELECT_ROWS, :256].astype(np.int32).ravel()
+    outside = (table[256] - table)[_SELECT_ROWS, :256].astype(np.int32).ravel()
     out = np.empty_like(bg)
     for r in range(0, bg.shape[0], _ROW_BLOCK):
         rows = slice(r, r + _ROW_BLOCK)
-        sel_cells = _SELECT_CELLS[alpha.alpha[rows]][..., None]
-        counts = outside.take(sel_cells + bg[rows])
-        counts += inside.take(sel_cells + fg[rows])
+        sel_cells = alpha.alpha[rows].astype(np.uint16)[..., None] << 8
+        counts = outside.take(sel_cells | bg[rows])
+        counts += inside.take(sel_cells | fg[rows])
         out[rows] = _counts_to_pixels(counts, n)
     return RgbImage(out)
 
@@ -336,5 +329,5 @@ def merge_reference(background, foreground, alpha):
     fg = foreground.pixels.astype(np.int64)
     if bg.shape != fg.shape or alpha.alpha.shape != bg.shape[:2]:
         raise DomainError("dimension mismatch between frames and alpha")
-    a = _alpha_select_numerators(alpha.alpha)[..., None]
+    a = _SELECT_ROWS[alpha.alpha][..., None]
     return (bg * (256 - a) + fg * a) / 256.0

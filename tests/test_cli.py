@@ -69,6 +69,9 @@ def per_value_lines(values, decimal):
 
 # a hex int that int(text, 0) reads, with more decimal digits than str() converts
 HEX_4000 = "0x" + "f" * 4000
+# the longest decimal int str() converts, and a hex int just below that bound
+NINES_4300 = "9" * 4300
+HEX_3500 = "0x" + "f" * 3500
 
 
 def _scaled(values, bits):
@@ -459,6 +462,19 @@ class TestExitCodes:
         b.write_text("110010\n")
         code, _, err = run(capsys, "scc", "--a", str(a), "--b", str(b))
         assert code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--family", "lfsr", "--seed", NINES_4300, "--count", "1"),
+         "seed 9999...9999 (4300 digits) out of range for 8-bit register"),
+        (("--family", "lfsr", "--seed", "1", "--taps", HEX_3500, "--count", "1"),
+         "taps mask 0xffff...ffff (3500 digits) out of range for 8-bit register"),
+        (("--family", "vdc", "--count", "-" + NINES_4300),
+         "--count must be positive, got -9999...9999 (4300 digits)"),
+    ], ids=["decimal", "hex", "negative"])
+    def test_long_int_in_domain_message_is_elided(self, capsys, argv, message):
+        code, _, err = run(capsys, "gen", *argv)
+        assert code == 2
+        assert err == f"sclab: {message}\n"
 
     def test_non_utf8_stream_file_is_parse_error(self, capsys, tmp_path):
         bad, ok = tmp_path / "bad.txt", tmp_path / "ok.txt"
@@ -876,6 +892,11 @@ class TestArbitraryArgv:
     @example(argv=["gen", "--family", "p2lsg", "--base", HEX_4000, "--count", "1"])
     @example(argv=["gen", "--family", "lfsr", "--seed", "1", "--taps", HEX_4000, "--count", "1"])
     @example(argv=["bench-mul", "--seqs", f"halton:base={HEX_4000},vdc:base=2", "--lengths", "6"])
+    # domain messages that name a long int
+    @example(argv=["gen", "--family", "lfsr", "--seed", NINES_4300, "--count", "1"])
+    @example(argv=["gen", "--family", "sobol", "--dim", NINES_4300, "--count", "1"])
+    @example(argv=["gen", "--family", "lfsr", "--seed", "1", "--taps", HEX_3500, "--count", "1"])
+    @example(argv=["gen", "--family", "vdc", "--count", "-" + NINES_4300])
     def test_exits_with_a_documented_code_and_no_traceback(self, argv_dir, argv):
         # relative paths, junk ones included, resolve inside the fixture directory
         cwd = os.getcwd()
@@ -889,3 +910,4 @@ class TestArbitraryArgv:
         if code in (2, 3):
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("sclab: ")
+            assert len(lines[0]) <= 200

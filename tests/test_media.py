@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sclab import media
+from sclab.bench import _levels, count_table
 from sclab.bitstream import Bitstream, FixedUnipolar, sng_generate
 from sclab.errors import ConfigurationError, DomainError
 from sclab.media import (
@@ -44,6 +45,16 @@ def comparator_streams(spec, n):
     stream (the fully-opaque select)."""
     thr = sequence_thresholds(resolve_spec(spec, n), n)
     return [sng_generate(FixedUnipolar(k, 8), thr) for k in range(256)] + [Bitstream.ones(n)]
+
+
+def table_levels(spec, n):
+    """Comparator levels of a spec's 8-bit thresholds (see count_table)."""
+    return _levels(sequence_thresholds(resolve_spec(spec, n), n, bits=8), 256)
+
+
+def rounded_counts(counts, n):
+    """Nearest 8-bit value for counts/n, ties up, capped at 255, in int64."""
+    return np.minimum((counts.astype(np.int64) * 256 + n // 2) // n, 255)
 
 
 def fraction_axis(size, out_size):
@@ -272,6 +283,30 @@ class TestScaling:
             results.append(scale_image_sc(img, Fraction(7, 3), n).pixels)
         assert np.array_equal(*results)
 
+    @pytest.mark.parametrize("rect_adds", [0, 1 << 16], ids=["histogram", "rectangles"])
+    @pytest.mark.parametrize("n", [2, 1 << 16])
+    def test_edge_cells_match_int64_tables(self, n, rect_adds, monkeypatch):
+        # 2x2 -> 257x257 puts u8 and v8 on every offset 0..255, and the channels
+        # put samples 0 and 255 at each of the four neighbours
+        monkeypatch.setattr(media, "_RECT_ADDS", rect_adds)
+        pix = np.stack([[[0, 255], [255, 0]], [[255, 0], [0, 255]], [[0, 0], [255, 255]]],
+                       axis=-1).astype(np.uint8)
+        out = scale_image_sc(RgbImage(pix), Fraction(257, 2), n).pixels
+        y1, y2, v8, _ = _axis_map(2, 257)
+        x1, x2, u8, _ = _axis_map(2, 257)
+        assert {0, 255} <= set(u8.tolist()) and {0, 255} <= set(v8.tolist())
+        data, sel_u, sel_v = (table_levels(s, n) for s in (DATA_SPEC, U_SELECT_SPEC, V_SELECT_SPEC))
+        u = u8[:, None]
+        for yo in range(257):
+            # the v select bit is 1 at the indices whose v level is at most v8
+            under = sel_v <= v8[yo]
+            counts = 0
+            for mask, row in ((~under, pix[y1[yo]]), (under, pix[y2[yo]])):
+                table = count_table(sel_u[mask], data[mask], 257, 257)
+                d0, d1 = row[x1], row[x2]
+                counts = counts + table[256, d0] - table[u, d0] + table[u, d1]
+            assert np.array_equal(out[yo], rounded_counts(counts, n)), yo
+
     def test_oversized_output_rejected(self):
         assert _output_dims(4096, 4096, 2) == (8192, 8192)
         assert 8192 * 8192 == MAX_OUTPUT_PIXELS
@@ -285,20 +320,26 @@ def rounded_pixel(count, n):
     return min(math.floor(Fraction(256 * count, n) + Fraction(1, 2)), 255)
 
 
+# the media kernels pass int32 counts; int64 is the widest a caller could pass
+COUNT_DTYPES = pytest.mark.parametrize("dtype", [np.int32, np.int64])
+
+
 class TestCountsToPixels:
+    @COUNT_DTYPES
     @pytest.mark.parametrize("k", range(1, 17))
-    def test_every_count_matches_fraction_rounding(self, k):
+    def test_every_count_matches_fraction_rounding(self, k, dtype):
         n = 1 << k
-        got = media._counts_to_pixels(np.arange(n + 1, dtype=np.int64), n)
+        got = media._counts_to_pixels(np.arange(n + 1, dtype=dtype), n)
         assert got.dtype == np.uint8
         assert got.tolist() == [rounded_pixel(c, n) for c in range(n + 1)]
 
-    def test_ties_at_two_to_the_24(self):
+    @COUNT_DTYPES
+    def test_ties_at_two_to_the_24(self, dtype):
         # 256 c / n is a half-integer at c = (2j - 1) n / 512
         n = 1 << 24
         ties = [(2 * j - 1) * (n >> 9) for j in range(1, 257)]
         counts = sorted({0, n - 1, n} | {t + d for t in ties for d in (-1, 0, 1)})
-        got = media._counts_to_pixels(np.array(counts, dtype=np.int64), n)
+        got = media._counts_to_pixels(np.array(counts, dtype=dtype), n)
         assert got.tolist() == [rounded_pixel(c, n) for c in counts]
 
 
@@ -414,6 +455,19 @@ class TestMerging:
         alpha[1::3, ::2] = 0
         assert 2 * media._ROW_BLOCK < 70 < 3 * media._ROW_BLOCK
         assert_matches_mux2_op(bg, fg, alpha, n, DATA_SPEC, MERGE_SELECT_SPEC)
+
+    @pytest.mark.parametrize("n", [2, 256, 1 << 16])
+    def test_edge_cells_match_int64_table(self, n):
+        # alpha takes every byte down the rows, bg every byte across the columns
+        # and fg its mirror, so every cell of both gathered tables is read
+        alpha, col = np.mgrid[0:256, 0:256].astype(np.uint8)
+        bg, fg = (np.repeat(v[..., None], 3, axis=-1) for v in (col, 255 - col))
+        out = merge_scene_sc(RgbImage(bg), RgbImage(fg), AlphaMap(alpha), n).pixels
+        table = count_table(table_levels(MERGE_SELECT_SPEC, n), table_levels(DATA_SPEC, n),
+                            257, 257)
+        a = np.where(alpha == 255, 256, alpha.astype(np.int64))[..., None]
+        counts = table[256, bg] - table[a, bg] + table[a, fg]
+        assert np.array_equal(out, rounded_counts(counts, n))
 
     def test_reference_alpha_semantics(self):
         bg = RgbImage(np.zeros((1, 3, 3), dtype=np.uint8))
