@@ -4,7 +4,9 @@ benchmarks, SC image scaling, scene merging, and quality scoring.
 Exit codes: 0 success, 1 usage error, 2 runtime/domain error, 3 I/O or parse
 error.  Data goes to stdout, diagnostics to stderr; output is deterministic
 for fixed inputs (the benchmark CSV wall_seconds column is the one measured,
-run-dependent field).
+run-dependent field).  Every error message goes through one formatter that
+elides over-long ints and tokens, so it stays one short line.  `gen` writes
+its text in blocks of lines, each built by one vectorised byte kernel.
 """
 
 import argparse
@@ -49,11 +51,14 @@ _SPEC_GRAMMAR = (
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage failures exit 1 instead of 2."""
+    """argparse variant whose usage failures exit 1 instead of 2, with the
+    message through the same formatter as every other error."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        # the usage line lists every choice, so the message does not repeat them
+        message = re.sub(r" \(choose from .*\)\Z", "", message)
+        self.exit(1, f"{self.prog}: error: {_short(message)}\n")
 
 
 def _parse_lengths(text):
@@ -99,6 +104,8 @@ _GEN_FLAGS = {k: "base" if k == "prime" else k for r in _REGISTRY.values() for k
 
 
 def _cmd_gen(args):
+    """Validate, compute every value as an exact integer array, then format and
+    write _ROW_BLOCK lines at a time, so the text never outgrows one block."""
     if args.count < 1:
         raise DomainError(f"--count must be positive, got {args.count}")
     if args.index < 0:
@@ -125,14 +132,42 @@ def _cmd_gen(args):
         bits = cfg.counter_bits if bits is None else bits
     pair = args.family == "hammersley" and args.dim is None  # both dimensions, a column each
     specs = [spec.with_param("dim", d) for d in (0, 1)] if pair else [spec]
-    columns = [_value_texts(sequence_thresholds(s, count, bits, args.index), 1) if bits is not None
-               else _value_texts(*sequence_numerators(s, count, args.index), args.decimal)
-               for s in specs]
-    if args.par > 1:  # PAR consecutive values per line
-        columns = [columns[0][j :: args.par] for j in range(args.par)]
-    lines = columns[0] if len(columns) == 1 else map(",".join, zip(*columns))
-    sys.stdout.write("\n".join(lines) + "\n")
+    columns = [(sequence_thresholds(s, count, bits, args.index), 1) if bits is not None
+               else sequence_numerators(s, count, args.index) for s in specs]
+    par, step = args.par, _ROW_BLOCK * args.par  # a block is whole lines of PAR values
+    for lo in range(0, count, step):
+        cells = [(num[lo + j : lo + step : par], den) for num, den in columns for j in range(par)]
+        sys.stdout.write(_lines(cells, args.decimal and bits is None))
     return 0
+
+
+# lines `gen` formats and writes at a time
+_ROW_BLOCK = 1 << 16
+# the text of 2^e for e = 1..64, left-aligned in NUL padding; "" for 2^0, which is never printed
+_POW2_TEXT = np.array([b""] + [b"%d" % (1 << e) for e in range(1, 65)])
+_POW2_TEXT = _POW2_TEXT.view(np.uint8).reshape(65, -1)
+
+
+def _lines(cells, decimal):
+    """One line per row of `cells`, a list of (numerators, denominator)
+    columns: each value n / den printed as str(Fraction) prints it or, with
+    `decimal`, as repr(n / den), the correctly rounded float; a comma between
+    columns.  Outside the per-value path (decimals, numerators past 64 bits)
+    every field is a uint8 matrix of ASCII bytes with a mask of the bytes it
+    prints, so a block's text is its masked bytes in row order."""
+    if decimal or any(num.dtype == object for num, _ in cells):  # per value
+        columns = [_value_texts(num, den, decimal) for num, den in cells]
+        return "".join(",".join(row) + "\n" for row in zip(*columns))
+    every = np.ones(len(cells[0][0]), bool)
+    fields = []
+    for num, den in cells:
+        if fields:
+            fields.append(_byte(b",", every))
+        fields += _value_fields(num, den)
+    fields.append(_byte(b"\n", every))
+    chars = np.hstack([c for c, _ in fields])
+    mask = np.hstack([m for _, m in fields])
+    return chars[mask].tobytes().decode("ascii")
 
 
 def _value_texts(num, den, decimal=False):
@@ -145,6 +180,47 @@ def _value_texts(num, den, decimal=False):
     g = np.gcd(num, den)
     return [f"{n}/{d}" if d != 1 else str(n)
             for n, d in zip((num // g).tolist(), (den // g).tolist())]
+
+
+def _byte(char, shown):
+    """A one-byte field: `char`, printed on the rows where `shown` is true."""
+    shown = shown.reshape(-1, 1)
+    return np.full(shown.shape, ord(char), np.uint8), shown
+
+
+def _value_fields(num, den):
+    """The fields of n / den as str(Fraction) prints it, for int64 or uint64 n."""
+    num = num.astype(np.uint32 if max(int(num.max()), den - 1) < 1 << 32 else np.uint64)
+    if den == 1:
+        return [_digits(num)]
+    if den & (den - 1) == 0:
+        # the gcd is n's lowest set bit (den for n = 0), so n / den reduces to
+        # (n >> zeros) / 2^exp, and 2^exp, which may be 2^64, prints from a table
+        k = den.bit_length() - 1
+        zeros = np.minimum(np.bitwise_count((num & -num) - 1), k)
+        exp = k - zeros
+        d = _POW2_TEXT[:, : len(str(den))][exp]
+        return [_digits(num >> zeros), _byte(b"/", exp != 0), (d, d != 0)]
+    g = np.gcd(num, den)
+    d = den // g
+    chars, mask = _digits(d)
+    return [_digits(num // g), _byte(b"/", d != 1), (chars, mask & (d != 1)[:, None])]
+
+
+def _digits(v):
+    """The decimal digits of non-negative integers, one right-aligned row per
+    value: (ASCII bytes, mask of the printed digits)."""
+    width = len(str(v.max()))
+    chars = np.empty((len(v), width), np.uint8)
+    mask = np.empty((len(v), width), bool)
+    mask[:, -1] = True  # 0 prints as "0"
+    for j in reversed(range(width)):
+        q = v // 10  # a division by a constant, far cheaper than % or divmod
+        chars[:, j] = v - q * 10 + 48
+        v = q
+        if j:
+            np.not_equal(v, 0, out=mask[:, j - 1])
+    return chars, mask
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +428,21 @@ def build_parser():
 
 
 # a message names the value it rejects, but an int (decimal, or hex after 0x)
-# of 33 or more digits shows only its first and last four digits and its length
+# of 33 or more digits shows only its first and last four digits and its
+# length, and any other run of 65 or more non-blank characters (a path, a
+# spec, a flag value) its first and last twelve characters and its length
 _LONG_INT = re.compile(r"(?<=0x)[0-9a-f]{33,}|\d{33,}")
+_LONG_TOKEN = re.compile(r"\S{65,}")
 
 
-def _elide(match):
-    return f"{match[0][:4]}...{match[0][-4:]} ({len(match[0])} digits)"
+def _short(message):
+    """`message` with every over-long int or token elided: one short line."""
+    message = _LONG_INT.sub(lambda m: _elide(m[0], 4, "digits"), message)
+    return _LONG_TOKEN.sub(lambda m: _elide(m[0], 12, "characters"), message)
+
+
+def _elide(text, keep, unit):
+    return f"{text[:keep]}...{text[-keep:]} ({len(text)} {unit})"
 
 
 def main(argv=None):
@@ -369,7 +454,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (WorkbenchError, OSError) as exc:
-        print("sclab: " + _LONG_INT.sub(_elide, str(exc)), file=sys.stderr)
+        print("sclab: " + _short(str(exc)), file=sys.stderr)
         return 3 if isinstance(exc, (ParseError, OSError)) else 2
 
 

@@ -674,23 +674,33 @@ def _radical_inverse(spec, start, count):
 
     Every index gets L base-p digits (zero padding mirrors to trailing zeros,
     so values do not change), Faure-scrambled by a Pascal matrix power mod p,
-    in int64 unless p^L or the matrix product could overflow it.
+    in int64 unless p^L or the matrix product could overflow it.  Horner's
+    rule mirrors the digits as they are peeled, so only Faure holds all L.
     """
     p, dim = _digit_base(spec)
     width = 1
     while p**width < start + count:
         width += 1
     dtype = np.int64 if p**width < 1 << 62 and width * (p - 1) ** 2 < 1 << 63 else object
-    idx = np.arange(start, start + count, dtype=dtype)
-    digits = np.empty((width, count), dtype=dtype)  # LSD first
-    for j in range(width):
-        idx, digits[j] = idx // p, idx % p
+
+    def peel(idx):  # the L digits of every index, least significant first
+        for _ in range(width):
+            q = idx // p  # a division by a constant, far cheaper than %
+            idx -= q * p
+            yield idx
+            idx = q
+
+    digits = peel(np.arange(start, start + count, dtype=dtype))
     if dim > 0:
         # (C^dim)_{j,r} = C(r,j) * dim^(r-j) mod p for r >= j
         pascal = [[math.comb(r, j) * pow(dim, r - j, p) % p if r >= j else 0
                    for r in range(width)] for j in range(width)]
-        digits = np.array(pascal, dtype=dtype) @ digits % p
-    return np.array([p**j for j in reversed(range(width))], dtype=dtype) @ digits, p**width
+        digits = np.array(pascal, dtype=dtype) @ np.array(list(digits)) % p
+    num = np.zeros(count, dtype=dtype)
+    for digit in digits:  # digit j of the index is digit L-1-j of the value
+        num *= p
+        num += digit
+    return num, p**width
 
 
 def _floor_scaled(num, den, bits):

@@ -1,15 +1,17 @@
 import contextlib
+import hashlib
 import io
 import os
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sclab.cli import main
+from sclab.cli import _lines, main
 from sclab.media import AlphaMap, GrayImage, RgbImage, merge_scene_sc, scale_image_sc
 from sclab.p2lsg import group_reverse
 from sclab.pnm import read_pnm_file, write_pnm_file
@@ -392,6 +394,85 @@ class TestGen:
         assert out1 == out2
 
 
+# (dtype, denominators) of the columns gen formats: int64 over 1 (integer
+# output), 2^k, p^L and the power of a composite vdc base; uint64 over weyl's
+# and r2's 2^64; object numerators past int64
+_KERNEL_COLUMNS = [
+    (np.int64, [1, 2, 1 << 30, 1 << 36, 3**22, 1 << 62, 3**39, 13**16, 10**18, 6**24]),
+    (np.uint64, [1 << 64]),
+    (object, [3037000507**3, (10**20) ** 2, 1 << 100]),
+]
+
+
+@st.composite
+def kernel_cells(draw):
+    """1-3 columns of numerators over their denominators, all of one length,
+    with 0, the largest numerator, values just past 32 bits and 19- and
+    20-digit values among them."""
+    rows = draw(st.integers(1, 40))
+    cells = []
+    for _ in range(draw(st.integers(1, 3))):
+        dtype, dens = draw(st.sampled_from(_KERNEL_COLUMNS))
+        den = draw(st.sampled_from(dens))
+        top = draw(st.sampled_from([1 << 34, 1 << 63])) - 1 if den == 1 else den - 1
+        edges = [v for v in (0, 1, 10, 10**18 - 1, 10**18, 10**19 - 1, 10**19, top) if v <= top]
+        values = st.one_of(st.sampled_from(edges), st.integers(0, top))
+        cells.append((np.array(draw(st.lists(values, min_size=rows, max_size=rows)), dtype), den))
+    return cells
+
+
+class TestGenText:
+    @settings(max_examples=300, deadline=None)
+    @given(cells=kernel_cells())
+    def test_kernel_prints_what_fraction_prints(self, cells):
+        rows = zip(*([str(Fraction(int(n), den)) for n in num] for num, den in cells))
+        assert _lines(cells, False) == "".join(",".join(row) + "\n" for row in rows)
+
+    @pytest.mark.parametrize("family", GEN_ORACLES)
+    @pytest.mark.parametrize("decimal", [False, True])
+    def test_blocks_of_three_lines_join_seamlessly(self, monkeypatch, family, decimal):
+        monkeypatch.setattr("sclab.cli._ROW_BLOCK", 3)
+        flags, oracle = GEN_ORACLES[family]
+        code, out = gen_stdout(*flags, "--index", 5, "--count", 11,
+                               *(["--decimal"] if decimal else []))
+        assert code == 0
+        assert out == per_value_lines(oracle(16)[5:], decimal)
+
+    @pytest.mark.parametrize("scale_bits", [None, 3])
+    def test_p2lsg_parallel_blocks_of_three_lines(self, monkeypatch, scale_bits):
+        monkeypatch.setattr("sclab.cli._ROW_BLOCK", 3)
+        bits = 10 if scale_bits is None else scale_bits
+        code, out = gen_stdout("--family", "p2lsg", "--base", 16, "--bits", 10, "--par", 4,
+                               "--count", 10,
+                               *(["--scale-bits", scale_bits] if scale_bits else []))
+        assert code == 0
+        assert out == "".join(
+            ",".join(str(group_reverse(c * 4 + j, 10, 16) << bits >> 10) for j in range(4)) + "\n"
+            for c in range(10)
+        )
+
+    # SHA-256 of gen's stdout at benchmark scale (65,536 values) for settings
+    # that perfbench's goldens (p2lsg base 16, sobol, vdc base 2, halton 11) do not cover
+    @pytest.mark.parametrize("flags, digest", [
+        (("--family", "weyl", "--irrational", "silver", "--count", "65536"),
+         "3e08db15fb430c27df2e21a60560bdad89eb420fc07a6e1af2704de3c38ca00a"),
+        (("--family", "r2", "--dim", "1", "--count", "65536"),
+         "7c6303a22f088e2e82a077d515461eb9ebcef91b26bbcfd70bb8e42783e3fd08"),
+        (("--family", "faure", "--base", "7", "--dim", "2", "--count", "65536"),
+         "baac1b802918625112ed340525c1311d93a138a822c6103d6f26bddbc1cc9f3b"),
+        (("--family", "hammersley", "--count", "65536"),
+         "7908d3c4168dbfcfb4b7a955e404dc0ea5f1196668bdffc26c34abd2da84e3f7"),
+        (("--family", "niederreiter", "--dim", "3", "--skip", "5", "--count", "65536"),
+         "2a6b8b9e22b2939441495ad0ca68ff937158817b1c3669f4fb510a64858355ca"),
+        (("--family", "p2lsg", "--base", "16", "--bits", "16", "--par", "8", "--count", "8192"),
+         "42cabb5c2f852dd9eeda71910842ebd130c6d41bedbddb822c019bb4c197494c"),
+    ])
+    def test_pinned_output_at_benchmark_scale(self, flags, digest):
+        code, out = gen_stdout(*flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -763,12 +844,15 @@ class TestMediaCommands:
 # ---------------------------------------------------------------------------
 
 _HUGE = ["9" * 4300, "-" + "9" * 4300, str(1 << 89)]
+# text a message may echo: 3000 characters that are not an int
+LONG_TEXT = "x" * 3000
 # values any flag may draw: huge, negative and 4300-digit ints, and text that
 # reaches a parser's edges
-_ANY = ["0", "1", "-1", "N", "1e4300", "1..1000000000000000", "nan", "1/0", "", *_HUGE]
+_ANY = ["0", "1", "-1", "N", "1e4300", "1..1000000000000000", "nan", "1/0", "", *_HUGE,
+        LONG_TEXT]
 _IMAGES = ["gray.pgm", "rgb.ppm", "junk.pgm", "dir", "missing.pgm"]
 _SPECS = ["p2lsg:base=2", "p2lsg:base=N", "sobol:dim=2", "halton:base=N", "lfsr:seed=1",
-          "weyl:irrational=silver", "vdc", "nope", f"halton:base={HEX_4000}"]
+          "weyl:irrational=silver", "vdc", "nope", f"halton:base={HEX_4000}", LONG_TEXT]
 _LENGTHS = ["2", "256", "4096", "3", str(1 << 25)]
 # the only flags that write files; they draw only from their own pool
 _OUTPUTS = {"--out": ["out.pgm", "out.ppm", "dir", "missing/x.pgm"],
@@ -796,10 +880,12 @@ _ARGV_FLAGS = {
         "--format": ["ascii", "raw", "bits.bin"],
     }),
     **dict.fromkeys(("bench-mul", "bench-add"), ({
-        "--lengths": ["2", "6", "8", "2..4", "6..8", "6,8", "25", "30", "6..3", "1..30000000"],
+        "--lengths": ["2", "6", "8", "2..4", "6..8", "6,8", "25", "30", "6..3", "1..30000000",
+                      "1.." + NINES_4300],
     }, {
         "--seqs": [*FAMILIES, "p2lsg2,p2lsgN", "sobol:dim=1,sobol:dim=2", "p2lsg2",
-                   "halton:base=N,vdc:base=2", "weyl:irrational=1e-4300,r2:dim=1"],
+                   "halton:base=N,vdc:base=2", "weyl:irrational=1e-4300,r2:dim=1",
+                   "p2lsg,sobol," + LONG_TEXT],
         "--out": ["table", "csv", "json"],
         "--input-bits": ["4", "8", "13"],
     })),
@@ -897,17 +983,24 @@ class TestArbitraryArgv:
     @example(argv=["gen", "--family", "sobol", "--dim", NINES_4300, "--count", "1"])
     @example(argv=["gen", "--family", "lfsr", "--seed", "1", "--taps", HEX_3500, "--count", "1"])
     @example(argv=["gen", "--family", "vdc", "--count", "-" + NINES_4300])
+    # messages that echo long text, from the parsers and from the domain checks
+    @example(argv=["bench-mul", "--seqs", "p2lsg,sobol," + LONG_TEXT, "--lengths", "6"])
+    @example(argv=["gen", "--family", LONG_TEXT])
+    @example(argv=["bench-mul", "--lengths", "1.." + NINES_4300])
     def test_exits_with_a_documented_code_and_no_traceback(self, argv_dir, argv):
-        # relative paths, junk ones included, resolve inside the fixture directory
+        # relative paths, junk ones included, resolve inside the fixture directory;
+        # usage text wraps at 80 columns whatever the terminal
         cwd = os.getcwd()
         os.chdir(argv_dir)
         try:
-            code, _, err = run_quiet(*argv)
+            with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+                code, _, err = run_quiet(*argv)
         finally:
             os.chdir(cwd)
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
+        lines = err.splitlines()
         if code in (2, 3):
-            lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("sclab: ")
-            assert len(lines[0]) <= 200
+        # a usage error prints the usage, then its message
+        assert all(len(line) <= 200 for line in lines)
