@@ -8,6 +8,17 @@ strictly greater than the i-th random number.
 Stream text is '0'/'1' characters with any whitespace `str.split` skips.  One
 parser reads it for `Bitstream.from01` and `load_stream_ascii` as a byte
 array, and `to01` writes it as one, with no per-character Python loop.
+
+Counting ones (`popcount`, `decode_*`, `scc`) takes one of two paths, and the
+stream's size alone decides which.  Up to `_INT_COUNT_WORDS` words the words
+become one Python int whose `int.bit_count()` is the count; above it numpy
+sums `np.bitwise_count` over the words.  The int path costs one bytes copy
+and no numpy dispatch, so it wins on short streams and loses on long ones.
+timeit on a 2-core Xeon (Python 3.11.7, numpy 2.4.6), int against numpy:
+one count 0.5 against 1.8 us at 16 words, 1.9 against 1.8 us at 128 and
+188 against 17 us at 16384; `scc`'s three counts 1.2 against 7.0 us at 16
+words, 4.6 against 6.5 us at 128 and 8.4 against 7.1 us at 256.  So the
+constant is 128 words (8192 bits).
 """
 
 from dataclasses import dataclass
@@ -19,12 +30,20 @@ from .errors import ConfigurationError, DomainError, GenerationError, ParseError
 
 WORD_BITS = 64
 
+# the last word's mask for each nonzero length % 64 (a whole last word has no
+# pad bits, so entry 0 is never read)
+_PAD_MASKS = tuple(np.uint64((1 << rem) - 1) for rem in range(WORD_BITS))
 
-def _pad_mask(length):
-    rem = length % WORD_BITS
-    if rem == 0:
-        return np.uint64(0xFFFFFFFFFFFFFFFF)
-    return np.uint64((1 << rem) - 1)
+# the largest word count whose ones are counted through one Python int; the
+# module docstring gives the measured crossover this is set from
+_INT_COUNT_WORDS = 128
+
+
+def _ones(words):
+    """Number of set bits in a word array, by the path its size selects."""
+    if words.size <= _INT_COUNT_WORDS:
+        return int.from_bytes(words, "little").bit_count()
+    return int(np.add.reduce(np.bitwise_count(words)))
 
 
 @dataclass(frozen=True)
@@ -85,8 +104,10 @@ class Bitstream:
     def _seal(self, buf, length):
         if length < 1:
             raise DomainError(f"stream length must be >= 1, got {length}")
-        buf[-1] &= _pad_mask(length)
-        buf.flags.writeable = False
+        rem = length % WORD_BITS
+        if rem:
+            buf[-1] &= _PAD_MASKS[rem]
+        buf.setflags(write=False)
         self.words = buf
         self.length = length
 
@@ -104,10 +125,13 @@ class Bitstream:
     @classmethod
     def from_bools(cls, flags):
         flags = np.asarray(flags, dtype=bool)
+        # packbits returns a new array, so whole words are viewed in place
         packed = np.packbits(flags, bitorder="little")
-        padded = np.zeros(-(-flags.size // WORD_BITS) * 8, dtype=np.uint8)
-        padded[: packed.size] = packed
-        return cls._adopt(padded.view("<u8"), flags.size)
+        if flags.size % WORD_BITS:
+            padded = np.zeros(-(-flags.size // WORD_BITS) * 8, dtype=np.uint8)
+            padded[: packed.size] = packed
+            packed = padded
+        return cls._adopt(packed.view("<u8"), flags.size)
 
     @classmethod
     def from_bits(cls, bits):
@@ -154,7 +178,7 @@ class Bitstream:
         return (bits + ord("0")).tobytes().decode("ascii")
 
     def popcount(self):
-        return int(np.bitwise_count(self.words).sum())
+        return _ones(self.words)
 
     def __repr__(self):
         shown = self.to01() if self.length <= 64 else self.to01()[:61] + "..."
@@ -164,24 +188,38 @@ class Bitstream:
 def sng_generate(value, rng_values, length=None, rng_bits=None):
     """Comparator encoding: bit i = 1 iff value.numerator > rng_values[i].
 
-    `rng_values` must hold integers at the same precision as `value`
-    (pass rng_bits to have that checked) and must supply at least `length`
-    numbers.
+    `rng_values` must be a 1-D array of integers (bool, signed or unsigned
+    dtype) in [0, 2^precision_bits), at the precision of `value` (pass
+    rng_bits to have that checked), holding at least `length` >= 1 values;
+    the stream encodes the first `length` (all of them by default).  A
+    length below 1, an array of another shape, and a float or other
+    non-integer dtype, whose values int64 would truncate, each raise with a
+    one-line message instead of being sliced or cast.
     """
     if rng_bits is not None and rng_bits != value.precision_bits:
         raise ConfigurationError(
             f"sequence precision {rng_bits} != value precision {value.precision_bits}"
         )
-    rng_values = np.asarray(rng_values, dtype=np.int64)
+    rng_values = np.asarray(rng_values)
+    if rng_values.ndim != 1:
+        raise DomainError(
+            f"sequence values must be a 1-D array, got shape {rng_values.shape}"
+        )
     if length is None:
         length = rng_values.size
+    if length < 1:
+        raise DomainError(f"stream length must be >= 1, got {length}")
     if rng_values.size < length:
         raise GenerationError(
             f"sequence supplied {rng_values.size} values, need {length}"
         )
-    rng_values = rng_values[:length]
-    # one reduction: a negative value reads as 2^63 or more through uint64
-    if rng_values.size and rng_values.view(np.uint64).max() >= 1 << value.precision_bits:
+    if rng_values.dtype.kind not in "biu":
+        raise ConfigurationError(
+            f"sequence values must be integers, got dtype {rng_values.dtype}"
+        )
+    rng_values = np.asarray(rng_values[:length], dtype=np.int64)
+    # one bare reduction: a negative value reads as 2^63 or more through uint64
+    if np.maximum.reduce(rng_values.view(np.uint64)) >> value.precision_bits:
         raise ConfigurationError(
             f"sequence values outside [0, 2^{value.precision_bits}) "
             "(precision mismatch?)"
@@ -219,9 +257,15 @@ def scc(s1, s2):
     """Stochastic cross-correlation of two equal-length streams."""
     if s1.length != s2.length:
         raise DomainError(f"length mismatch: {s1.length} vs {s2.length}")
-    a = int(np.bitwise_count(s1.words & s2.words).sum())
-    b = s1.popcount() - a
-    c = s2.popcount() - a
+    w1, w2 = s1.words, s2.words
+    if w1.size <= _INT_COUNT_WORDS:
+        # short streams: all three counts from the same two Python ints
+        x, y = int.from_bytes(w1, "little"), int.from_bytes(w2, "little")
+        a, ones1, ones2 = (x & y).bit_count(), x.bit_count(), y.bit_count()
+    else:
+        a, ones1, ones2 = (int(np.add.reduce(np.bitwise_count(w))) for w in (w1 & w2, w1, w2))
+    b = ones1 - a
+    c = ones2 - a
     d = s1.length - a - b - c
     return scc_from_counts(a, b, c, d)
 

@@ -10,6 +10,7 @@ its text in blocks of lines, each built by one vectorised byte kernel.
 """
 
 import argparse
+import functools
 import re
 import sys
 from pathlib import Path
@@ -445,8 +446,16 @@ def _elide(text, keep, unit):
     return f"{text[:keep]}...{text[-keep:]} ({len(text)} {unit})"
 
 
+@functools.cache
+def _parser():
+    """The parser `main` reuses for the whole process.  `parse_args` keeps no
+    state between calls, and argparse measures the terminal when it prints,
+    so usage text still wraps at the caller's COLUMNS."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
         parser.print_usage(sys.stderr)

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import naive_scc, naive_sng
+from sclab import bitstream
 from sclab.bitstream import (
     Bitstream,
     FixedUnipolar,
@@ -161,6 +162,35 @@ class TestSng:
         with pytest.raises(ConfigurationError, match=r"outside \[0, 2\^8\)"):
             sng_generate(FixedUnipolar(1, 8), [0, -1])  # negative thresholds are out of range too
 
+    @pytest.mark.parametrize("rng_values, length, error, message", [
+        # a negative length would slice off the tail: 251 bits from 256 values
+        (np.arange(256), -5, DomainError, "stream length must be >= 1, got -5"),
+        (np.arange(256), 0, DomainError, "stream length must be >= 1, got 0"),
+        ([], None, DomainError, "stream length must be >= 1, got 0"),
+        # slicing a 2-D array cuts rows: 256 bits for length 20
+        (np.zeros((16, 16), dtype=np.int64), 20, DomainError,
+         "sequence values must be a 1-D array, got shape (16, 16)"),
+        (np.int64(3), None, DomainError, "sequence values must be a 1-D array, got shape ()"),
+        # int64 truncation would read -0.5 as threshold 0, inside the range
+        ([-0.5], None, ConfigurationError, "sequence values must be integers, got dtype float64"),
+        (np.array([0.0, 1.0, 2.0]), 2, ConfigurationError,
+         "sequence values must be integers, got dtype float64"),
+        (["1", "2"], None, ConfigurationError, "sequence values must be integers, got dtype <U1"),
+    ])
+    def test_input_it_would_mis_slice_or_cast_rejected(self, rng_values, length, error, message):
+        with pytest.raises(error) as exc:
+            sng_generate(FixedUnipolar(1, 8), rng_values, length=length)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint64, bool])
+    def test_any_integer_dtype_accepted(self, dtype):
+        thresholds = np.array([0, 1, 1, 0, 1], dtype=dtype)
+        assert sng_generate(FixedUnipolar(1, 1), thresholds).to01() == "10010"
+
+    def test_unsigned_values_past_int64_out_of_range(self):
+        with pytest.raises(ConfigurationError, match=r"outside \[0, 2\^8\)"):
+            sng_generate(FixedUnipolar(1, 8), np.array([0, 1 << 63], dtype=np.uint64))
+
 
 class TestDecode:
     def test_unipolar_examples(self):
@@ -209,6 +239,55 @@ class TestScc:
         s1 = sng_generate(FixedUnipolar(77, 8), seq)
         s2 = sng_generate(FixedUnipolar(200, 8), seq)
         assert scc(s1, s2) == 1
+
+
+# word counts on both sides of the switch from Python-int to numpy counting
+SWITCH_WORDS = (bitstream._INT_COUNT_WORDS - 1, bitstream._INT_COUNT_WORDS,
+                bitstream._INT_COUNT_WORDS + 1)
+
+
+class TestCountSwitch:
+    @pytest.mark.parametrize("words", SWITCH_WORDS)
+    @pytest.mark.parametrize("short", [0, 13])  # lengths = 0 and != 0 mod 64
+    def test_counts_match_bool_oracles(self, words, short):
+        n = words * 64 - short
+        gen = np.random.default_rng(words * 64 + short)
+        for density in (0.1, 0.5, 0.9):
+            f1, f2 = gen.random(n) < density, gen.random(n) < 0.5
+            s1, s2 = Bitstream.from_bools(f1), Bitstream.from_bools(f2)
+            assert s1.words.size == words
+            ones = int(f1.sum())
+            assert s1.popcount() == ones
+            assert decode_unipolar(s1) == Fraction(ones, n)
+            assert decode_bipolar(s1) == Fraction(2 * ones - n, n)
+            assert scc(s1, s2) == naive_scc(f1.tolist(), f2.tolist())
+
+    @pytest.mark.parametrize("words", SWITCH_WORDS)
+    @pytest.mark.parametrize("short", [0, 13])
+    def test_constant_streams_have_no_scc(self, words, short):
+        n = words * 64 - short
+        other = Bitstream.from_bools(np.random.default_rng(n).random(n) < 0.5)
+        for constant in (Bitstream.zeros(n), Bitstream.ones(n)):
+            assert constant.popcount() == (n if constant.bit(0) else 0)
+            assert decode_bipolar(constant) == (1 if constant.bit(0) else -1)
+            assert scc(constant, other) is None and scc(other, constant) is None
+            assert scc(constant, constant) is None
+
+    @pytest.mark.parametrize("words, numpy_path", [(1, False), (128, False), (129, True), (512, True)])
+    def test_size_selects_the_path(self, monkeypatch, words, numpy_path):
+        # the documented rule: Python ints up to 128 words, numpy above
+        calls = []
+        count = np.bitwise_count
+        monkeypatch.setattr(np, "bitwise_count", lambda w: calls.append(w.size) or count(w))
+        s, half = Bitstream.ones(words * 64), Bitstream.from01("10" * words * 32)
+        for got, want in ((lambda: s.popcount(), words * 64),
+                          (lambda: decode_unipolar(s), 1),
+                          (lambda: scc(s, half), None),
+                          (lambda: scc(half, half), 1)):
+            calls.clear()
+            assert got() == want
+            assert bool(calls) == numpy_path
+            assert all(size == words for size in calls)
 
 
 class TestExactEncoding:

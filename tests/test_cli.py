@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sclab import cli
 from sclab.cli import _lines, main
 from sclab.media import AlphaMap, GrayImage, RgbImage, merge_scene_sc, scale_image_sc
 from sclab.p2lsg import group_reverse
@@ -837,6 +838,85 @@ class TestMediaCommands:
                            "--test", str(other))
         assert code == 0
         assert out.splitlines()[0] == "PSNR: 48.13 dB"
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+# every subcommand, each right after a different one, with the flags that have
+# defaults left unset (so a default one subcommand read cannot leak into the
+# next), and usage errors between them
+SUBCOMMAND_CYCLE = [
+    ("bench-mul",),
+    ("gen", "--family", "vdc", "--base", "3", "--count", "5"),
+    ("scale", "--in", "gray.pgm", "--out", "scaled.pgm", "--factor", "2"),
+    ("gen", "--family", "p2lsg", "--base", "4", "--count", "4"),
+    ("merge", "--bg", "bg.ppm", "--fg-dir", "frames", "--out-dir", "merged"),
+    ("scc", "--a", "s1.txt", "--b", "s2.txt"),
+    ("bench-add",),
+    ("score", "--ref", "gray.pgm", "--test", "gray.pgm"),
+    ("gen",),
+    ("bench-mul", "--lengths", "x"),
+    ("scale", "--in", "gray.pgm", "--out", "scaled.pgm"),
+    ("frobnicate",),
+    (),
+    ("scc", "--a", "s1.txt", "--b", "s2.txt", "--format", "raw"),
+    ("merge",),
+    ("gen", "--family", "vdc", "--count", "5"),
+    ("gen", "--family", "weyl", "--count", "3", "--decimal"),
+    ("bench-mul", "--lengths", "6"),
+]
+
+
+@pytest.fixture
+def cycle_dir(tmp_path):
+    rng = np.random.default_rng(7)
+    rgb = rng.integers(0, 256, (8, 9, 3), dtype=np.uint8)
+    rgb[:4, :, 1] = 255  # a green-screen half for the chroma key
+    # score's SSIM window needs 8x8 pixels
+    write_pnm_file(tmp_path / "gray.pgm", rng.integers(0, 256, (8, 9), dtype=np.uint8))
+    write_pnm_file(tmp_path / "bg.ppm", rng.integers(0, 256, (8, 9, 3), dtype=np.uint8))
+    (tmp_path / "frames").mkdir()
+    write_pnm_file(tmp_path / "frames" / "f.ppm", rgb)
+    (tmp_path / "s1.txt").write_text("0110" * 20 + "\n")
+    (tmp_path / "s2.txt").write_text("1010" * 20 + "\n")
+    return tmp_path
+
+
+class TestOneParserPerProcess:
+    def test_main_reuses_one_parser(self):
+        assert cli._parser() is cli._parser()
+
+    def test_each_subcommand_after_another_matches_a_fresh_parser(
+        self, monkeypatch, cycle_dir
+    ):
+        monkeypatch.chdir(cycle_dir)
+        monkeypatch.setenv("COLUMNS", "80")
+        shared = [run_quiet(*argv) for argv in SUBCOMMAND_CYCLE]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run_quiet(*argv) for argv in SUBCOMMAND_CYCLE]
+        for argv, got, want in zip(SUBCOMMAND_CYCLE, shared, fresh):
+            assert got == want, argv
+        codes = [code for code, _, _ in shared]
+        assert codes == [0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 3, 1, 2, 0, 0]
+        # the defaults of the subcommand before do not leak: bench-add sweeps
+        # its own 2^2..2^9 after bench-mul's 2^6..2^16
+        assert shared[6][1].split()[1:3] == ["2^2", "2^3"]
+
+    @pytest.mark.parametrize("argv", [("gen",), ("bench-mul", "--lengths", "x"), ("merge",)])
+    def test_usage_wraps_at_the_callers_columns(self, monkeypatch, argv):
+        usage = {}
+        for columns in ("200", "40"):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, out, err = run_quiet(*argv)
+            assert (code, out) == (1, "")
+            usage[columns] = err.splitlines()[:-1]
+            with monkeypatch.context() as fresh:
+                fresh.setattr(cli, "_parser", cli.build_parser)
+                assert run_quiet(*argv) == (code, out, err)
+        assert len(usage["40"]) > len(usage["200"])
+        assert max(map(len, usage["40"])) < max(map(len, usage["200"]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from conftest import (
     random_bit_list,
 )
 from sclab.bitstream import (
+    WORD_BITS,
     Bitstream,
     FixedUnipolar,
     decode_bipolar,
@@ -216,3 +217,32 @@ class TestPackedAgainstNaive:
             assert not any(np.may_share_memory(out.words, s.words) for s in streams)
             with pytest.raises(ValueError):
                 out.words[0] = 0
+
+    @pytest.mark.parametrize("n", [63, 65, 127, 129, 8191, 8193])
+    def test_inverting_circuits_mask_their_pad_bits(self, n):
+        # 64k - 1 bits leave one pad bit and 64k + 1 leave 63; ~ sets them all
+        gen = np.random.default_rng(n)
+        flags = [gen.random(n) < 0.5 for _ in range(6)]
+        s = [Bitstream.from_bools(f) for f in flags]
+        outs = {
+            "mul_bipolar": (mul_bipolar(s[0], s[1]), flags[0] == flags[1]),
+            "mux2_sub": (mux2_sub(s[0], s[1], s[2]), np.where(flags[2], ~flags[1], flags[0])),
+            "mux4": (mux4(*s), np.select(
+                [~flags[4] & ~flags[5], ~flags[4] & flags[5], flags[4] & ~flags[5]],
+                flags[:3], flags[3])),
+        }
+        for name, (out, want) in outs.items():
+            assert int(out.words[-1]) >> (n % WORD_BITS) == 0, name
+            assert not out.words.flags.writeable, name
+            assert np.array_equal(out.bools(), want), name
+            assert out.popcount() == int(want.sum()), name
+
+    @pytest.mark.parametrize("n", [64, 128, 8192])
+    def test_whole_word_from_bools_owns_its_words(self, n):
+        flags = np.random.default_rng(n).random(n) < 0.5
+        s = Bitstream.from_bools(flags)
+        assert not np.may_share_memory(s.words, flags)
+        assert not s.words.flags.writeable
+        want = flags.copy()
+        flags[:] = True
+        assert np.array_equal(s.bools(), want)
