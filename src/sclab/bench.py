@@ -6,10 +6,12 @@ for k1 and k2 has popcount #{i : thr_a[i] < k1, thr_b[i] < k2}: a 2-D
 cumulative histogram of the two threshold arrays.  The MUX adder's count
 splits by the select bit into two 1-D cumulative histograms of the data
 thresholds.  Errors are exact integer sums of absolute numerator errors, so
-every MAE is an exact rational.  The packed-word kernels in `ops` are the
+every MAE is an exact rational, and the multiplier's runs in int32 after
+dividing out gcd(N, K^2).  The packed-word kernels in `ops` are the
 independent oracle the tests check these counts against.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
@@ -77,12 +79,15 @@ def _levels(thresholds, k_count):
     return np.clip(np.asarray(thresholds, dtype=np.int64), -1, k_count - 1) + 1
 
 
-def count_table(row_level, col_level, rows, cols):
+def count_table(row_level, col_level, rows, cols, dtype=np.int64):
     """C[r, c] = #{i : row_level[i] <= r, col_level[i] <= c} for levels below
     rows and cols: the ones in the AND of the two comparator streams, as a
-    rows x cols int64 cumulative histogram."""
-    table = np.bincount(row_level * cols + col_level, minlength=rows * cols).reshape(rows, cols)
-    np.cumsum(table, axis=0, out=table)
+    rows x cols cumulative histogram in `dtype`."""
+    table = np.bincount(row_level * cols + col_level, minlength=rows * cols)
+    table = table.astype(dtype, copy=False).reshape(rows, cols)
+    # counts are non-negative and below 2^31: in int32, two columns add as one int64
+    lanes = table.view(np.int64) if dtype == np.int32 and cols % 2 == 0 else table
+    np.cumsum(lanes, axis=0, out=lanes)
     np.cumsum(table, axis=1, out=table)
     return table
 
@@ -90,7 +95,9 @@ def count_table(row_level, col_level, rows, cols):
 def mul_error_sum(thr_a, thr_b, input_bits=8):
     """Exact integer sum over all input pairs of |cnt*K^2 - k1*k2*N|.
 
-    The per-pair MAE contribution is that numerator over N*K^2.
+    The per-pair MAE contribution is that numerator over N*K^2.  It is g =
+    gcd(N, K^2) times |cnt*(K^2/g) - k1*k2*(N/g)|, below lcm(N, K^2) <= 2^24 for
+    a power-of-2 N, so this runs in int32; in int64 only if the lcm reaches 2^31.
     """
     k_count = 1 << input_bits
     n = len(thr_a)
@@ -98,21 +105,28 @@ def mul_error_sum(thr_a, thr_b, input_bits=8):
     la, lb = _levels(thr_a, k_count), _levels(thr_b, k_count)
     live = (la < k_count) & (lb < k_count)
     la, lb = la[live], lb[live]
-    ks = np.arange(k_count, dtype=np.int64)
+    g = math.gcd(n, k_count * k_count)
+    dtype = np.int32 if k_count * k_count // g * n < 1 << 31 else np.int64
+    ks = np.arange(k_count, dtype=dtype)
     step = max(1, _BLOCK_CELLS // k_count)
-    carry = np.zeros(k_count, dtype=np.int64)  # counts for the row above the block
+    carry = np.zeros(k_count, dtype=dtype)  # counts for the row above the block
     total = 0
     for r0 in range(0, k_count, step):
         rows = ks[r0 : r0 + step]
-        inside = (la >= r0) & (la < r0 + rows.size)
-        counts = count_table(la[inside] - r0, lb[inside], rows.size, k_count)
+        if step < k_count:
+            inside = (la >= r0) & (la < r0 + rows.size)
+            counts = count_table(la[inside] - r0, lb[inside], rows.size, k_count, dtype)
+        else:  # one block holds every row
+            counts = count_table(la, lb, k_count, k_count, dtype)
         counts += carry
-        carry = counts[-1]
-        err = np.abs(counts * (k_count * k_count) - np.outer(rows * n, ks))
-        # cells are at most N*K^2 <= 2^48, so row sums stay below 2^60 under
-        # MAX_LENGTH and MAX_INPUT_BITS; their total may not
-        total += sum(err.sum(axis=1).tolist())
-    return total
+        carry = counts[-1].copy()
+        counts *= k_count * k_count // g
+        counts -= np.outer(rows, ks * (n // g))
+        np.abs(counts, out=counts)
+        # cells are below 2^48 under MAX_LENGTH and MAX_INPUT_BITS, so int64
+        # row sums stay below 2^60; their total may not
+        total += sum(counts.sum(axis=1, dtype=np.int64).tolist())
+    return total * g
 
 
 def _sum_abs_outer(a, b):

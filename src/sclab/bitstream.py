@@ -191,10 +191,10 @@ def sng_generate(value, rng_values, length=None, rng_bits=None):
     `rng_values` must be a 1-D array of integers (bool, signed or unsigned
     dtype) in [0, 2^precision_bits), at the precision of `value` (pass
     rng_bits to have that checked), holding at least `length` >= 1 values;
-    the stream encodes the first `length` (all of them by default).  A
-    length below 1, an array of another shape, and a float or other
-    non-integer dtype, whose values int64 would truncate, each raise with a
-    one-line message instead of being sliced or cast.
+    the stream encodes the first `length` (all of them by default).  A length
+    below 1 or not an int, an array of another shape, and a non-integer dtype,
+    whose values int64 would truncate, each raise a one-line error instead of
+    being sliced or cast; Python ints past int64 (objects) fail the range check.
     """
     if rng_bits is not None and rng_bits != value.precision_bits:
         raise ConfigurationError(
@@ -207,12 +207,17 @@ def sng_generate(value, rng_values, length=None, rng_bits=None):
         )
     if length is None:
         length = rng_values.size
+    elif not isinstance(length, (int, np.integer)):
+        raise ConfigurationError(f"stream length must be an integer, got {type(length).__name__}")
     if length < 1:
         raise DomainError(f"stream length must be >= 1, got {length}")
     if rng_values.size < length:
         raise GenerationError(
             f"sequence supplied {rng_values.size} values, need {length}"
         )
+    if rng_values.dtype == object and all(isinstance(v, int) for v in rng_values.tolist()):
+        # Python ints past int64, kept as objects: clipped, they fail the range check
+        rng_values = np.clip(rng_values, -1, (1 << 63) - 1).astype(np.int64)
     if rng_values.dtype.kind not in "biu":
         raise ConfigurationError(
             f"sequence values must be integers, got dtype {rng_values.dtype}"

@@ -85,14 +85,30 @@ def p2lsg_sequence(config, count, start=0):
             f"indices {start}..{start + count - 1} exceed the counter period {config.period}"
         )
     n, g = config.counter_bits, config.group_bits
-    idx = np.arange(start, start + count, dtype=np.int64)
-    mask = (1 << min(g, n)) - 1
-    out = np.zeros(count, dtype=np.int64)
+    rows = [0] * n  # rows[k]: the index bit of output bit n-1-k, which gf2_outputs takes
     for j in range(-(-n // g)):
-        # group j lands at bit n - (j+1)*g; a negative offset cuts its pad bits
-        group = (idx >> (j * g)) & mask
-        offset = n - (j + 1) * g
-        out |= group << offset if offset >= 0 else group >> -offset
+        # bit t of group j lands at bit n - (j+1)*g + t; a negative one is a cut pad bit
+        for t in range(max(0, (j + 1) * g - n), min(g, n - j * g)):
+            rows[(j + 1) * g - 1 - t] = 1 << (j * g + t)
+    return gf2_outputs(rows, np.arange(start, start + count, dtype=np.uint64))
+
+
+def gf2_outputs(rows, idx):
+    """GF(2) matrix times index bits: output bit j, counted from the most
+    significant of len(rows) <= 63 bits, is the parity of idx & rows[j].  Being
+    linear, a run longer than its tables XORs a gather per index byte from them."""
+    shifts = range(0, max(rows).bit_length() or 1, 8)
+    cells = idx if idx.size <= len(shifts) << 8 else np.concatenate(
+        [np.arange(256, dtype=np.uint64) << s for s in shifts])
+    out = np.zeros(cells.size, dtype=np.int64)
+    for row in rows:
+        out <<= 1
+        out |= np.bitwise_count(cells & np.uint64(row)) & 1
+    if cells is idx:
+        return out
+    table, out = out, np.zeros(idx.size, dtype=np.int64)
+    for c, s in enumerate(shifts):
+        out ^= table[c << 8 : (c + 1) << 8][idx >> s & 255]
     return out
 
 

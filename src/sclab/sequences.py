@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, GenerationError
-from .p2lsg import P2lsgConfig, p2lsg_sequence
+from .p2lsg import P2lsgConfig, gf2_outputs, p2lsg_sequence
 
 _M64 = (1 << 64) - 1
 
@@ -215,10 +215,10 @@ def sobol_direction_vectors(dimension, bits):
     return v[1:]
 
 
-def gen_sobol(direction_vectors, count):
-    """Natural-order Sobol outputs: element i is the XOR of V_j over the set
-    bits j of i (the closed form of the Gray-code XOR recurrence), so
-    dimension 1 reproduces plain bit reversal."""
+def gen_sobol(direction_vectors, count, start=0):
+    """Natural-order Sobol outputs from index `start`: element i is the XOR of
+    V_j over the set bits j of start + i (the closed form of the Gray-code XOR
+    recurrence), so dimension 1 reproduces plain bit reversal."""
     dva = list(direction_vectors)
     if not dva:
         raise ConfigurationError("direction vector array is empty")
@@ -227,22 +227,12 @@ def gen_sobol(direction_vectors, count):
     n = len(dva)
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
-    if count > (1 << n):
-        raise DomainError(f"count {count} exceeds the 2^{n} period of the DVA")
+    if start + count > (1 << n):
+        raise DomainError(f"index {start} + count {count} exceeds the 2^{n} period of the DVA")
     nbits = max(v.bit_length() for v in dva)
     # row j gathers bit nbits-1-j of every V_k, each placed at index bit k
     rows = [sum((v >> b & 1) << k for k, v in enumerate(dva)) for b in reversed(range(nbits))]
-    return _gf2_outputs(rows, np.arange(count, dtype=np.uint64))
-
-
-def _gf2_outputs(rows, idx):
-    """GF(2) matrix times index bits: output bit j, counted from the most
-    significant of len(rows) <= 63 bits, is the parity of idx & rows[j]."""
-    out = np.zeros(idx.size, dtype=np.int64)
-    for row in rows:
-        out <<= 1
-        out |= np.bitwise_count(idx & np.uint64(row)) & 1
-    return out
+    return gf2_outputs(rows, np.arange(start, start + count, dtype=np.uint64))
 
 
 # monic irreducible polynomials over GF(2) by (degree, value): x, x+1, x^2+x+1, ...
@@ -299,7 +289,7 @@ def gen_niederreiter(dimension, count, precision_bits, skip=0):
         raise DomainError(f"skip + count must be at most 2^63, got {total}")
     nbits = max(precision_bits, max(1, (total - 1)).bit_length())
     rows = _niederreiter_rows(dimension, nbits)
-    out = _gf2_outputs(rows, np.arange(skip, total, dtype=np.uint64))
+    out = gf2_outputs(rows, np.arange(skip, total, dtype=np.uint64))
     return _floor_scaled(out, 1 << nbits, precision_bits)
 
 
@@ -614,12 +604,11 @@ def sequence_numerators(spec, count, start=0):
     if fam in ("sobol", "niederreiter", "lfsr"):  # n-bit integers
         n = spec.get("bits")
         if fam == "sobol":
-            vals = gen_sobol(sobol_direction_vectors(spec.get("dim"), n), end)
-        elif fam == "niederreiter":
-            vals = gen_niederreiter(spec.get("dim"), end, n, skip=spec.get("skip"))
-        else:
-            vals = gen_lfsr(spec.get("taps"), spec.get("seed"), end, n)
-        return vals[start:], 1 << n
+            return gen_sobol(sobol_direction_vectors(spec.get("dim"), n), count, start), 1 << n
+        if fam == "niederreiter":  # from index skip + start; a negative skip is rejected there
+            skip = spec.get("skip")
+            return gen_niederreiter(spec.get("dim"), count, n, skip + start * (skip >= 0)), 1 << n
+        return gen_lfsr(spec.get("taps"), spec.get("seed"), end, n)[start:], 1 << n
     # seeded families draw exact rationals over a fixed scale
     if fam == "latin_hypercube":
         den = end << 53
@@ -676,6 +665,9 @@ def _radical_inverse(spec, start, count):
     so values do not change), Faure-scrambled by a Pascal matrix power mod p,
     in int64 unless p^L or the matrix product could overflow it.  Horner's
     rule mirrors the digits as they are peeled, so only Faure holds all L.
+    Without the scrambling a value is the sum of its m-digit chunks' values, so
+    a run longer than the p^m <= 4096 chunk values gathers chunk c from one
+    table of them divided by p^(m*c).
     """
     p, dim = _digit_base(spec)
     width = 1
@@ -683,23 +675,35 @@ def _radical_inverse(spec, start, count):
         width += 1
     dtype = np.int64 if p**width < 1 << 62 and width * (p - 1) ** 2 < 1 << 63 else object
 
-    def peel(idx):  # the L digits of every index, least significant first
-        for _ in range(width):
-            q = idx // p  # a division by a constant, far cheaper than %
-            idx -= q * p
+    def peel(idx, radix, n):  # n base-radix digits of every index, least significant first
+        for _ in range(n):
+            q = idx // radix  # a division by a constant, far cheaper than %
+            idx -= q * radix
             yield idx
             idx = q
 
-    digits = peel(np.arange(start, start + count, dtype=dtype))
-    if dim > 0:
-        # (C^dim)_{j,r} = C(r,j) * dim^(r-j) mod p for r >= j
-        pascal = [[math.comb(r, j) * pow(dim, r - j, p) % p if r >= j else 0
-                   for r in range(width)] for j in range(width)]
-        digits = np.array(pascal, dtype=dtype) @ np.array(list(digits)) % p
+    def mirror(start, count, width):  # the first `width` digits of start.., mirrored
+        digits = peel(np.arange(start, start + count, dtype=dtype), p, width)
+        if dim > 0:  # (C^dim)_{j,r} = C(r,j) * dim^(r-j) mod p for r >= j
+            digits = np.array(list(digits))
+            for j in range(width):  # scrambled digit j reads digits j.., so replaces digit j
+                for r in range(j + 1, width):
+                    digits[j] += math.comb(r, j) * pow(dim, r - j, p) % p * digits[r]
+                digits[j] -= digits[j] // p * p
+        num = np.zeros(count, dtype=dtype)
+        for digit in digits:  # digit j of the index is digit L-1-j of the value
+            num *= p
+            num += digit
+        return num
+
+    m = min(width, next((k for k in range(12, 0, -1) if p**k <= 4096), 0))
+    if dim > 0 or not m or p**m >= count:  # scrambled, a base past 4096, or a short run
+        return mirror(start, count, width), p**width
+    table = mirror(0, p**m, m) * p ** (width - m)
     num = np.zeros(count, dtype=dtype)
-    for digit in digits:  # digit j of the index is digit L-1-j of the value
-        num *= p
-        num += digit
+    chunks = peel(np.arange(start, start + count, dtype=dtype), p**m, -(-width // m))
+    for c, chunk in enumerate(chunks):
+        num += (table // p ** (m * c))[chunk.astype(np.intp, copy=False)]
     return num, p**width
 
 
@@ -715,6 +719,7 @@ def _floor_scaled(num, den, bits):
     for done in range(0, bits, step):
         shift = min(step, bits - done)
         num = num << shift
-        out = (out << shift) | (num // den)
-        num = num % den
+        q = num // den
+        out = (out << shift) | q
+        num -= q * den
     return out.astype(np.int64)

@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sclab import bench
@@ -64,6 +65,23 @@ def brute_force_add_error(thr_data, thr_sel, input_bits):
         for k2, s2 in enumerate(rows):
             est = decode_unipolar(mux2(s1, s2, sel))
             total += abs(est - Fraction(k1 + k2, 2 * k_count))
+    return total
+
+
+def mul_error_reference(thr_a, thr_b, input_bits):
+    """sum over all (k1, k2) of |C*K^2 - k1*k2*N| with C = #{i : thr_a[i] < k1,
+    thr_b[i] < k2}, counted row by row from the sorted thr_b and summed in
+    Python integers.  No gcd scaling and no cumulative table: each term is at
+    most N*K^2, so int64 holds a row's terms and their sum exactly for the
+    N < 2^10 and K <= 2^12 the tests use."""
+    k_count = 1 << input_bits
+    n = len(thr_a)
+    thr_a, thr_b = np.asarray(thr_a, dtype=np.int64), np.asarray(thr_b, dtype=np.int64)
+    ks = np.arange(k_count, dtype=np.int64)
+    total = 0
+    for k1 in range(k_count):
+        counts = np.searchsorted(np.sort(thr_b[thr_a < k1]), ks)  # #{b < k2} under k1
+        total += int(np.abs(counts * (k_count * k_count) - k1 * n * ks).sum())
     return total
 
 
@@ -131,6 +149,41 @@ class TestKernelsAgainstBruteForce:
         thr_a = np.array([a for a, _ in pairs])
         thr_b = np.array([b for _, b in pairs])
         assert_kernels_match(thr_a, thr_b, bits)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=12).flatmap(
+            lambda bits: st.tuples(
+                st.just(bits),
+                st.lists(
+                    st.tuples(
+                        st.integers(-3, (1 << bits) + 2), st.integers(-3, (1 << bits) + 2)
+                    ),
+                    min_size=1,
+                    max_size=160,
+                ),
+            )
+        )
+    )
+    # 131 is prime, so lcm(131, 2^24) = 131 * 2^24 >= 2^31: the int64 branch
+    @example((12, [(i * 37 % 4101 - 3, i * 91 % 4099 - 3) for i in range(131)]))
+    # a power-of-2 N at 12 bits: int32, in blocks of rows
+    @example((12, [(i * 1531 % 4096, i * 2999 % 4096) for i in range(128)]))
+    def test_mul_error_sum_matches_reference(self, case):
+        bits, pairs = case
+        thr_a = np.array([a for a, _ in pairs])
+        thr_b = np.array([b for _, b in pairs])
+        assert mul_error_sum(thr_a, thr_b, bits) == mul_error_reference(thr_a, thr_b, bits)
+
+    @pytest.mark.parametrize("n,bits", [(128, 12), (131, 12), (131, 8), (1 << 16, 8)])
+    def test_error_dtype_follows_the_lcm_bound(self, monkeypatch, n, bits):
+        dtypes = []
+        real = bench.count_table
+        monkeypatch.setattr(bench, "count_table", lambda *args: dtypes.append(args[4]) or real(*args))
+        thr = np.arange(n) % (1 << bits)
+        mul_error_sum(thr, thr[::-1], bits)
+        want = np.int64 if math.lcm(n, 1 << 2 * bits) >= 1 << 31 else np.int32
+        assert dtypes and set(dtypes) == {want}
 
     def test_row_blocks_match_single_block(self, monkeypatch):
         spec_a, spec_b = default_pair("halton", 256)

@@ -176,6 +176,17 @@ class TestSng:
         (np.array([0.0, 1.0, 2.0]), 2, ConfigurationError,
          "sequence values must be integers, got dtype float64"),
         (["1", "2"], None, ConfigurationError, "sequence values must be integers, got dtype <U1"),
+        ([1.5, 1 << 70], None, ConfigurationError,
+         "sequence values must be integers, got dtype object"),
+        # a slice bound must be an integer
+        (np.arange(8), 2.5, ConfigurationError, "stream length must be an integer, got float"),
+        (np.arange(8), np.float64(3), ConfigurationError,
+         "stream length must be an integer, got float64"),
+        (np.arange(8), "3", ConfigurationError, "stream length must be an integer, got str"),
+        # Python ints past int64 are objects to numpy, and out of range
+        ([1 << 70], None, ConfigurationError, "sequence values outside [0, 2^8) (precision mismatch?)"),
+        ([0, -(1 << 70)], None, ConfigurationError,
+         "sequence values outside [0, 2^8) (precision mismatch?)"),
     ])
     def test_input_it_would_mis_slice_or_cast_rejected(self, rng_values, length, error, message):
         with pytest.raises(error) as exc:
@@ -186,6 +197,14 @@ class TestSng:
     def test_any_integer_dtype_accepted(self, dtype):
         thresholds = np.array([0, 1, 1, 0, 1], dtype=dtype)
         assert sng_generate(FixedUnipolar(1, 1), thresholds).to01() == "10010"
+
+    def test_integer_length_types_accepted(self):
+        for length in (3, np.int64(3), np.uint8(3)):
+            assert sng_generate(FixedUnipolar(1, 1), [0, 1, 1, 0], length=length).to01() == "100"
+
+    def test_python_ints_in_an_object_array_in_range_accepted(self):
+        thresholds = np.array([0, 1, 1, 0], dtype=object)
+        assert sng_generate(FixedUnipolar(1, 1), thresholds).to01() == "1001"
 
     def test_unsigned_values_past_int64_out_of_range(self):
         with pytest.raises(ConfigurationError, match=r"outside \[0, 2\^8\)"):

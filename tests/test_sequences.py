@@ -730,3 +730,98 @@ class TestThresholds:
             a = sequence_thresholds(spec, 32, 8)
             b = sequence_thresholds(spec, 32, 8)
             assert np.array_equal(a, b)
+
+
+def _values(spec, count, start):
+    num, den = sequence_numerators(spec, count, start)
+    return [Fraction(v, den) for v in num.tolist()]
+
+
+class TestRandomAccess:
+    """`sequence_numerators(spec, count, start)` from starts on either side of
+    the chunk edges radix^c of the table paths: 256 for the byte tables of
+    sobol, niederreiter and p2lsg, p^m <= 4096 for the digit families.  Each
+    count is larger than the tables, so the tables are what runs."""
+
+    # (spec, oracle of index i, starts at chunk edges, count)
+    SCALAR = [
+        ("vdc:base=2", lambda i: gen_vdc(2, i), (4095, 4096, 4096**2 - 1, 4096**2), 4500),
+        ("vdc:base=3", lambda i: gen_vdc(3, i), (2186, 2187, 2187**2 - 1, 2187**2), 2500),
+        ("halton:base=11", lambda i: gen_halton(11, i), (1330, 1331, 1331**2 - 1, 1331**2), 1500),
+        ("hammersley:dim=1", lambda i: gen_hammersley_pair(i)[1], (2186, 2187), 2500),
+        ("faure:prime=7,dim=0", lambda i: gen_faure(7, 0, i), (2400, 2401, 2401**2 - 1), 2500),
+        ("faure:prime=7,dim=1", lambda i: gen_faure(7, 1, i), (2400, 2401), 2500),
+        ("faure:prime=5,dim=3", lambda i: gen_faure(5, 3, i), (624, 625), 700),
+        ("sobol:dim=3,bits=24",
+         lambda i: Fraction(sobol_direct_oracle(sobol_direction_vectors(3, 24), i), 1 << 24),
+         (255, 256, 65535, 65536), 1000),
+        ("p2lsg:base=16,bits=24", lambda i: Fraction(group_reverse(i, 24, 16), 1 << 24),
+         (255, 256, 65535, 65536), 1000),
+        ("p2lsg:base=8,bits=40", lambda i: Fraction(group_reverse(i, 40, 8), 1 << 40),
+         ((1 << 32) - 1, 1 << 32), 1500),
+    ]
+
+    @pytest.mark.parametrize("text,oracle,starts,count", SCALAR)
+    def test_matches_scalar_oracles(self, text, oracle, starts, count):
+        spec = SequenceSpec.parse(text)
+        for start in starts:
+            assert _values(spec, count, start) == [oracle(i) for i in range(start, start + count)]
+
+    @pytest.mark.parametrize("text,start,count", [
+        ("vdc:base=2", 4095, 4500),
+        ("vdc:base=3", 2186, 2500),
+        ("halton:base=13", 2196, 2500),
+        ("hammersley:dim=0", 4096, 4500),
+        ("faure:prime=7,dim=0", 2400, 2500),
+        ("faure:prime=3,dim=2", 728, 800),
+        ("sobol:dim=2,bits=20", 65535, 1000),
+        ("niederreiter:dim=3,bits=10,skip=5", 255, 1000),
+        ("niederreiter:dim=2,skip=4096", 65535, 1000),
+        ("p2lsg:base=4,bits=20", 65536, 1000),
+        ("weyl:irrational=pi", 4095, 100),
+        ("r2:dim=1", 4096, 100),
+        ("lfsr:seed=5", 255, 300),
+        # past int64: p^L >= 2^62, or a Pascal product past 2^63, in Python integers
+        ("vdc:base=100000000000000000000", 9, 6),
+        ("faure:prime=3037000507,dim=1", 9, 6),
+    ])
+    def test_matches_the_slice_of_a_run_from_zero(self, text, start, count):
+        spec = SequenceSpec.parse(text)
+        whole, den = sequence_numerators(spec, start + count)
+        num, den_from_start = sequence_numerators(spec, count, start)
+        assert den_from_start == den and num.dtype == whole.dtype
+        assert num.tolist() == whole[start:].tolist()
+
+    def test_object_dtype_tables_cross_a_chunk_edge(self):
+        # 3^43 > 2^62: int64 cannot hold the numerators, and the run crosses the
+        # edge (3^7)^6 of the base-3 tables
+        spec = SequenceSpec.parse("vdc:base=3")
+        start = 3**42 - 1200
+        num, _ = sequence_numerators(spec, 2500, start)
+        assert num.dtype == object
+        assert _values(spec, 2500, start) == [gen_vdc(3, i) for i in range(start, start + 2500)]
+
+    def test_sobol_and_niederreiter_from_deep_in_the_period(self):
+        # from index 0 these runs would take 2^40 values
+        start = (1 << 40) - 3
+        dva = sobol_direction_vectors(5, 40)
+        num, den = sequence_numerators(SequenceSpec.parse("sobol:dim=5,bits=40"), 3, start)
+        assert den == 1 << 40
+        assert num.tolist() == [sobol_direct_oracle(dva, i) for i in range(start, start + 3)]
+        # 32 of the 40 bits the indices need, through the Laurent-series rows
+        rows = [row & ((1 << 40) - 1) for row in niederreiter_rows_oracle(4, 63)[:40]]
+        want = [sum((bin(i & row).count("1") & 1) << (39 - j) for j, row in enumerate(rows)) >> 8
+                for i in range(start, start + 3)]
+        num, den = sequence_numerators(SequenceSpec.parse("niederreiter:dim=4,bits=32"), 3, start)
+        assert den == 1 << 32 and num.tolist() == want
+
+    def test_negative_niederreiter_skip_still_rejected_with_a_start(self):
+        spec = SequenceSpec.parse("niederreiter:dim=2,skip=-3")
+        with pytest.raises(DomainError, match="skip must be non-negative"):
+            sequence_numerators(spec, 4, start=10)
+
+    def test_sobol_end_past_the_period_rejected(self):
+        spec = SequenceSpec.parse("sobol:dim=2,bits=8")
+        assert sequence_numerators(spec, 6, 250)[0].size == 6
+        with pytest.raises(DomainError, match="2\\^8 period"):
+            sequence_numerators(spec, 7, 250)
