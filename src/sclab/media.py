@@ -10,13 +10,18 @@ No stream is simulated: a comparator-stream 2-to-1 MUX's ones are gathers
 from one cumulative histogram C of (select, data) thresholds, and the 4-to-1
 MUX splits by its v select bit into two of those.  A merged sample's ones are
 `(C[256] - C)[a, bg] + C[a, fg]`, gathered, like scaling's, from flat 256x256
-int32 tables through uint16 cells `row << 8 | sample`.  Counts c of N = 2^k
-round to 8 bits by shifts alone (see `_counts_to_pixels`).  The packed-word
-circuits in `ops` are the tests' independent oracle for these counts.
+int32 tables through uint16 cells `row << 8 | sample`.  The cells are built
+channel-contiguous: scaling works on rows of W*C samples, merging ORs a
+channel-stacked select plane, so no op broadcasts over the 3-wide RGB axis.
+Counts c of N = 2^k round to 8 bits by shifts, folded into the tables (see
+`_rounding`), and the merge tables are built once per run of frames.  The
+packed-word circuits in `ops` are the tests' independent oracle for these
+counts.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 
 import numpy as np
@@ -35,9 +40,14 @@ MERGE_SELECT_SPEC = U_SELECT_SPEC
 
 
 def _as_uint8(pixels, ndim, what):
+    """Integer samples (bool, signed, unsigned, or Python int objects) in
+    0..255 as uint8; any other dtype is rejected, never cast."""
     arr = np.asarray(pixels)
     if arr.ndim != ndim or arr.size == 0:
         raise DomainError(f"{what} must be a nonempty {ndim}-D array, got shape {arr.shape}")
+    if arr.dtype.kind not in "biu" and not (
+            arr.dtype == object and all(isinstance(v, int) for v in arr.flat)):
+        raise DomainError(f"{what} samples must be integers, got dtype {arr.dtype}")
     if arr.dtype != np.uint8:
         if arr.min() < 0 or arr.max() > 255:
             raise DomainError(f"{what} samples must fit 8 bits")
@@ -143,11 +153,10 @@ def ssim(a, b, window=8):
 
 def chroma_key_alpha(frame, green_threshold=100, dominance_margin=50):
     """Binary matte: background where green is strong and dominates red/blue."""
-    pix = frame.pixels.astype(np.int16)
-    g = pix[..., 1]
-    dominance = g - np.maximum(pix[..., 0], pix[..., 2])
-    background = (g > green_threshold) & (dominance > dominance_margin)
-    return AlphaMap(np.where(background, 0, 255).astype(np.uint8))
+    r, g, b = (frame.pixels[..., c] for c in range(3))
+    dominance = np.subtract(g, np.maximum(r, b), dtype=np.int16)
+    foreground = (g <= green_threshold) | (dominance <= dominance_margin)
+    return AlphaMap(foreground.view(np.uint8) * np.uint8(255))
 
 
 # ---------------------------------------------------------------------------
@@ -169,20 +178,23 @@ def _stream_levels(spec, n):
     return _levels(sequence_thresholds(resolve_spec(spec, n), n, bits=8), 256)
 
 
-def _counts_to_pixels(counts, n):
-    """Nearest 8-bit value for counts/n, ties away from zero, capped at 255.
-
-    n = 2^k (resolve_spec checks it), so round(256 c / n) is
-    (c + 2^(k-9)) >> (k-8) for k > 8 and c << (8-k) otherwise; the shifts
-    run in place, so `counts` must be a fresh array.
-    """
+def _rounding(n):
+    """(lift, bias, drop) for N = 2^k: the nearest 8-bit value of c/N, ties up,
+    is min(255, ((c << lift) + bias) >> drop), with lift = 8 - k for k <= 8, and
+    bias = 2^(k-9), drop = k - 8 above.  The kernels fold lift into their count
+    tables and bias into one table each count reads once; `_to_pixels` ends it."""
     k = n.bit_length() - 1
-    if k > 8:
-        counts += n >> 9
-        counts >>= k - 8
-    else:
-        counts <<= 8 - k
-    return np.minimum(counts, 255, out=counts).astype(np.uint8)
+    return max(8 - k, 0), n >> 9, max(k - 8, 0)
+
+
+def _to_pixels(counts, drop):
+    """Shift folded counts by `drop` and cap them at 255, in place: a count is at
+    most N, so the shifted value is at most 256, and subtracting its bit 8 caps
+    it, faster than np.minimum against a scalar."""
+    if drop:
+        counts >>= drop
+    counts -= counts >> 8
+    return counts
 
 
 def _axis_map(size, out_size):
@@ -207,36 +219,44 @@ def _scale_sc(pix, out_h, out_w, n, data, u_level, v_level):
     For one v offset the indices split by the v select bit, and each half is a
     2-to-1 MUX over u: d0's ones outside the u select plus d1's under it.  Rows
     are visited in ascending v offset, so the table of the v bit 1 half grows.
+    Pixels are gathered as rows of W*C samples, column x's channel c at x*C + c,
+    so every gather and OR runs along a whole output row.
     """
-    y1, y2, v8, _ = _axis_map(pix.shape[0], out_h)
-    x1, x2, u8, _ = _axis_map(pix.shape[1], out_w)
-    u_cells = (u8.astype(np.uint16) << 8)[:, None]
-    whole = count_table(u_level, data, 257, 257)[:, :256].astype(np.int32)
+    h, w, ch = pix.shape
+    y1, y2, v8, _ = _axis_map(h, out_h)
+    x1, x2, u8, _ = _axis_map(w, out_w)
+    cols = [(x[:, None] * ch + np.arange(ch)).ravel() for x in (x1, x2)]
+    u_cells = np.repeat(u8.astype(np.uint16) << 8, ch)
+    flat = pix.reshape(h, w * ch)
+    lift, bias, drop = _rounding(n)
+    whole = count_table(u_level, data, 257, 257)[:, :256].astype(np.int32) << lift
+    whole[256] += bias  # lower[256] is read once per count
     upper, lower = np.zeros_like(whole), np.empty_like(whole)
     by_v = np.argsort(v_level, kind="stable")
     sorted_v, added = v_level[by_v], 0
     rows_by_v = np.argsort(v8, kind="stable")
-    out = np.empty((out_h, out_w, pix.shape[2]), dtype=np.uint8)
+    out = np.empty((out_h, out_w * ch), dtype=np.uint8)
     for rows in np.split(rows_by_v, np.flatnonzero(np.diff(v8[rows_by_v])) + 1):
         stop = np.searchsorted(sorted_v, v8[rows[0]], side="right")
         new = by_v[added:stop]
         if new.size > _RECT_ADDS:
-            upper += count_table(u_level[new], data[new], 257, 257)[:, :256]
+            upper += count_table(u_level[new], data[new], 257, 257)[:, :256] << lift
         else:
             for i in new:
-                upper[u_level[i]:, data[i]:] += 1
+                upper[u_level[i]:, data[i]:] += 1 << lift
         added = stop
         np.subtract(whole, upper, out=lower)
         for r in range(0, rows.size, _ROW_BLOCK):
             block = rows[r : r + _ROW_BLOCK]
-            counts = np.zeros((block.size, out_w, pix.shape[2]), dtype=np.int32)
+            counts = np.zeros((block.size, out_w * ch), dtype=np.int32)
             for table, y in ((lower, y1), (upper, y2)):
-                d0, d1 = (pix[y[block]].take(x, 1) for x in (x1, x2))
+                src = flat[y[block]]
+                d0, d1 = (src.take(c, 1) for c in cols)
                 counts += table[256].take(d0)
                 counts -= table.ravel().take(u_cells | d0)
                 counts += table.ravel().take(u_cells | d1)
-            out[block] = _counts_to_pixels(counts, n)
-    return out
+            out[block] = _to_pixels(counts, drop)
+    return out.reshape(out_h, out_w, ch)
 
 
 def _output_dims(h, w, factor):
@@ -296,6 +316,22 @@ def bilinear_reference(image, scale_factor):
 _SELECT_ROWS = np.append(np.arange(255), 256)
 
 
+@lru_cache(maxsize=1)
+def _merge_tables(n, seq_data, seq_select):
+    """(outside, inside): a merged sample's ones from the background outside the
+    select and from the foreground under it, as read-only flat int32 tables by
+    the cell `alpha << 8 | sample`, with the rounding folded in.  Cached, so the
+    frames of one run build them once; one entry bounds the memory."""
+    lift, bias, _ = _rounding(n)
+    table = count_table(_stream_levels(seq_select, n), _stream_levels(seq_data, n), 257, 257)
+    table <<= lift
+    tables = tuple(t[_SELECT_ROWS, :256].astype(np.int32).ravel()
+                   for t in (table[256] + bias - table, table))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 def merge_scene_sc(background, foreground, alpha, stream_length=256,
                    seq_data=DATA_SPEC, seq_select=MERGE_SELECT_SPEC):
     """Per-pixel 2-to-1 MUX compositing: select 0 routes the background.
@@ -309,17 +345,16 @@ def merge_scene_sc(background, foreground, alpha, stream_length=256,
             f"dimension mismatch: bg {bg.shape}, fg {fg.shape}, alpha {alpha.alpha.shape}"
         )
     n = stream_length
-    table = count_table(_stream_levels(seq_select, n), _stream_levels(seq_data, n), 257, 257)
-    # a sample's ones: the background's outside the select plus the foreground's under it
-    inside = table[_SELECT_ROWS, :256].astype(np.int32).ravel()
-    outside = (table[256] - table)[_SELECT_ROWS, :256].astype(np.int32).ravel()
-    out = np.empty_like(bg)
+    outside, inside = _merge_tables(n, seq_data, seq_select)
+    drop = _rounding(n)[2]
+    out = np.empty(bg.shape, dtype=np.uint8)
     for r in range(0, bg.shape[0], _ROW_BLOCK):
         rows = slice(r, r + _ROW_BLOCK)
-        sel_cells = alpha.alpha[rows].astype(np.uint16)[..., None] << 8
-        counts = outside.take(sel_cells | bg[rows])
-        counts += inside.take(sel_cells | fg[rows])
-        out[rows] = _counts_to_pixels(counts, n)
+        # each sample's select byte, laid out by channel once rather than broadcast
+        sel = np.stack((alpha.alpha[rows].astype(np.uint16) << 8,) * 3, axis=-1)
+        counts = outside.take(bg[rows] | sel)
+        counts += inside.take(fg[rows] | sel)
+        out[rows] = _to_pixels(counts, drop)
     return RgbImage(out)
 
 

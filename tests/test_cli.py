@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sclab import cli
+from sclab import cli, media
 from sclab.cli import _lines, main
 from sclab.media import AlphaMap, GrayImage, RgbImage, merge_scene_sc, scale_image_sc
 from sclab.p2lsg import group_reverse
@@ -766,6 +766,30 @@ class TestMediaCommands:
         assert mode == "rgb"
         assert np.array_equal(merged[0, 0], [0, 0, 0])  # keyed out -> background
         assert np.array_equal(merged[3, 3], [200, 30, 30])  # subject kept
+
+    def test_merge_builds_its_tables_once_per_run(self, capsys, tmp_path, monkeypatch):
+        rng = np.random.default_rng(6)
+        write_pnm_file(tmp_path / "bg.ppm", rng.integers(0, 256, (6, 7, 3), dtype=np.uint8))
+        (tmp_path / "frames").mkdir()
+        for i in range(3):
+            write_pnm_file(tmp_path / "frames" / f"f{i}.ppm",
+                           rng.integers(0, 256, (6, 7, 3), dtype=np.uint8))
+        media._merge_tables.cache_clear()
+        builds, count_table = [], media.count_table
+        monkeypatch.setattr(media, "count_table",
+                            lambda *a, **k: builds.append(a) or count_table(*a, **k))
+        code, _, _ = run(capsys, "merge", "--bg", str(tmp_path / "bg.ppm"),
+                         "--fg-dir", str(tmp_path / "frames"),
+                         "--out-dir", str(tmp_path / "out"), "--n", "256")
+        assert code == 0 and len(list((tmp_path / "out").iterdir())) == 3
+        assert len(builds) == 1
+        info = media._merge_tables.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        for table in media._merge_tables(256, media.DATA_SPEC, media.MERGE_SELECT_SPEC):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1
+        assert len(builds) == 1
 
     def test_merge_alpha_dir_path(self, capsys, tmp_path):
         bg = np.full((4, 4, 3), 10, dtype=np.uint8)

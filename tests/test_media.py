@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 from functools import lru_cache
 
@@ -65,6 +66,51 @@ def fraction_axis(size, out_size):
         base = s.numerator // s.denominator
         mapped.append((base, min(255, round((s - base) * 256))))
     return mapped
+
+
+def other_layouts(pix):
+    """pix's values as a [:, ::2] view of a wider array and as a Fortran-ordered
+    copy, neither of them C-contiguous."""
+    wide = np.empty((pix.shape[0], 2 * pix.shape[1], *pix.shape[2:]), dtype=pix.dtype)
+    wide[:, ::2], wide[:, 1::2] = pix, 255 - pix
+    return {"strided": wide[:, ::2], "fortran": np.asfortranarray(pix)}
+
+
+class TestImageSamples:
+    @pytest.mark.parametrize("pixels", [
+        np.array([[1.5, 2.7]]),
+        np.array([[np.nan, 1.0]]),
+        np.array([[1 + 2j, 3]]),
+        np.array([[1.0, 2]], dtype=object),
+        np.array([["7", 2]], dtype=object),
+    ], ids=["float", "nan", "complex", "object_float", "object_str"])
+    def test_non_integer_samples_rejected(self, pixels):
+        makers = (GrayImage, AlphaMap, lambda p: RgbImage(np.stack([p] * 3, axis=-1)))
+        for make in makers:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # raised before any cast could warn
+                with pytest.raises(DomainError, match="must be integers"):
+                    make(pixels)
+
+    @pytest.mark.parametrize("pixels", [
+        np.array([[0, 255, 7]], dtype=object),
+        np.array([[True, False, True]]),
+        np.array([[0, 255, 7]], dtype=np.int64),
+        np.array([[0, 255, 7]], dtype=np.uint16),
+    ], ids=["object_int", "bool", "int64", "uint16"])
+    def test_integer_samples_accepted(self, pixels):
+        img = GrayImage(pixels)
+        assert img.pixels.dtype == np.uint8
+        assert img.pixels.tolist() == [[int(v) for v in pixels[0]]]
+
+    @pytest.mark.parametrize("pixels", [
+        np.array([[0, 10**40]], dtype=object),
+        np.array([[-1, 0]], dtype=np.int8),
+        np.array([[256, 0]], dtype=np.int64),
+    ], ids=["object_huge", "negative", "nine_bits"])
+    def test_out_of_range_samples_rejected(self, pixels):
+        with pytest.raises(DomainError, match="fit 8 bits"):
+            GrayImage(pixels)
 
 
 class TestPsnr:
@@ -160,6 +206,24 @@ class TestChromaKey:
         # dominance exactly at the margin is foreground (strict comparison)
         frame2 = RgbImage(np.array([[[110, 160, 80]]], dtype=np.uint8))
         assert chroma_key_alpha(frame2, 100, 50).alpha[0, 0] == 255
+
+    def test_matches_int16_formula_at_extreme_limits(self):
+        # green g down the rows and max(r, b) across the columns: every pair, with
+        # r and b each taking the maximum in turn
+        g, m = np.mgrid[0:256, 0:256].astype(np.uint8)
+        frame = RgbImage(np.stack([m, g, m // 2], axis=-1))
+        frame_t = RgbImage(frame.pixels[..., ::-1].copy())
+        limits = (-10**40, -40000, -1, 0, 50, 100, 255, 256, 10**40)
+        for img in (frame, frame_t):
+            pix = img.pixels.astype(np.int16)
+            dominance = pix[..., 1] - np.maximum(pix[..., 0], pix[..., 2])
+            for t in limits:
+                for margin in limits:
+                    background = (pix[..., 1] > t) & (dominance > margin)
+                    want = np.where(background, 0, 255).astype(np.uint8)
+                    got = chroma_key_alpha(img, t, margin).alpha
+                    assert got.dtype == np.uint8
+                    assert np.array_equal(got, want), (t, margin)
 
 
 def fraction_bilinear_oracle(pix, factor):
@@ -307,6 +371,18 @@ class TestScaling:
                 counts = counts + table[256, d0] - table[u, d0] + table[u, d1]
             assert np.array_equal(out[yo], rounded_counts(counts, n)), yo
 
+    @pytest.mark.parametrize("n", [2, 1024])
+    @pytest.mark.parametrize("channels", [1, 3], ids=["gray", "rgb"])
+    def test_memory_layout_does_not_change_bytes(self, channels, n):
+        rng = np.random.default_rng(13)
+        pix = rng.integers(0, 256, (7, 9, 3), dtype=np.uint8)
+        pix, make = (pix[..., 0], GrayImage) if channels == 1 else (pix, RgbImage)
+        want = scale_image_sc(make(pix), Fraction(7, 3), n).pixels
+        for layout, view in other_layouts(pix).items():
+            assert np.array_equal(view, pix) and not view.flags.c_contiguous
+            got = scale_image_sc(make(view), Fraction(7, 3), n).pixels
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), layout
+
     def test_oversized_output_rejected(self):
         assert _output_dims(4096, 4096, 2) == (8192, 8192)
         assert 8192 * 8192 == MAX_OUTPUT_PIXELS
@@ -324,12 +400,24 @@ def rounded_pixel(count, n):
 COUNT_DTYPES = pytest.mark.parametrize("dtype", [np.int32, np.int64])
 
 
+def kernel_pixels(counts, n):
+    """The rounding the kernels run on counts c of N: c arrives through the
+    folded tables as (c << lift) + bias, then `_to_pixels` shifts and caps it and
+    the result is stored into a uint8 raster."""
+    lift, bias, drop = media._rounding(n)
+    folded = (counts << lift) + bias
+    assert folded.dtype == counts.dtype
+    out = np.empty(counts.shape, dtype=np.uint8)
+    out[...] = media._to_pixels(folded, drop)
+    return out
+
+
 class TestCountsToPixels:
     @COUNT_DTYPES
     @pytest.mark.parametrize("k", range(1, 17))
     def test_every_count_matches_fraction_rounding(self, k, dtype):
         n = 1 << k
-        got = media._counts_to_pixels(np.arange(n + 1, dtype=dtype), n)
+        got = kernel_pixels(np.arange(n + 1, dtype=dtype), n)
         assert got.dtype == np.uint8
         assert got.tolist() == [rounded_pixel(c, n) for c in range(n + 1)]
 
@@ -339,7 +427,7 @@ class TestCountsToPixels:
         n = 1 << 24
         ties = [(2 * j - 1) * (n >> 9) for j in range(1, 257)]
         counts = sorted({0, n - 1, n} | {t + d for t in ties for d in (-1, 0, 1)})
-        got = media._counts_to_pixels(np.array(counts, dtype=dtype), n)
+        got = kernel_pixels(np.array(counts, dtype=dtype), n)
         assert got.tolist() == [rounded_pixel(c, n) for c in counts]
 
 
@@ -468,6 +556,19 @@ class TestMerging:
         a = np.where(alpha == 255, 256, alpha.astype(np.int64))[..., None]
         counts = table[256, bg] - table[a, bg] + table[a, fg]
         assert np.array_equal(out, rounded_counts(counts, n))
+
+    @pytest.mark.parametrize("n", [2, 1024])
+    def test_memory_layout_does_not_change_bytes(self, n):
+        rng = np.random.default_rng(14)
+        bg, fg = (rng.integers(0, 256, (40, 9, 3), dtype=np.uint8) for _ in range(2))
+        alpha = rng.integers(0, 256, (40, 9), dtype=np.uint8)
+        alpha[::4] = 255
+        want = merge_scene_sc(RgbImage(bg), RgbImage(fg), AlphaMap(alpha), n).pixels
+        views = [other_layouts(a) for a in (bg, fg, alpha)]
+        for layout in views[0]:
+            b, f, a = (v[layout] for v in views)
+            got = merge_scene_sc(RgbImage(b), RgbImage(f), AlphaMap(a), n).pixels
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), layout
 
     def test_reference_alpha_semantics(self):
         bg = RgbImage(np.zeros((1, 3, 3), dtype=np.uint8))
