@@ -14,9 +14,13 @@ int32 tables through uint16 cells `row << 8 | sample`.  The cells are built
 channel-contiguous: scaling works on rows of W*C samples, merging ORs a
 channel-stacked select plane, so no op broadcasts over the 3-wide RGB axis.
 Counts c of N = 2^k round to 8 bits by shifts, folded into the tables (see
-`_rounding`), and the merge tables are built once per run of frames.  The
-packed-word circuits in `ops` are the tests' independent oracle for these
-counts.
+`_rounding`), and the merge tables are built once per run of frames.  A block
+of rows whose alpha is all 0 or 255 (every chroma-keyed matte, most of an
+explicit one) skips the tables: alpha 0 and 255 select no index and every
+index, so the MUX passes one data stream through whole, and such a sample is
+`bg ^ ((bg ^ fg) & alpha)` mapped through one 256-entry pixel table, exactly
+the two-table result.  The packed-word circuits in `ops` are the tests'
+independent oracle for these counts.
 """
 
 import math
@@ -227,7 +231,8 @@ def _scale_sc(pix, out_h, out_w, n, data, u_level, v_level):
     x1, x2, u8, _ = _axis_map(w, out_w)
     cols = [(x[:, None] * ch + np.arange(ch)).ravel() for x in (x1, x2)]
     u_cells = np.repeat(u8.astype(np.uint16) << 8, ch)
-    flat = pix.reshape(h, w * ch)
+    # every source row's x1 and x2 samples, gathered once for all its output rows
+    near, far = (pix.reshape(h, w * ch).take(c, 1) for c in cols)
     lift, bias, drop = _rounding(n)
     whole = count_table(u_level, data, 257, 257)[:, :256].astype(np.int32) << lift
     whole[256] += bias  # lower[256] is read once per count
@@ -250,8 +255,7 @@ def _scale_sc(pix, out_h, out_w, n, data, u_level, v_level):
             block = rows[r : r + _ROW_BLOCK]
             counts = np.zeros((block.size, out_w * ch), dtype=np.int32)
             for table, y in ((lower, y1), (upper, y2)):
-                src = flat[y[block]]
-                d0, d1 = (src.take(c, 1) for c in cols)
+                d0, d1 = near[y[block]], far[y[block]]
                 counts += table[256].take(d0)
                 counts -= table.ravel().take(u_cells | d0)
                 counts += table.ravel().take(u_cells | d1)
@@ -318,18 +322,22 @@ _SELECT_ROWS = np.append(np.arange(255), 256)
 
 @lru_cache(maxsize=1)
 def _merge_tables(n, seq_data, seq_select):
-    """(outside, inside): a merged sample's ones from the background outside the
-    select and from the foreground under it, as read-only flat int32 tables by
-    the cell `alpha << 8 | sample`, with the rounding folded in.  Cached, so the
-    frames of one run build them once; one entry bounds the memory."""
-    lift, bias, _ = _rounding(n)
+    """(outside, inside, routed): a merged sample's ones from the background
+    outside the select and from the foreground under it, as flat int32 tables by
+    the cell `alpha << 8 | sample`, with the rounding folded in; and the uint8
+    pixel of a sample v that alpha 0 or 255 routes whole.  One LUT serves both:
+    outside[0, v] + inside[0, v'] and outside[255, v'] + inside[255, v] equal
+    (C[256, v] << lift) + bias, since C's row 0 is all zeros.  Cached read-only,
+    so the frames of one run build them once; one entry bounds the memory."""
+    lift, bias, drop = _rounding(n)
     table = count_table(_stream_levels(seq_select, n), _stream_levels(seq_data, n), 257, 257)
     table <<= lift
-    tables = tuple(t[_SELECT_ROWS, :256].astype(np.int32).ravel()
-                   for t in (table[256] + bias - table, table))
-    for t in tables:
+    outside, inside = (t[_SELECT_ROWS, :256].astype(np.int32).ravel()
+                       for t in (table[256] + bias - table, table))
+    routed = _to_pixels(outside[255 << 8:] + inside[255 << 8:], drop).astype(np.uint8)
+    for t in (outside, inside, routed):
         t.flags.writeable = False
-    return tables
+    return outside, inside, routed
 
 
 def merge_scene_sc(background, foreground, alpha, stream_length=256,
@@ -345,16 +353,21 @@ def merge_scene_sc(background, foreground, alpha, stream_length=256,
             f"dimension mismatch: bg {bg.shape}, fg {fg.shape}, alpha {alpha.alpha.shape}"
         )
     n = stream_length
-    outside, inside = _merge_tables(n, seq_data, seq_select)
+    outside, inside, routed = _merge_tables(n, seq_data, seq_select)
     drop = _rounding(n)[2]
     out = np.empty(bg.shape, dtype=np.uint8)
     for r in range(0, bg.shape[0], _ROW_BLOCK):
         rows = slice(r, r + _ROW_BLOCK)
-        # each sample's select byte, laid out by channel once rather than broadcast
-        sel = np.stack((alpha.alpha[rows].astype(np.uint16) << 8,) * 3, axis=-1)
-        counts = outside.take(bg[rows] | sel)
-        counts += inside.take(fg[rows] | sel)
-        out[rows] = _to_pixels(counts, drop)
+        a = alpha.alpha[rows]
+        # each sample's alpha, laid out by channel once rather than broadcast
+        if (a + 1 > 1).any():  # a partial byte 1..254 (255 wraps to 0)
+            sel = np.stack((a.astype(np.uint16) << 8,) * 3, axis=-1)
+            counts = outside.take(bg[rows] | sel)
+            counts += inside.take(fg[rows] | sel)
+            out[rows] = _to_pixels(counts, drop)
+        else:  # bytes 0 and 255 are the masks that pick bg or fg whole
+            b, mask = bg[rows], np.stack((a,) * 3, axis=-1)
+            out[rows] = routed.take(b ^ ((b ^ fg[rows]) & mask))
     return RgbImage(out)
 
 

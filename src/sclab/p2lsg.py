@@ -58,7 +58,10 @@ def group_reverse(counter_value, counter_bits, base):
 
     Groups are formed from the LSB upward; a short final group is zero-padded
     on its high side.  The reversed concatenation is truncated to counter_bits
-    by keeping its most significant bits, so the pad bits are what get cut.
+    by keeping its most significant bits.  The short group comes last, its pad
+    above its index bits, so the cut drops index bits and keeps pad zeros: when
+    log2(base) does not divide counter_bits the outputs are not a permutation
+    (base 4 over 3 bits gives 0, 2, 4, 6, 0, 2, 4, 6).
     """
     g = _log2_exact(base, "base")
     if not 0 <= counter_value < (1 << counter_bits):

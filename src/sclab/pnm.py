@@ -50,30 +50,32 @@ def read_pnm(data):
     pos = end + 1
     channels = 1 if magic == b"P5" else 3
     need = width * height * channels
-    body = data[pos : pos + need]
-    if len(body) < need:
+    if len(data) - pos < need:
         raise PnmError(
-            f"truncated raster: need {need} bytes, have {len(body)}",
-            offset=pos + len(body),
+            f"truncated raster: need {need} bytes, have {len(data) - pos}", offset=len(data)
         )
-    pixels = np.frombuffer(body, dtype=np.uint8).copy()
+    # the raster's one copy, straight out of the file's bytes
+    pixels = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos).copy()
     if channels == 1:
         return pixels.reshape(height, width), "gray"
     return pixels.reshape(height, width, 3), "rgb"
 
 
-def write_pnm(pixels):
-    """Serialize an (H, W) or (H, W, 3) uint8 array as binary P5/P6."""
+def _with_header(pixels):
+    """(P5/P6 header, uint8 raster) of an (H, W) or (H, W, 3) array."""
     pixels = np.asarray(pixels, dtype=np.uint8)
     if pixels.ndim == 2:
         magic = b"P5"
-        height, width = pixels.shape
     elif pixels.ndim == 3 and pixels.shape[2] == 3:
         magic = b"P6"
-        height, width = pixels.shape[:2]
     else:
         raise PnmError(f"cannot serialize array of shape {pixels.shape}")
-    header = b"%s\n%d %d\n255\n" % (magic, width, height)
+    return b"%s\n%d %d\n255\n" % (magic, pixels.shape[1], pixels.shape[0]), pixels
+
+
+def write_pnm(pixels):
+    """Serialize an (H, W) or (H, W, 3) uint8 array as binary P5/P6."""
+    header, pixels = _with_header(pixels)
     return header + pixels.tobytes()
 
 
@@ -83,5 +85,8 @@ def read_pnm_file(path):
 
 
 def write_pnm_file(path, pixels):
+    """Write what write_pnm returns, the raster straight from its buffer."""
+    header, pixels = _with_header(pixels)
     with open(path, "wb") as fh:
-        fh.write(write_pnm(pixels))
+        fh.write(header)
+        fh.write(np.ascontiguousarray(pixels))

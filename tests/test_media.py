@@ -544,6 +544,18 @@ class TestMerging:
         assert 2 * media._ROW_BLOCK < 70 < 3 * media._ROW_BLOCK
         assert_matches_mux2_op(bg, fg, alpha, n, DATA_SPEC, MERGE_SELECT_SPEC)
 
+    @pytest.mark.parametrize("specs", sorted(SPEC_SETS))
+    @pytest.mark.parametrize("n", [2, 8, 64, 1024])
+    def test_matches_mux2_op_in_binary_blocks(self, n, specs):
+        # row block 0 holds only alpha 0 and 255, block 1 one partial sample,
+        # and the short last block only 0 and 255 again, so both routes run
+        rng = np.random.default_rng(12)
+        bg, fg = (rng.integers(0, 256, (70, 5, 3), dtype=np.uint8) for _ in range(2))
+        alpha = np.where(rng.random((70, 5)) < 0.5, 0, 255).astype(np.uint8)
+        alpha[40, 3] = 77
+        assert 2 * media._ROW_BLOCK < 70 < 3 * media._ROW_BLOCK
+        assert_matches_mux2_op(bg, fg, alpha, n, *SPEC_SETS[specs][:2])
+
     @pytest.mark.parametrize("n", [2, 256, 1 << 16])
     def test_edge_cells_match_int64_table(self, n):
         # alpha takes every byte down the rows, bg every byte across the columns

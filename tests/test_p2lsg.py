@@ -13,6 +13,7 @@ from sclab.p2lsg import (
     p2lsg_parallel,
     p2lsg_sequence,
 )
+from sclab.sequences import SequenceSpec, sequence_thresholds
 
 
 def digit_oracle(value, bits, base):
@@ -52,6 +53,17 @@ class TestGroupReverse:
         # 3-bit groups of 255 over 8 bits; oracle computes via digit strings
         assert digit_oracle(255, 8, 8) == 253
         assert group_reverse(255, 8, 8) == 253
+
+    def test_truncation_cuts_index_bits_when_groups_do_not_divide(self):
+        # the short group lands last with its pad zero above index bit 2, so the
+        # cut drops that index bit and every output is even
+        want = [0, 2, 4, 6] * 2
+        assert [group_reverse(v, 3, 4) for v in range(8)] == want
+        spec = SequenceSpec.parse("p2lsg:base=4,bits=3")
+        assert sequence_thresholds(spec, 8, bits=3).tolist() == want
+        # base 8 over 5 bits: the cut drops index bit 3, so 16 values twice each
+        values, counts = np.unique(p2lsg_sequence(P2lsgConfig(8, 5), 32), return_counts=True)
+        assert values.size == 16 and set(counts.tolist()) == {2}
 
     @pytest.mark.parametrize("base,bits", [(2, 6), (4, 6), (8, 7), (16, 9), (32, 8)])
     def test_matches_digit_oracle_exhaustively(self, base, bits):

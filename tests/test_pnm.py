@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sclab.errors import PnmError
-from sclab.pnm import read_pnm, write_pnm
+from sclab.pnm import read_pnm, write_pnm, write_pnm_file
 
 
 class TestRead:
@@ -127,3 +127,23 @@ class TestWrite:
     def test_bad_shape(self):
         with pytest.raises(PnmError):
             write_pnm(np.zeros((2, 2, 4), dtype=np.uint8))
+
+    @pytest.mark.parametrize("pixels", [
+        np.arange(96, dtype=np.uint8).reshape(4, 8, 3)[:, ::2],  # strided view
+        np.asfortranarray(np.arange(24, dtype=np.uint8).reshape(4, 6)),
+        np.arange(12).reshape(3, 4) % 2 == 1,
+        np.arange(36, dtype=np.int64).reshape(2, 6, 3) * 7,
+    ], ids=["strided", "fortran", "bool", "int64"])
+    def test_file_holds_write_pnm_bytes(self, pixels, tmp_path):
+        write_pnm_file(tmp_path / "out.pnm", pixels)
+        assert (tmp_path / "out.pnm").read_bytes() == write_pnm(pixels)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 4), (5,), (2, 3, 3, 1)])
+    def test_file_bad_shape_same_error(self, shape, tmp_path):
+        pixels = np.zeros(shape, dtype=np.uint8)
+        with pytest.raises(PnmError) as want:
+            write_pnm(pixels)
+        with pytest.raises(PnmError) as got:
+            write_pnm_file(tmp_path / "out.pnm", pixels)
+        assert str(got.value) == str(want.value)
+        assert not (tmp_path / "out.pnm").exists()
