@@ -30,27 +30,15 @@ from .media import (
     ssim,
 )
 from .ops import min_correlated, mul_bipolar, mul_unipolar, mux2, mux2_sub, mux4
-from .p2lsg import (
-    P2lsgConfig,
-    group_reverse,
-    p2lsg_pair_for_length,
-    p2lsg_parallel,
-    p2lsg_sequence,
-)
+from .p2lsg import P2lsgConfig, p2lsg_pair_for_length, p2lsg_parallel, p2lsg_sequence
 from .pnm import read_pnm, write_pnm
 from .sequences import (
     SequenceSpec,
-    gen_faure,
-    gen_halton,
-    gen_hammersley_pair,
     gen_latin_hypercube,
     gen_lfsr,
     gen_niederreiter,
     gen_poisson_disk,
-    gen_r2,
     gen_sobol,
-    gen_vdc,
-    gen_weyl,
     sequence_thresholds,
     sobol_direction_vectors,
 )

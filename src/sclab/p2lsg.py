@@ -6,7 +6,10 @@ zero-padded on its high side), the groups are emitted in reversed order, and
 the concatenation is truncated back to n bits by keeping its most significant
 bits.  The result is the base-B radical inverse of the counter value scaled to
 an n-bit integer, so streams compare directly against n-bit inputs without any
-floating point.
+floating point.  When log2(B) does not divide n, the short group comes last,
+its pad above its index bits, so the cut drops index bits and keeps pad zeros:
+the outputs are then not a permutation (base 4 over 3 bits gives 0, 2, 4, 6,
+0, 2, 4, 6).
 
 All functions are pure; configs are immutable and safe to share across threads.
 """
@@ -53,32 +56,10 @@ class P2lsgConfig:
         return 1 << self.counter_bits
 
 
-def group_reverse(counter_value, counter_bits, base):
-    """Reverse the log2(base)-bit groups of an n-bit counter value.
-
-    Groups are formed from the LSB upward; a short final group is zero-padded
-    on its high side.  The reversed concatenation is truncated to counter_bits
-    by keeping its most significant bits.  The short group comes last, its pad
-    above its index bits, so the cut drops index bits and keeps pad zeros: when
-    log2(base) does not divide counter_bits the outputs are not a permutation
-    (base 4 over 3 bits gives 0, 2, 4, 6, 0, 2, 4, 6).
-    """
-    g = _log2_exact(base, "base")
-    if not 0 <= counter_value < (1 << counter_bits):
-        raise DomainError(
-            f"counter value {counter_value} out of range for {counter_bits} bits"
-        )
-    n_groups = -(-counter_bits // g)
-    mask = base - 1
-    out = 0
-    for j in range(n_groups):
-        out = (out << g) | ((counter_value >> (j * g)) & mask)
-    return out >> (n_groups * g - counter_bits)
-
-
 def p2lsg_sequence(config, count, start=0):
-    """`count` outputs from counter value `start`: element i equals
-    group_reverse(start + i, n, base)."""
+    """`count` outputs from counter value `start`: element i splits start + i
+    into log2(base)-bit groups from the LSB, the last zero-padded on its high
+    side, emits the groups in reversed order and keeps the top n bits."""
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
     if start < 0:

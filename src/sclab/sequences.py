@@ -1,18 +1,19 @@
-"""Reference implementations of the random / low-discrepancy sequence families.
+"""The random / low-discrepancy sequence families, each computed by one route.
 
-Digit-based families (vdc, halton, hammersley, faure) return exact rationals.
+`sequence_numerators` gives any family's values from any index as one integer
+array over a common denominator, and every command reads its values there.
+Digit-based families (vdc, halton, hammersley, faure) are exact over p^L.
 Additive-recurrence families (weyl, r2) run in 64-fractional-bit fixed point so
 every value is an exact dyadic rational, bit-reproducible across platforms.
 Binary-matrix families (sobol, niederreiter) and the lfsr emit n-bit integers.
 Seeded families (latin_hypercube, poisson_disk) draw from xorshift64*.
+`sequence_thresholds` turns the numerators into the comparator-ready integer
+form floor(2^bits * r_i).
 
 `SequenceSpec` is the tagged description used by the CLI and the benchmark
 harness.  Each family's parameters, defaults, default pair and stream-length
 rules are declared once, in the family table `_REGISTRY`, which every spec
-reader uses.  `sequence_numerators` gives any family's values from any index as
-one array of numerators over a common denominator; `sequence_fractions` (exact
-rationals) and `sequence_thresholds` (the comparator-ready integer form
-floor(2^bits * r_i)) are built on it.
+reader uses.
 """
 
 import bisect
@@ -82,96 +83,6 @@ def _check_prime(p, family):
         raise ConfigurationError(f"{family} base must be below 2^81, got {p}")
     if not _is_prime(p):
         raise ConfigurationError(f"{family} base must be prime, got {p}")
-
-
-# ---------------------------------------------------------------------------
-# digit-reversal families
-# ---------------------------------------------------------------------------
-
-def gen_vdc(base, index):
-    """Radical inverse: the base-B digits of index mirrored across the radix point."""
-    if base < 2:
-        raise ConfigurationError(f"vdc base must be >= 2, got {base}")
-    if index < 0:
-        raise DomainError(f"index must be non-negative, got {index}")
-    num, den = 0, 1
-    while index:
-        num = num * base + index % base
-        index //= base
-        den *= base
-    return Fraction(num, den)
-
-
-def gen_halton(prime_base, index):
-    """Van der Corput in a prime base; dimensions pair distinct primes."""
-    _check_prime(prime_base, "halton")
-    return gen_vdc(prime_base, index)
-
-
-def gen_hammersley_pair(index):
-    """The base-2 / base-3 radical-inverse pair."""
-    return gen_vdc(2, index), gen_vdc(3, index)
-
-
-def _faure_digits(digits, p, dim):
-    # (C^dim)_{j,r} = C(r,j) * dim^(r-j) mod p, applied to the LSD-first digits
-    k = len(digits)
-    powers = [pow(dim, e, p) for e in range(k)]
-    return [
-        sum(math.comb(r, j) % p * powers[r - j] * digits[r] for r in range(j, k)) % p
-        for j in range(k)
-    ]
-
-
-def gen_faure(prime, dimension, index):
-    """Faure point: dimension 0 is VDC-p, higher dimensions apply the
-    binomial (Pascal) digit scrambling raised to the dimension power."""
-    _check_prime(prime, "faure")
-    if dimension < 0:
-        raise ConfigurationError(f"faure dimension must be >= 0, got {dimension}")
-    if index < 0:
-        raise DomainError(f"index must be non-negative, got {index}")
-    digits = []
-    v = index
-    while v:
-        digits.append(v % prime)
-        v //= prime
-    if dimension > 0:
-        digits = _faure_digits(digits, prime, dimension)
-    num, den = 0, 1
-    for d in digits:
-        num = num * prime + d
-        den *= prime
-    return Fraction(num, den)
-
-
-# ---------------------------------------------------------------------------
-# additive recurrences in 64-bit fixed point
-# ---------------------------------------------------------------------------
-
-def _fixed64(alpha):
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise ConfigurationError(f"irrational constant must be positive, got {alpha}")
-    alpha -= int(alpha)  # only the fractional part matters mod 1
-    return (alpha.numerator << 64) // alpha.denominator
-
-
-def gen_weyl(alpha, index):
-    """frac(index * alpha) in 64-fractional-bit fixed point."""
-    if index < 0:
-        raise DomainError(f"index must be non-negative, got {index}")
-    return Fraction((index * _fixed64(alpha)) & _M64, 1 << 64)
-
-
-def gen_r2(dimension_index, index):
-    """Additive recurrence on the plastic constant: frac(index / rho^(d+1))."""
-    if dimension_index not in (0, 1):
-        raise ConfigurationError(f"r2 dimension must be 0 or 1, got {dimension_index}")
-    if index < 0:
-        raise DomainError(f"index must be non-negative, got {index}")
-    a = _INV_PLASTIC_64[dimension_index]
-    return Fraction((index * a) & _M64, 1 << 64)
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +469,18 @@ def default_pair(family, stream_length=None):
     return pair if stream_length is None else tuple(resolve_spec(s, stream_length) for s in pair)
 
 
+# ---------------------------------------------------------------------------
+# every family's values, through sequence_numerators
+# ---------------------------------------------------------------------------
+
+def _fixed64(alpha):
+    alpha = Fraction(alpha)
+    if alpha <= 0:
+        raise ConfigurationError(f"irrational constant must be positive, got {alpha}")
+    alpha -= int(alpha)  # only the fractional part matters mod 1
+    return (alpha.numerator << 64) // alpha.denominator
+
+
 def _weyl_products(spec, start, count):
     """frac(i * alpha) for i in start.. in 64-bit fixed point (weyl and r2), as uint64."""
     if spec.family == "r2":
@@ -620,12 +543,6 @@ def sequence_numerators(spec, count, start=0):
         vals = gen_poisson_disk(end, r, spec.get("seed"), spec.get("max_attempts"))
     num = [v.numerator * (den // v.denominator) for v in vals[start:]]
     return np.array(num, dtype=object), den
-
-
-def sequence_fractions(spec, count, start=0):
-    """`count` exact unit-interval values of the described sequence."""
-    num, den = sequence_numerators(spec, count, start)
-    return [Fraction(v, den) for v in num.tolist()]
 
 
 def sequence_thresholds(spec, count, bits=8, start=0):

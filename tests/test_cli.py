@@ -11,28 +11,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import FIXED64, digit_oracle, radical_inverse, weyl_oracle
 from sclab import cli, media
 from sclab.cli import _lines, main
 from sclab.media import AlphaMap, GrayImage, RgbImage, merge_scene_sc, scale_image_sc
-from sclab.p2lsg import group_reverse
 from sclab.pnm import read_pnm_file, write_pnm_file
 from sclab.sequences import (
     _REGISTRY,
     FAMILIES,
-    PI_FRACTIONAL,
-    SILVER_RATIO,
     SequenceSpec,
-    gen_faure,
-    gen_halton,
-    gen_hammersley_pair,
     gen_latin_hypercube,
     gen_lfsr,
     gen_niederreiter,
     gen_poisson_disk,
-    gen_r2,
     gen_sobol,
-    gen_vdc,
-    gen_weyl,
     sobol_direction_vectors,
 )
 
@@ -81,21 +73,27 @@ def _scaled(values, bits):
     return [Fraction(int(v), 1 << bits) for v in values]
 
 
-# gen flags, and the values at indices 0..end-1 from the scalar generators
+def hammersley_pair(i):
+    return radical_inverse(2, i), radical_inverse(3, i)
+
+
+# gen flags, and the values at indices 0..end-1 from the test oracles or, for
+# the families whose only route is their generator, from that generator
 GEN_ORACLES = {
     "vdc": (["--family", "vdc", "--base", "3"],
-            lambda end: [gen_vdc(3, i) for i in range(end)]),
+            lambda end: [radical_inverse(3, i) for i in range(end)]),
     "halton": (["--family", "halton", "--base", "13"],
-               lambda end: [gen_halton(13, i) for i in range(end)]),
+               lambda end: [radical_inverse(13, i) for i in range(end)]),
     "hammersley-pair": (["--family", "hammersley"],
-                        lambda end: [gen_hammersley_pair(i) for i in range(end)]),
+                        lambda end: [hammersley_pair(i) for i in range(end)]),
     "hammersley-dim": (["--family", "hammersley", "--dim", "1"],
-                       lambda end: [gen_vdc(3, i) for i in range(end)]),
+                       lambda end: [radical_inverse(3, i) for i in range(end)]),
     "faure": (["--family", "faure", "--base", "7", "--dim", "2"],
-              lambda end: [gen_faure(7, 2, i) for i in range(end)]),
+              lambda end: [radical_inverse(7, i, 2) for i in range(end)]),
     "weyl": (["--family", "weyl", "--irrational", "silver"],
-             lambda end: [gen_weyl(SILVER_RATIO, i) for i in range(end)]),
-    "r2": (["--family", "r2", "--dim", "1"], lambda end: [gen_r2(1, i) for i in range(end)]),
+             lambda end: [weyl_oracle(FIXED64["weyl:irrational=silver"], i) for i in range(end)]),
+    "r2": (["--family", "r2", "--dim", "1"],
+           lambda end: [weyl_oracle(FIXED64["r2:dim=1"], i) for i in range(end)]),
     "sobol": (["--family", "sobol", "--dim", "2", "--bits", "10"],
               lambda end: _scaled(gen_sobol(sobol_direction_vectors(2, 10), end), 10)),
     "niederreiter": (["--family", "niederreiter", "--dim", "3", "--bits", "10", "--skip", "5"],
@@ -116,7 +114,7 @@ GEN_ORACLES = {
 SCALE_BITS_ORACLES = {
     **GEN_ORACLES,
     "p2lsg": (["--family", "p2lsg", "--base", "16", "--bits", "10"],
-              lambda end: _scaled([group_reverse(i, 10, 16) for i in range(end)], 10)),
+              lambda end: _scaled([digit_oracle(i, 10, 16) for i in range(end)], 10)),
 }
 
 
@@ -198,24 +196,24 @@ class TestGen:
     @settings(max_examples=25, deadline=None)
     @given(base=st.sampled_from([2, 4, 8, 16, 256]), bits=st.integers(1, 12),
            data=st.data(), decimal=st.booleans())
-    def test_p2lsg_matches_scalar_group_reverse(self, base, bits, data, decimal):
+    def test_p2lsg_matches_digit_oracle(self, base, bits, data, decimal):
         index = data.draw(st.integers(0, (1 << bits) - 1))
         count = data.draw(st.integers(1, (1 << bits) - index))
         code, out = gen_stdout("--family", "p2lsg", "--base", base, "--bits", bits,
                                "--index", index, "--count", count,
                                *(["--decimal"] if decimal else []))
         assert code == 0
-        assert out == "".join(f"{group_reverse(i, bits, base)}\n"
+        assert out == "".join(f"{digit_oracle(i, bits, base)}\n"
                               for i in range(index, index + count))
 
     @pytest.mark.parametrize("base, bits, par", [(2, 8, 2), (16, 10, 8), (4, 7, 64)])
-    def test_p2lsg_parallel_matches_scalar_group_reverse(self, base, bits, par):
+    def test_p2lsg_parallel_matches_digit_oracle(self, base, bits, par):
         cycles = (1 << bits) // par
         code, out = gen_stdout("--family", "p2lsg", "--base", base, "--bits", bits,
                                "--par", par, "--count", cycles)
         assert code == 0
         assert out == "".join(
-            ",".join(str(group_reverse(c * par + j, bits, base)) for j in range(par)) + "\n"
+            ",".join(str(digit_oracle(c * par + j, bits, base)) for j in range(par)) + "\n"
             for c in range(cycles)
         )
 
@@ -227,7 +225,7 @@ class TestGen:
                                "--par", par, "--count", cycles, "--scale-bits", scale_bits)
         assert code == 0
         assert out == "".join(
-            ",".join(str(group_reverse(c * par + j, bits, base) << scale_bits >> bits)
+            ",".join(str(digit_oracle(c * par + j, bits, base) << scale_bits >> bits)
                      for j in range(par)) + "\n"
             for c in range(cycles)
         )
@@ -262,15 +260,15 @@ class TestGen:
 
     @pytest.mark.parametrize("flags, oracle", [
         # a base whose Pascal products pass int64: object-dtype numerators
-        (["--family", "halton", "--base", "3037000507"], lambda i: gen_halton(3037000507, i)),
-        (["--family", "vdc", "--base", str(10**20)], lambda i: gen_vdc(10**20, i)),
+        (["--family", "halton", "--base", "3037000507"], lambda i: radical_inverse(3037000507, i)),
+        (["--family", "vdc", "--base", str(10**20)], lambda i: radical_inverse(10**20, i)),
         (["--family", "faure", "--base", "3037000507", "--dim", "1"],
-         lambda i: gen_faure(3037000507, 1, i)),
+         lambda i: radical_inverse(3037000507, i, 1)),
         # the largest indices gen accepts, and 2^64 denominators
-        (["--family", "halton", "--base", "13"], lambda i: gen_halton(13, i)),
-        (["--family", "hammersley"], gen_hammersley_pair),
-        (["--family", "weyl"], lambda i: gen_weyl(PI_FRACTIONAL, i)),
-        (["--family", "r2", "--dim", "0"], lambda i: gen_r2(0, i)),
+        (["--family", "halton", "--base", "13"], lambda i: radical_inverse(13, i)),
+        (["--family", "hammersley"], hammersley_pair),
+        (["--family", "weyl"], lambda i: weyl_oracle(FIXED64["weyl:irrational=pi"], i)),
+        (["--family", "r2", "--dim", "0"], lambda i: weyl_oracle(FIXED64["r2:dim=0"], i)),
     ])
     @pytest.mark.parametrize("decimal", [False, True])
     def test_matches_per_value_formatting_at_the_extremes(self, flags, oracle, decimal):
@@ -448,7 +446,7 @@ class TestGenText:
                                *(["--scale-bits", scale_bits] if scale_bits else []))
         assert code == 0
         assert out == "".join(
-            ",".join(str(group_reverse(c * 4 + j, 10, 16) << bits >> 10) for j in range(4)) + "\n"
+            ",".join(str(digit_oracle(c * 4 + j, 10, 16) << bits >> 10) for j in range(4)) + "\n"
             for c in range(10)
         )
 

@@ -1,34 +1,17 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import digit_oracle
 from sclab.errors import ConfigurationError, DomainError
 from sclab.p2lsg import (
     P2lsgConfig,
-    group_reverse,
     p2lsg_pair_for_length,
     p2lsg_parallel,
     p2lsg_sequence,
 )
 from sclab.sequences import SequenceSpec, sequence_thresholds
-
-
-def digit_oracle(value, bits, base):
-    """Independent route: explicit base-B digit strings -> scaled radical inverse."""
-    n_digits = math.ceil(bits / int(math.log2(base)))
-    digits = []
-    v = value
-    for _ in range(n_digits):
-        digits.append(v % base)
-        v //= base
-    num, den = 0, 1
-    for d in digits:
-        num = num * base + d
-        den *= base
-    return (num << bits) // den
 
 
 def bit_reverse(value, bits):
@@ -39,46 +22,57 @@ def bit_reverse(value, bits):
     return out
 
 
-class TestGroupReverse:
+def at(base, bits, value):
+    """The output for one counter value."""
+    return int(p2lsg_sequence(P2lsgConfig(base, bits), 1, value)[0])
+
+
+class TestGroupReversal:
     def test_nibble_swap(self):
-        assert group_reverse(0x12, 8, 16) == 0x21
+        assert at(16, 8, 0x12) == 0x21
 
     def test_full_bit_reversal(self):
-        assert group_reverse(1, 8, 2) == 128
+        assert at(2, 8, 1) == 128
 
     def test_two_bit_groups(self):
-        assert group_reverse(0b000110, 6, 4) == 0b100100 == 36
+        assert at(4, 6, 0b000110) == 0b100100 == 36
 
     def test_padded_group_truncation(self):
         # 3-bit groups of 255 over 8 bits; oracle computes via digit strings
         assert digit_oracle(255, 8, 8) == 253
-        assert group_reverse(255, 8, 8) == 253
+        assert at(8, 8, 255) == 253
 
     def test_truncation_cuts_index_bits_when_groups_do_not_divide(self):
         # the short group lands last with its pad zero above index bit 2, so the
         # cut drops that index bit and every output is even
         want = [0, 2, 4, 6] * 2
-        assert [group_reverse(v, 3, 4) for v in range(8)] == want
+        assert p2lsg_sequence(P2lsgConfig(4, 3), 8).tolist() == want
         spec = SequenceSpec.parse("p2lsg:base=4,bits=3")
         assert sequence_thresholds(spec, 8, bits=3).tolist() == want
         # base 8 over 5 bits: the cut drops index bit 3, so 16 values twice each
         values, counts = np.unique(p2lsg_sequence(P2lsgConfig(8, 5), 32), return_counts=True)
         assert values.size == 16 and set(counts.tolist()) == {2}
 
-    @pytest.mark.parametrize("base,bits", [(2, 6), (4, 6), (8, 7), (16, 9), (32, 8)])
-    def test_matches_digit_oracle_exhaustively(self, base, bits):
-        for v in range(1 << bits):
-            assert group_reverse(v, bits, base) == digit_oracle(v, bits, base)
+    @pytest.mark.parametrize("base,bits", [
+        (2, 6), (4, 6), (8, 7), (16, 9), (32, 8),
+        (2, 16), (65536, 16), (8, 16), (16, 8), (4, 7), (4096, 8), (1 << 80, 8),
+    ])
+    def test_matches_digit_oracle_from_any_start(self, base, bits):
+        cfg = P2lsgConfig(base, bits)
+        want = [digit_oracle(v, bits, base) for v in range(1 << bits)]
+        assert p2lsg_sequence(cfg, 1 << bits).tolist() == want
+        for start in (1, 37, (1 << bits) - 5):
+            assert p2lsg_sequence(cfg, 5, start=start).tolist() == want[start : start + 5]
 
     def test_invalid_base(self):
         with pytest.raises(ConfigurationError):
-            group_reverse(0, 8, 12)
+            P2lsgConfig(12, 8)
         with pytest.raises(ConfigurationError):
-            group_reverse(0, 8, 1)
+            P2lsgConfig(1, 8)
 
     def test_out_of_range_value(self):
         with pytest.raises(DomainError):
-            group_reverse(256, 8, 2)
+            at(2, 8, 256)
 
     @given(
         st.integers(min_value=1, max_value=4),
@@ -89,8 +83,8 @@ class TestGroupReverse:
         bits = log_base * mult
         value %= 1 << bits
         base = 1 << log_base
-        once = group_reverse(value, bits, base)
-        assert group_reverse(once, bits, base) == value
+        once = at(base, bits, value)
+        assert at(base, bits, once) == value
 
 
 class TestSequence:
@@ -122,16 +116,6 @@ class TestSequence:
             cells = seq[: 1 << k] >> (n - k)
             assert sorted(cells) == list(range(1 << k))
 
-    @pytest.mark.parametrize(
-        "base,bits", [(2, 16), (65536, 16), (8, 16), (16, 8), (4, 7), (4096, 8), (1 << 80, 8)]
-    )
-    def test_matches_scalar_group_reverse(self, base, bits):
-        cfg = P2lsgConfig(base, bits)
-        want = [group_reverse(i, bits, base) for i in range(1 << bits)]
-        assert p2lsg_sequence(cfg, 1 << bits).tolist() == want
-        for start in (1, 37, (1 << bits) - 5):
-            assert p2lsg_sequence(cfg, 5, start=start).tolist() == want[start : start + 5]
-
     def test_count_beyond_period_rejected(self):
         with pytest.raises(DomainError):
             p2lsg_sequence(P2lsgConfig(2, 4), 17)
@@ -159,9 +143,9 @@ class TestParallel:
         assert np.array_equal(rows.reshape(-1), serial)
 
     @pytest.mark.parametrize("par,base,bits", [(2, 8, 16), (4, 65536, 16), (8, 4, 7)])
-    def test_rows_match_scalar_group_reverse(self, par, base, bits):
+    def test_rows_match_digit_oracle(self, par, base, bits):
         rows = p2lsg_parallel(P2lsgConfig(base, bits, par=par), (1 << bits) // par)
-        want = [group_reverse(i, bits, base) for i in range(1 << bits)]
+        want = [digit_oracle(i, bits, base) for i in range(1 << bits)]
         assert rows.tolist() == [want[c * par : (c + 1) * par] for c in range(len(rows))]
 
     def test_par_must_be_power_of_two(self):

@@ -1,6 +1,6 @@
 import math
 import re
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,134 +9,134 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import (
+    FIXED64,
+    digit_oracle,
+    fractions,
+    pascal_matrix_oracle,
+    radical_inverse,
+    weyl_oracle,
+)
 from sclab.errors import ConfigurationError, DomainError, GenerationError
-from sclab.p2lsg import P2lsgConfig, group_reverse, p2lsg_sequence
+from sclab.p2lsg import P2lsgConfig, p2lsg_sequence
 from sclab.sequences import (
     _REGISTRY,
     FAMILIES,
     PI_FRACTIONAL,
-    SILVER_RATIO,
     SequenceSpec,
     _is_prime,
     Xorshift64Star,
     default_pair,
-    gen_faure,
-    gen_halton,
-    gen_hammersley_pair,
     gen_latin_hypercube,
     gen_lfsr,
     gen_niederreiter,
     gen_poisson_disk,
-    gen_r2,
     gen_sobol,
-    gen_vdc,
-    gen_weyl,
     parse_spec_pair,
     resolve_spec,
-    sequence_fractions,
     sequence_numerators,
     sequence_thresholds,
     sobol_direction_vectors,
 )
 
 
-def radical_inverse_oracle(base, index):
-    """Digit-string route, independent of the arithmetic in the package."""
-    digits = []
-    while index:
-        digits.append(index % base)
-        index //= base
-    return sum(Fraction(d, base ** (j + 1)) for j, d in enumerate(digits))
-
-
 class TestVdc:
     def test_base3_index11(self):
-        assert gen_vdc(3, 11) == Fraction(19, 27)
+        assert fractions("vdc:base=3", 1, 11) == [Fraction(19, 27)]
 
     def test_zero_index(self):
-        assert gen_vdc(2, 0) == 0
+        assert fractions("vdc:base=2", 1) == [0]
 
     def test_base7_index7(self):
-        assert gen_vdc(7, 7) == radical_inverse_oracle(7, 7) == Fraction(1, 49)
+        assert fractions("vdc:base=7", 1, 7) == [radical_inverse(7, 7)] == [Fraction(1, 49)]
 
     def test_bad_base(self):
         with pytest.raises(ConfigurationError):
-            gen_vdc(1, 3)
+            fractions("vdc:base=1", 1, 3)
 
     @pytest.mark.parametrize("base,m", [(2, 6), (3, 4), (5, 3), (7, 2)])
     def test_full_block_is_permutation(self, base, m):
         n = base**m
-        scaled = sorted(gen_vdc(base, i) * n for i in range(n))
+        scaled = sorted(v * n for v in fractions(f"vdc:base={base}", n))
         assert scaled == list(range(n))
 
 
 class TestWeyl:
     def test_zero_index(self):
-        assert gen_weyl(SILVER_RATIO, 0) == 0
+        assert fractions("weyl:irrational=silver", 1) == [0]
 
     def test_one_multiple(self):
-        assert abs(float(gen_weyl(SILVER_RATIO, 1)) - 0.41421356) < 1e-7
+        assert abs(float(fractions("weyl:irrational=silver", 1, 1)[0]) - 0.41421356) < 1e-7
 
     def test_index5_against_high_precision_oracle(self):
-        getcontext().prec = 40
-        want = Decimal(5) * (Decimal(2).sqrt() - 1) % 1
-        got = gen_weyl(SILVER_RATIO, 5)
-        assert abs(Decimal(got.numerator) / Decimal(got.denominator) - want) < Decimal("1e-18")
+        (got,) = fractions("weyl:irrational=silver", 1, 5)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            want = Decimal(5) * (Decimal(2).sqrt() - 1) % 1
+            assert abs(Decimal(got.numerator) / Decimal(got.denominator) - want) < Decimal("1e-18")
 
     def test_pi_constant_against_decimal_literal(self):
         pi_frac = Decimal("0.14159265358979323846264338327950288419716939937510")
-        got = Decimal(PI_FRACTIONAL.numerator) / Decimal(PI_FRACTIONAL.denominator)
-        getcontext().prec = 40
-        assert abs(got - pi_frac) < Decimal("1e-19")
+        with localcontext() as ctx:
+            ctx.prec = 40
+            got = Decimal(PI_FRACTIONAL.numerator) / Decimal(PI_FRACTIONAL.denominator)
+            assert abs(got - pi_frac) < Decimal("1e-19")
 
     def test_no_drift_at_large_index(self):
-        getcontext().prec = 50
         i = 1 << 16
-        want = (Decimal(i) * (Decimal(2).sqrt() - 1)) % 1
-        got = gen_weyl(SILVER_RATIO, i)
-        # fixed-point error stays below i * 2^-64
-        assert abs(Decimal(got.numerator) / Decimal(got.denominator) - want) < Decimal("1e-13")
+        (got,) = fractions("weyl:irrational=silver", 1, i)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            want = (Decimal(i) * (Decimal(2).sqrt() - 1)) % 1
+            # fixed-point error stays below i * 2^-64
+            assert abs(Decimal(got.numerator) / Decimal(got.denominator) - want) < Decimal("1e-13")
+
+    @pytest.mark.parametrize("text", FIXED64)
+    def test_weyl_and_r2_match_fixed_point_oracle(self, text):
+        for start in (0, (1 << 24) - 1000):
+            want = [weyl_oracle(FIXED64[text], i) for i in range(start, start + 1000)]
+            assert fractions(text, 1000, start) == want
 
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ConfigurationError):
-            gen_weyl(0, 1)
+            fractions("weyl:irrational=0", 1, 1)
 
 
 class TestR2:
     def test_zero(self):
-        assert gen_r2(0, 0) == 0
+        assert fractions("r2:dim=0", 1) == [0]
 
     def test_plastic_constant_by_newton(self):
         x = 1.3
         for _ in range(60):
             x -= (x**3 - x - 1) / (3 * x**2 - 1)
         assert abs(x - 1.32471795724) < 1e-10
-        assert abs(float(gen_r2(0, 1)) - 1 / x) < 1e-15
-        assert abs(float(gen_r2(1, 1)) - 1 / x**2) < 1e-15
+        assert abs(float(fractions("r2:dim=0", 1, 1)[0]) - 1 / x) < 1e-15
+        assert abs(float(fractions("r2:dim=1", 1, 1)[0]) - 1 / x**2) < 1e-15
 
     def test_first_dimension_value(self):
-        assert abs(float(gen_r2(0, 1)) - 0.75487766) < 1e-7
+        assert abs(float(fractions("r2:dim=0", 1, 1)[0]) - 0.75487766) < 1e-7
 
     def test_dimension_limit(self):
         with pytest.raises(ConfigurationError):
-            gen_r2(2, 1)
+            fractions("r2:dim=2", 1, 1)
 
 
 class TestHalton:
     def test_single_digits(self):
-        assert gen_halton(11, 1) == Fraction(1, 11)
-        assert gen_halton(13, 1) == Fraction(1, 13)
+        assert fractions("halton:base=11", 1, 1) == [Fraction(1, 11)]
+        assert fractions("halton:base=13", 1, 1) == [Fraction(1, 13)]
 
     def test_two_digits(self):
-        assert gen_halton(11, 12) == radical_inverse_oracle(11, 12) == Fraction(12, 121)
+        assert fractions("halton:base=11", 1, 12) == [radical_inverse(11, 12)]
+        assert radical_inverse(11, 12) == Fraction(12, 121)
 
     def test_composite_base_rejected(self):
         with pytest.raises(ConfigurationError):
-            gen_halton(12, 1)
+            fractions("halton:base=12", 1, 1)
 
     def test_equals_vdc_definitionally(self):
-        for i in range(200):
-            assert gen_halton(11, i) == gen_vdc(11, i)
+        assert fractions("halton:base=11", 200) == fractions("vdc:base=11", 200)
 
     def test_primality_matches_trial_division(self):
         def trial(n):
@@ -148,10 +148,10 @@ class TestHalton:
     @pytest.mark.parametrize("n", [3215031751, 3825123056546413051, 318665857834031151167461])
     def test_strong_pseudoprimes_rejected(self, n):
         with pytest.raises(ConfigurationError, match="must be prime"):
-            gen_halton(n, 1)
+            fractions(f"halton:base={n}", 1, 1)
 
     def test_large_prime_bases_bounded(self):
-        assert gen_halton((1 << 61) - 1, 1) == Fraction(1, (1 << 61) - 1)
+        assert fractions(f"halton:base={(1 << 61) - 1}", 1, 1) == [Fraction(1, (1 << 61) - 1)]
         for family in ("halton:base", "faure:prime"):
             with pytest.raises(ConfigurationError, match="below 2\\^81"):
                 sequence_thresholds(SequenceSpec.parse(f"{family}={(1 << 89) - 1}"), 4, 8)
@@ -159,64 +159,42 @@ class TestHalton:
 
 class TestHammersley:
     def test_examples(self):
-        assert gen_hammersley_pair(0) == (0, 0)
-        assert gen_hammersley_pair(1) == (Fraction(1, 2), Fraction(1, 3))
-        assert gen_hammersley_pair(2) == (
-            radical_inverse_oracle(2, 2),
-            radical_inverse_oracle(3, 2),
+        pairs = list(zip(fractions("hammersley:dim=0", 3), fractions("hammersley:dim=1", 3)))
+        assert pairs[0] == (0, 0)
+        assert pairs[1] == (Fraction(1, 2), Fraction(1, 3))
+        assert pairs[2] == (
+            radical_inverse(2, 2),
+            radical_inverse(3, 2),
         ) == (Fraction(1, 4), Fraction(2, 3))
-
-
-def pascal_matrix_oracle(p, dim, size):
-    """(C^dim)_{j,r} by literal matrix exponentiation of binomials mod p."""
-    c = [[math.comb(r, j) % p for r in range(size)] for j in range(size)]
-    out = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    for _ in range(dim):
-        out = [
-            [sum(c[j][k] * out[k][r] for k in range(size)) % p for r in range(size)]
-            for j in range(size)
-        ]
-    return out
 
 
 class TestFaure:
     def test_dimension0_is_vdc(self):
-        assert gen_faure(7, 0, 7) == gen_vdc(7, 7) == Fraction(1, 49)
+        assert fractions("faure:prime=7,dim=0", 1, 7) == fractions("vdc:base=7", 1, 7) == [
+            Fraction(1, 49)]
 
     def test_zero(self):
-        assert gen_faure(7, 0, 0) == 0
+        assert fractions("faure:prime=7,dim=0", 1) == [0]
 
     def test_single_digit_fixed_by_first_column(self):
         # oracle: apply the explicit binomial matrix to the digit vector of 3
         mat = pascal_matrix_oracle(7, 1, 1)
         assert mat[0][0] == 1
-        assert gen_faure(7, 1, 3) == Fraction(3, 7)
+        assert fractions("faure:prime=7,dim=1", 1, 3) == [Fraction(3, 7)]
 
     def test_matches_pascal_matrix_oracle(self):
-        size = 4
         for dim in (1, 2):
-            mat = pascal_matrix_oracle(7, dim, size)
             for index in (5, 49, 123, 300):
-                digits = []
-                v = index
-                while v:
-                    digits.append(v % 7)
-                    v //= 7
-                digits += [0] * (size - len(digits))
-                scrambled = [
-                    sum(mat[j][r] * digits[r] for r in range(size)) % 7 for j in range(size)
-                ]
-                want = sum(Fraction(d, 7 ** (j + 1)) for j, d in enumerate(scrambled))
-                assert gen_faure(7, dim, index) == want
+                want = radical_inverse(7, index, dim)
+                assert fractions(f"faure:prime=7,dim={dim}", 1, index) == [want]
 
     def test_dimension1_full_block_is_permutation(self):
-        scaled = sorted(gen_faure(7, 1, i) * 49 for i in range(49))
+        scaled = sorted(v * 49 for v in fractions("faure:prime=7,dim=1", 49))
         assert scaled == list(range(49))
 
     def test_non_prime_rejected(self):
         with pytest.raises(ConfigurationError):
-            gen_faure(8, 0, 1)
-
+            fractions("faure:prime=8,dim=0", 1, 1)
 
 def sobol_direct_oracle(dva, index):
     """XOR of direction numbers over the set bits of the index."""
@@ -480,7 +458,7 @@ def star_discrepancy(points):
 def test_weyl_beats_prng_discrepancy():
     for k in (6, 8, 10, 12):
         n = 1 << k
-        weyl = [gen_weyl(SILVER_RATIO, i) for i in range(n)]
+        weyl = fractions("weyl:irrational=silver", n)
         rng = Xorshift64Star(12345)
         prng = [Fraction(rng.next_u53(), 1 << 53) for _ in range(n)]
         assert star_discrepancy(weyl) < star_discrepancy(prng)
@@ -641,56 +619,51 @@ class TestThresholds:
                      "weyl:irrational=silver", "r2:dim=1"):
             spec = SequenceSpec.parse(text)
             thr = sequence_thresholds(spec, 50, 8)
-            from sclab.sequences import sequence_fractions
-
-            vals = sequence_fractions(spec, 50)
+            vals = fractions(spec, 50)
             for t, v in zip(thr, vals):
                 assert t == (v.numerator * 256) // v.denominator
 
     @pytest.mark.parametrize("text,oracle", [
-        ("halton:base=11", lambda i: gen_vdc(11, i)),
-        ("halton:base=13", lambda i: gen_vdc(13, i)),
-        ("vdc:base=2", lambda i: gen_vdc(2, i)),
-        ("vdc:base=3", lambda i: gen_vdc(3, i)),
-        ("hammersley:dim=1", lambda i: gen_vdc(3, i)),
-        ("faure:prime=7,dim=0", lambda i: gen_faure(7, 0, i)),
-        ("faure:prime=7,dim=1", lambda i: gen_faure(7, 1, i)),
-        ("faure:prime=7,dim=2", lambda i: gen_faure(7, 2, i)),
-        ("faure:prime=7,dim=3", lambda i: gen_faure(7, 3, i)),
+        ("halton:base=11", lambda i: radical_inverse(11, i)),
+        ("halton:base=13", lambda i: radical_inverse(13, i)),
+        ("vdc:base=2", lambda i: radical_inverse(2, i)),
+        ("vdc:base=3", lambda i: radical_inverse(3, i)),
+        ("hammersley:dim=1", lambda i: radical_inverse(3, i)),
+        ("faure:prime=7,dim=0", lambda i: radical_inverse(7, i)),
+        ("faure:prime=7,dim=1", lambda i: radical_inverse(7, i, 1)),
+        ("faure:prime=7,dim=2", lambda i: radical_inverse(7, i, 2)),
+        ("faure:prime=7,dim=3", lambda i: radical_inverse(7, i, 3)),
     ])
-    def test_digit_thresholds_match_scalar_generators(self, text, oracle):
-        from sclab.sequences import sequence_fractions
-
+    def test_digit_thresholds_match_radical_inverse_oracle(self, text, oracle):
         spec = SequenceSpec.parse(text)
         for count in (1, 50, 1000, 2500):  # none a power of 2, 3, 7, 11 or 13
             want = [oracle(i) for i in range(count)]
             for bits in (1, 8, 62):
                 got = sequence_thresholds(spec, count, bits).tolist()
                 assert got == [(v.numerator << bits) // v.denominator for v in want]
-            assert sequence_fractions(spec, count - 1, start=1) == want[1:]
+            assert fractions(spec, count - 1, start=1) == want[1:]
 
     @pytest.mark.parametrize("text,oracle", [
         ("p2lsg:base=16,bits=8",
-         lambda end: [Fraction(group_reverse(i, 8, 16), 256) for i in range(end)]),
+         lambda end: [Fraction(digit_oracle(i, 8, 16), 256) for i in range(end)]),
         ("sobol:dim=3,bits=8",
          lambda end: [Fraction(int(v), 256) for v in gen_sobol(sobol_direction_vectors(3, 8), end)]),
         ("niederreiter:dim=2,skip=7",
          lambda end: [Fraction(int(v), 256) for v in gen_niederreiter(2, end, 8, skip=7)]),
         ("lfsr:seed=5", lambda end: [Fraction(int(v), 256) for v in gen_lfsr(0x71, 5, end)]),
-        ("weyl:irrational=silver", lambda end: [gen_weyl(SILVER_RATIO, i) for i in range(end)]),
-        ("r2:dim=1", lambda end: [gen_r2(1, i) for i in range(end)]),
-        ("hammersley", lambda end: [gen_hammersley_pair(i)[0] for i in range(end)]),
-        ("faure:prime=5,dim=2", lambda end: [gen_faure(5, 2, i) for i in range(end)]),
+        ("weyl:irrational=silver",
+         lambda end: [weyl_oracle(FIXED64["weyl:irrational=silver"], i) for i in range(end)]),
+        ("r2:dim=1", lambda end: [weyl_oracle(FIXED64["r2:dim=1"], i) for i in range(end)]),
+        ("hammersley", lambda end: [radical_inverse(2, i) for i in range(end)]),
+        ("faure:prime=5,dim=2", lambda end: [radical_inverse(5, i, 2) for i in range(end)]),
         ("latin_hypercube:seed=5", lambda end: gen_latin_hypercube(end, 5)),
         ("poisson_disk:seed=3", lambda end: gen_poisson_disk(end, Fraction(1, 4 * end), 3)),
     ])
-    def test_every_family_from_any_start_matches_scalar_generators(self, text, oracle):
+    def test_every_family_from_any_start_matches_oracles(self, text, oracle):
         spec = SequenceSpec.parse(text)
         want = oracle(40)
         for start in (0, 1, 17):
-            assert sequence_fractions(spec, 40 - start, start=start) == want[start:]
-            num, den = sequence_numerators(spec, 40 - start, start=start)
-            assert [Fraction(n, den) for n in num.tolist()] == want[start:]
+            assert fractions(spec, 40 - start, start=start) == want[start:]
             for bits in (3, 62):
                 got = sequence_thresholds(spec, 40 - start, bits, start=start).tolist()
                 assert got == [(v.numerator << bits) // v.denominator for v in want[start:]]
@@ -705,8 +678,8 @@ class TestThresholds:
             sequence_thresholds(SequenceSpec.parse("faure:prime=7,dim=-1"), 4, 8)
 
     @pytest.mark.parametrize("text,oracle", [
-        ("vdc:base=100000000000000000000", lambda i: gen_vdc(10**20, i)),
-        ("faure:prime=3037000507,dim=1", lambda i: gen_faure(3037000507, 1, i)),
+        ("vdc:base=100000000000000000000", lambda i: radical_inverse(10**20, i)),
+        ("faure:prime=3037000507,dim=1", lambda i: radical_inverse(3037000507, i, 1)),
     ])
     def test_digit_thresholds_past_int64(self, text, oracle):
         # p^L >= 2^62, or a Pascal product past 2^63, runs in Python integers
@@ -732,11 +705,6 @@ class TestThresholds:
             assert np.array_equal(a, b)
 
 
-def _values(spec, count, start):
-    num, den = sequence_numerators(spec, count, start)
-    return [Fraction(v, den) for v in num.tolist()]
-
-
 class TestRandomAccess:
     """`sequence_numerators(spec, count, start)` from starts on either side of
     the chunk edges radix^c of the table paths: 256 for the byte tables of
@@ -745,19 +713,20 @@ class TestRandomAccess:
 
     # (spec, oracle of index i, starts at chunk edges, count)
     SCALAR = [
-        ("vdc:base=2", lambda i: gen_vdc(2, i), (4095, 4096, 4096**2 - 1, 4096**2), 4500),
-        ("vdc:base=3", lambda i: gen_vdc(3, i), (2186, 2187, 2187**2 - 1, 2187**2), 2500),
-        ("halton:base=11", lambda i: gen_halton(11, i), (1330, 1331, 1331**2 - 1, 1331**2), 1500),
-        ("hammersley:dim=1", lambda i: gen_hammersley_pair(i)[1], (2186, 2187), 2500),
-        ("faure:prime=7,dim=0", lambda i: gen_faure(7, 0, i), (2400, 2401, 2401**2 - 1), 2500),
-        ("faure:prime=7,dim=1", lambda i: gen_faure(7, 1, i), (2400, 2401), 2500),
-        ("faure:prime=5,dim=3", lambda i: gen_faure(5, 3, i), (624, 625), 700),
+        ("vdc:base=2", lambda i: radical_inverse(2, i), (4095, 4096, 4096**2 - 1, 4096**2), 4500),
+        ("vdc:base=3", lambda i: radical_inverse(3, i), (2186, 2187, 2187**2 - 1, 2187**2), 2500),
+        ("halton:base=11", lambda i: radical_inverse(11, i),
+         (1330, 1331, 1331**2 - 1, 1331**2), 1500),
+        ("hammersley:dim=1", lambda i: radical_inverse(3, i), (2186, 2187), 2500),
+        ("faure:prime=7,dim=0", lambda i: radical_inverse(7, i), (2400, 2401, 2401**2 - 1), 2500),
+        ("faure:prime=7,dim=1", lambda i: radical_inverse(7, i, 1), (2400, 2401), 2500),
+        ("faure:prime=5,dim=3", lambda i: radical_inverse(5, i, 3), (624, 625), 700),
         ("sobol:dim=3,bits=24",
          lambda i: Fraction(sobol_direct_oracle(sobol_direction_vectors(3, 24), i), 1 << 24),
          (255, 256, 65535, 65536), 1000),
-        ("p2lsg:base=16,bits=24", lambda i: Fraction(group_reverse(i, 24, 16), 1 << 24),
+        ("p2lsg:base=16,bits=24", lambda i: Fraction(digit_oracle(i, 24, 16), 1 << 24),
          (255, 256, 65535, 65536), 1000),
-        ("p2lsg:base=8,bits=40", lambda i: Fraction(group_reverse(i, 40, 8), 1 << 40),
+        ("p2lsg:base=8,bits=40", lambda i: Fraction(digit_oracle(i, 40, 8), 1 << 40),
          ((1 << 32) - 1, 1 << 32), 1500),
     ]
 
@@ -765,7 +734,7 @@ class TestRandomAccess:
     def test_matches_scalar_oracles(self, text, oracle, starts, count):
         spec = SequenceSpec.parse(text)
         for start in starts:
-            assert _values(spec, count, start) == [oracle(i) for i in range(start, start + count)]
+            assert fractions(spec, count, start) == [oracle(i) for i in range(start, start + count)]
 
     @pytest.mark.parametrize("text,start,count", [
         ("vdc:base=2", 4095, 4500),
@@ -799,7 +768,8 @@ class TestRandomAccess:
         start = 3**42 - 1200
         num, _ = sequence_numerators(spec, 2500, start)
         assert num.dtype == object
-        assert _values(spec, 2500, start) == [gen_vdc(3, i) for i in range(start, start + 2500)]
+        want = [radical_inverse(3, i) for i in range(start, start + 2500)]
+        assert fractions(spec, 2500, start) == want
 
     def test_sobol_and_niederreiter_from_deep_in_the_period(self):
         # from index 0 these runs would take 2^40 values
@@ -825,3 +795,24 @@ class TestRandomAccess:
         assert sequence_numerators(spec, 6, 250)[0].size == 6
         with pytest.raises(DomainError, match="2\\^8 period"):
             sequence_numerators(spec, 7, 250)
+
+
+# the scalar generators that duplicated sequence_numerators' route
+REMOVED_TWINS = ("gen_vdc", "gen_halton", "gen_hammersley_pair", "gen_faure", "_faure_digits",
+                 "gen_weyl", "gen_r2", "sequence_fractions", "group_reverse")
+
+
+def test_readme_library_sketch_runs_as_written(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    pixels = (np.arange(12 * 16).reshape(12, 16) * 7 % 256).astype(np.uint8)
+    names = {"pixels": pixels}
+    exec(compile(sketch, "README.md", "exec"), names)
+    sclab = names["sclab"]
+    assert sclab.decode_unipolar(sclab.mul_unipolar(names["x"], names["y"])) == Fraction(1, 8)
+    assert names["out"].pixels.shape == (24, 32)
+    header, row = capsys.readouterr().out.splitlines()[:2]
+    assert header.split()[1:] == [f"2^{e}" for e in range(6, 17)]
+    assert row.startswith("p2lsg:base=2 & p2lsg:base=N (mul)")
+    for module in (sclab, sclab.sequences, sclab.p2lsg):
+        assert [name for name in REMOVED_TWINS if hasattr(module, name)] == []
