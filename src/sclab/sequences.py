@@ -6,7 +6,8 @@ Digit-based families (vdc, halton, hammersley, faure) are exact over p^L.
 Additive-recurrence families (weyl, r2) run in 64-fractional-bit fixed point so
 every value is an exact dyadic rational, bit-reproducible across platforms.
 Binary-matrix families (sobol, niederreiter) and the lfsr emit n-bit integers.
-Seeded families (latin_hypercube, poisson_disk) draw from xorshift64*.
+Seeded families draw integers from one xorshift64* generator: latin_hypercube
+is exact over N * 2^53, poisson_disk over 2^53.
 `sequence_thresholds` turns the numerators into the comparator-ready integer
 form floor(2^bits * r_i).
 
@@ -16,7 +17,6 @@ rules are declared once, in the family table `_REGISTRY`, which every spec
 reader uses.
 """
 
-import bisect
 import contextlib
 import math
 import re
@@ -208,51 +208,40 @@ def gen_niederreiter(dimension, count, precision_bits, skip=0):
 # seeded families
 # ---------------------------------------------------------------------------
 
-class Xorshift64Star:
-    """xorshift64* PRNG: shifts 12/25/27, multiplier 0x2545F4914F6CDD1D.
-
-    Seed 0 is remapped to a fixed nonzero constant (the all-zero state is a
-    fixed point of the xorshift update).
-    """
-
-    def __init__(self, seed):
-        self.state = seed & _M64 or 0x9E3779B97F4A7C15
-
-    def next_u64(self):
-        s = self.state
+def _xorshift64star(seed):
+    """xorshift64* u64 draws: shifts 12/25/27, multiplier 0x2545F4914F6CDD1D.
+    Seed 0 is remapped to a nonzero state (all-zero is the update's fixed point)."""
+    s = seed & _M64 or 0x9E3779B97F4A7C15
+    while True:
         s ^= s >> 12
         s ^= (s << 25) & _M64
         s ^= s >> 27
-        self.state = s
-        return (s * 0x2545F4914F6CDD1D) & _M64
-
-    def next_u53(self):
-        return self.next_u64() >> 11
-
-    def shuffle(self, items):
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_u64() % (i + 1)
-            items[i], items[j] = items[j], items[i]
+        yield (s * 0x2545F4914F6CDD1D) & _M64
 
 
 def gen_latin_hypercube(n_points, seed):
-    """One uniform draw per stratum [j/N, (j+1)/N), strata in seeded-shuffled order."""
+    """One uniform draw per stratum [j/N, (j+1)/N), strata in seeded-shuffled order,
+    as numerators (s << 53) + (the draw's top 53 bits) over N * 2^53 for stratum s."""
     if n_points < 1:
         raise DomainError(f"n_points must be positive, got {n_points}")
-    rng = Xorshift64Star(seed)
+    draws = _xorshift64star(seed)
     strata = list(range(n_points))
-    rng.shuffle(strata)
-    scale = n_points << 53
-    return [Fraction((s << 53) + rng.next_u53(), scale) for s in strata]
+    for i in range(n_points - 1, 0, -1):  # Fisher-Yates
+        j = next(draws) % (i + 1)
+        strata[i], strata[j] = strata[j], strata[i]
+    return [(s << 53) + (u >> 11) for s, u in zip(strata, draws)]
 
 
 def gen_poisson_disk(n_points, min_distance, seed, max_attempts=10000):
-    """1-D dart throwing: seeded candidates kept iff >= min_distance from all
-    accepted points; fails after max_attempts consecutive rejections.
+    """1-D dart throwing: seeded 53-bit draws, as numerators over 2^53, kept iff
+    >= min_distance from all accepted ones; fails after max_attempts
+    consecutive rejections.
 
-    Only the nearest accepted neighbors can violate the spacing, so the check
-    runs against a sorted index (identical accept/reject decisions to the
-    naive all-pairs rule).
+    In units of 2^-53 the spacing is a rational `gap`, and cell c holds the
+    accepted point in [c w, (c + 1) w) for w = max(1, floor(gap)).  Two points
+    in one cell are at most w - 1 < gap apart, so a cell holds at most one (for
+    gap > 0); a conflicting one is under gap < w + 1 away, so in cell c-1, c
+    or c+1.  Every decision, and so every message, is the all-pairs rule's.
     """
     if n_points < 1:
         raise DomainError(f"n_points must be positive, got {n_points}")
@@ -263,33 +252,30 @@ def gen_poisson_disk(n_points, min_distance, seed, max_attempts=10000):
         raise GenerationError(
             f"min distance {min_distance} cannot fit {n_points} points in the unit interval"
         )
-    # compare in integer units of 2^-53: |u - p| >= r  <=>  |mu - mp| * rd >= rn * 2^53
-    gap_num = r.numerator << 53
-    gap_den = r.denominator
-    rng = Xorshift64Star(seed)
+    # |u - p| >= r  <=>  |mu - mp| * rd >= rn * 2^53, with gap = rn * 2^53 / rd
+    gap_num, gap_den = r.numerator << 53, r.denominator
+    width = max(1, gap_num // gap_den)
+    cells = {}
     accepted = []
-    sorted_units = []
     rejects = 0
-    while len(accepted) < n_points:
-        m = rng.next_u53()
-        pos = bisect.bisect_left(sorted_units, m)
-        ok = True
-        if pos > 0 and (m - sorted_units[pos - 1]) * gap_den < gap_num:
-            ok = False
-        if ok and pos < len(sorted_units) and (sorted_units[pos] - m) * gap_den < gap_num:
-            ok = False
-        if ok:
-            accepted.append(Fraction(m, 1 << 53))
-            sorted_units.insert(pos, m)
-            rejects = 0
+    for draw in _xorshift64star(seed):
+        m = draw >> 11
+        c = m // width
+        for p in (cells.get(c - 1), cells.get(c), cells.get(c + 1)):
+            if p is not None and abs(m - p) * gap_den < gap_num:
+                rejects += 1
+                break
         else:
-            rejects += 1
-            if rejects >= max_attempts:
-                raise GenerationError(
-                    f"poisson disk gave up after {max_attempts} consecutive rejections "
-                    f"({len(accepted)}/{n_points} points placed)"
-                )
-    return accepted
+            cells[c] = m  # overwrites a point only at spacing 0, where none conflicts
+            accepted.append(m)
+            if len(accepted) == n_points:
+                return accepted
+            rejects = 0
+        if rejects >= max_attempts:
+            raise GenerationError(
+                f"poisson disk gave up after {max_attempts} consecutive rejections "
+                f"({len(accepted)}/{n_points} points placed)"
+            )
 
 
 def gen_lfsr(taps, seed, count, bits=LFSR_DEFAULT_BITS):
@@ -473,14 +459,6 @@ def default_pair(family, stream_length=None):
 # every family's values, through sequence_numerators
 # ---------------------------------------------------------------------------
 
-def _fixed64(alpha):
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise ConfigurationError(f"irrational constant must be positive, got {alpha}")
-    alpha -= int(alpha)  # only the fractional part matters mod 1
-    return (alpha.numerator << 64) // alpha.denominator
-
-
 def _weyl_products(spec, start, count):
     """frac(i * alpha) for i in start.. in 64-bit fixed point (weyl and r2), as uint64."""
     if spec.family == "r2":
@@ -488,9 +466,14 @@ def _weyl_products(spec, start, count):
         if d not in (0, 1):
             raise ConfigurationError(f"r2 dimension must be 0 or 1, got {d}")
         a = _INV_PLASTIC_64[d]
-    else:
+    else:  # a name or fraction text
         raw = spec.get("irrational")
-        a = _fixed64(_NAMED_IRRATIONALS.get(raw) or _fraction(raw, "irrational"))
+        alpha = _NAMED_IRRATIONALS.get(raw) or _fraction(raw, "irrational")
+        if alpha <= 0:
+            raise ConfigurationError(f"irrational constant must be positive, got {raw}")
+        a = (alpha.numerator % alpha.denominator << 64) // alpha.denominator  # of frac(alpha)
+        if not a:  # every value would be 0
+            raise ConfigurationError(f"irrational constant {raw} has no fractional part in 64 bits")
     with np.errstate(over="ignore"):
         return np.arange(start, start + count, dtype=np.uint64) * np.uint64(a)  # wraps mod 2^64
 
@@ -532,17 +515,12 @@ def sequence_numerators(spec, count, start=0):
             skip = spec.get("skip")
             return gen_niederreiter(spec.get("dim"), count, n, skip + start * (skip >= 0)), 1 << n
         return gen_lfsr(spec.get("taps"), spec.get("seed"), end, n)[start:], 1 << n
-    # seeded families draw exact rationals over a fixed scale
-    if fam == "latin_hypercube":
-        den = end << 53
-        vals = gen_latin_hypercube(end, spec.get("seed"))
-    else:
-        den = 1 << 53
-        r = spec.get("min_distance")
-        r = Fraction(1, 4 * end) if r is None else _fraction(r, "min_distance")
-        vals = gen_poisson_disk(end, r, spec.get("seed"), spec.get("max_attempts"))
-    num = [v.numerator * (den // v.denominator) for v in vals[start:]]
-    return np.array(num, dtype=object), den
+    if fam == "latin_hypercube":  # its end * 2^53 passes int64 past 2^10 points
+        return np.array(gen_latin_hypercube(end, spec.get("seed"))[start:], object), end << 53
+    r = spec.get("min_distance")
+    r = Fraction(1, 4 * end) if r is None else _fraction(r, "min_distance")
+    draws = gen_poisson_disk(end, r, spec.get("seed"), spec.get("max_attempts"))
+    return np.array(draws[start:], np.int64), 1 << 53
 
 
 def sequence_thresholds(spec, count, bits=8, start=0):

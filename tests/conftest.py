@@ -6,8 +6,9 @@ sequence oracles compute one value at a time in Python integers, one per
 family whose only route in the package is `sequence_numerators`:
 `radical_inverse` for vdc, halton and hammersley, and with the literal
 `pascal_matrix_oracle` for faure; `digit_oracle` for p2lsg; `weyl_oracle` with
-the `FIXED64` constants for weyl and r2.  `fractions` reads the package's values
-as exact rationals to compare against them.
+the `FIXED64` constants for weyl and r2; `poisson_disk_oracle`, the all-pairs
+rule, for poisson_disk.  `fractions` reads the package's values as exact
+rationals to compare against them.
 """
 
 import math
@@ -19,7 +20,7 @@ from functools import lru_cache
 import pytest
 
 from sclab.bitstream import Bitstream
-from sclab.sequences import SequenceSpec, sequence_numerators
+from sclab.sequences import SequenceSpec, _xorshift64star, sequence_numerators
 
 
 def naive_bits(stream):
@@ -131,6 +132,29 @@ with localcontext() as _ctx:
 def weyl_oracle(alpha64, index):
     """frac(index * alpha) for an alpha of 64 fractional bits, in Python integers."""
     return Fraction(index * alpha64 % 2**64, 2**64)
+
+
+def poisson_disk_oracle(n_points, min_distance, seed, max_attempts=10000):
+    """Dart throwing by its definition: each xorshift64* draw's top 53 bits, as
+    a fraction of 1, is kept iff it lies at least min_distance from every point
+    kept so far (all pairs, exact).  The kept points as Fractions; None when n
+    points cannot be that far apart in [0, 1); else, when max_attempts draws in
+    a row are rejected, the number of points placed."""
+    r = Fraction(min_distance)
+    if r < 0 or (n_points - 1) * r >= 1:
+        return None
+    kept, rejects = [], 0
+    for draw in _xorshift64star(seed):
+        m = draw >> 11  # |m - p| / 2^53 >= r, in integers
+        if all(abs(m - p) * r.denominator >= r.numerator << 53 for p in kept):
+            kept.append(m)
+            rejects = 0
+            if len(kept) == n_points:
+                return [Fraction(p, 1 << 53) for p in kept]
+        else:
+            rejects += 1
+            if rejects == max_attempts:
+                return len(kept)
 
 
 def fractions(spec, count, start=0):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXED64, digit_oracle, radical_inverse, weyl_oracle
+from conftest import FIXED64, digit_oracle, poisson_disk_oracle, radical_inverse, weyl_oracle
 from sclab import cli, media
 from sclab.cli import _lines, main
 from sclab.media import AlphaMap, GrayImage, RgbImage, merge_scene_sc, scale_image_sc
@@ -23,7 +23,6 @@ from sclab.sequences import (
     gen_latin_hypercube,
     gen_lfsr,
     gen_niederreiter,
-    gen_poisson_disk,
     gen_sobol,
     sobol_direction_vectors,
 )
@@ -78,7 +77,8 @@ def hammersley_pair(i):
 
 
 # gen flags, and the values at indices 0..end-1 from the test oracles or, for
-# the families whose only route is their generator, from that generator
+# the families whose only route is their generator, from that generator (its
+# numerators over the family's documented denominator)
 GEN_ORACLES = {
     "vdc": (["--family", "vdc", "--base", "3"],
             lambda end: [radical_inverse(3, i) for i in range(end)]),
@@ -104,9 +104,9 @@ GEN_ORACLES = {
     "lfsr": (["--family", "lfsr", "--seed", "7"],
              lambda end: _scaled(gen_lfsr(0x71, 7, end), 8)),
     "latin_hypercube": (["--family", "latin_hypercube", "--seed", "4"],
-                        lambda end: gen_latin_hypercube(end, 4)),
+                        lambda end: [Fraction(v, end << 53) for v in gen_latin_hypercube(end, 4)]),
     "poisson_disk": (["--family", "poisson_disk", "--seed", "2"],
-                     lambda end: gen_poisson_disk(end, Fraction(1, 4 * end), 2)),
+                     lambda end: poisson_disk_oracle(end, Fraction(1, 4 * end), 2)),
 }
 
 
@@ -354,13 +354,25 @@ class TestGen:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "4300" in err
 
-    @pytest.mark.parametrize("flags", [
-        ("--family", "weyl", "--irrational", "1e-4300"),
-        ("--family", "poisson_disk", "--seed", "1", "--min-distance", "1e-4300"),
-    ])
-    def test_decimal_exponent_at_4300_runs(self, capsys, flags):
-        code, out, _ = run(capsys, "gen", *flags, "--count", "1")
+    # a weyl constant with exponent +/-4300 has no fractional bit in 64 (a
+    # fractional one would need more than 4300 digits), so it is rejected by
+    # test_weyl_constant_without_fractional_bits_rejected below, not here
+    def test_decimal_exponent_at_4300_runs(self, capsys):
+        code, out, _ = run(capsys, "gen", "--family", "poisson_disk", "--seed", "1",
+                           "--min-distance", "1e-4300", "--count", "1")
         assert code == 0 and out.count("\n") == 1
+
+    @pytest.mark.parametrize("irrational", ["2", "3/1", "1e-30", "1.0000000000000000000001",
+                                            "1e-4300", "-1e-4300"])
+    def test_weyl_constant_without_fractional_bits_rejected(self, capsys, irrational):
+        # 1e-4300 was all zeros, and -1e-4300 a traceback from printing the Fraction
+        for argv in (("gen", "--family", "weyl", f"--irrational={irrational}", "--count", "3"),
+                     ("bench-mul", "--seqs", f"weyl:irrational={irrational},r2", "--lengths", "6"),
+                     ("bench-add", "--seqs", f"r2,weyl:irrational={irrational}", "--lengths", "2")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.count("\n") == 1 and err.startswith("sclab: irrational constant ")
+            assert irrational in err
 
     @pytest.mark.parametrize("attempts", ["0", "65537", "1000000"])
     def test_max_attempts_past_2_to_the_16_rejected(self, capsys, attempts):
@@ -465,6 +477,11 @@ class TestGenText:
          "2a6b8b9e22b2939441495ad0ca68ff937158817b1c3669f4fb510a64858355ca"),
         (("--family", "p2lsg", "--base", "16", "--bits", "16", "--par", "8", "--count", "8192"),
          "42cabb5c2f852dd9eeda71910842ebd130c6d41bedbddb822c019bb4c197494c"),
+        # the seeded families: object numerators over 2^69, and int64 over 2^53
+        (("--family", "latin_hypercube", "--seed", "4", "--count", "65536"),
+         "6fcfd939833c2d1ef2fb32bcf7aaafd4e838bab83cf4df8748aa4e075437493d"),
+        (("--family", "poisson_disk", "--seed", "2", "--count", "65536"),
+         "6f908c177ca0db0d2617939b67daad3ce82265131abf6d2d40ff7bd1d76b7505"),
     ])
     def test_pinned_output_at_benchmark_scale(self, flags, digest):
         code, out = gen_stdout(*flags)

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -14,6 +15,7 @@ from conftest import (
     digit_oracle,
     fractions,
     pascal_matrix_oracle,
+    poisson_disk_oracle,
     radical_inverse,
     weyl_oracle,
 )
@@ -25,7 +27,7 @@ from sclab.sequences import (
     PI_FRACTIONAL,
     SequenceSpec,
     _is_prime,
-    Xorshift64Star,
+    _xorshift64star,
     default_pair,
     gen_latin_hypercube,
     gen_lfsr,
@@ -100,6 +102,16 @@ class TestWeyl:
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ConfigurationError):
             fractions("weyl:irrational=0", 1, 1)
+
+    @pytest.mark.parametrize("text", ["2", "3/1", "1e-30", "1.0000000000000000000001",
+                                      "1e-4300", "7.0"])
+    def test_rejects_alpha_without_fractional_bits(self, text):
+        # frac(alpha) * 2^64 floors to 0, so every value would be 0
+        with pytest.raises(ConfigurationError, match="no fractional part in 64 bits"):
+            fractions(f"weyl:irrational={text}", 4)
+
+    def test_one_fractional_bit_in_64_is_kept(self):
+        assert fractions("weyl:irrational=2.0000000000000000000543", 2) == [0, Fraction(1, 1 << 64)]
 
 
 class TestR2:
@@ -344,24 +356,35 @@ class TestNiederreiter:
         assert np.array_equal(base[32:], skipped)
 
 
+def latin_values(n_points, seed):
+    """gen_latin_hypercube's numerators over their denominator N * 2^53."""
+    return [Fraction(v, n_points << 53) for v in gen_latin_hypercube(n_points, seed)]
+
+
+def poisson_values(n_points, min_distance, seed, max_attempts=10000):
+    """gen_poisson_disk's numerators over their denominator 2^53."""
+    return [Fraction(v, 1 << 53)
+            for v in gen_poisson_disk(n_points, min_distance, seed, max_attempts)]
+
+
 class TestLatinHypercube:
     def test_stratification_forced(self):
         for seed in (1, 2, 99):
-            a, b = sorted(gen_latin_hypercube(2, seed))
+            a, b = sorted(latin_values(2, seed))
             assert 0 <= a < Fraction(1, 2) <= b < 1
 
     def test_single_point(self):
-        (v,) = gen_latin_hypercube(1, 5)
+        (v,) = latin_values(1, 5)
         assert 0 <= v < 1
 
     def test_exactly_one_per_stratum(self):
         n = 16
-        vals = gen_latin_hypercube(n, 123)
+        vals = latin_values(n, 123)
         strata = sorted(int(v * n) for v in vals)
         assert strata == list(range(n))
 
     def test_frozen_fixture_seed42(self):
-        assert gen_latin_hypercube(4, 42) == [
+        assert latin_values(4, 42) == [
             Fraction(8755189686511543, 18014398509481984),
             Fraction(33906643930411521, 36028797018963968),
             Fraction(25542073943907321, 36028797018963968),
@@ -376,19 +399,29 @@ class TestLatinHypercube:
         assert gen_latin_hypercube(32, 7) == gen_latin_hypercube(32, 7)
 
 
+# spacings for the cell rule: none, below one 2^-53 unit, exact multiples of
+# 2^-53 and each +/- one unit (cell widths 1, 2, 3, 2^33 and 3 * 2^43, and
+# about 1/(2N) and 1/N for N = 60), and spacings that are no multiple of 2^-53
+_UNIT = Fraction(1, 1 << 53)
+_SPACINGS = [0, Fraction("1e-30"), *(
+    (k + d) * _UNIT for k in (2, 1 << 33, 3 << 43, (1 << 53) // 120, (1 << 53) // 60)
+    for d in (-1, 0, 1)
+), Fraction(1, 3000), Fraction("0.000123"), Fraction(1, 120)]
+
+
 class TestPoissonDisk:
     def test_single_point(self):
-        (v,) = gen_poisson_disk(1, Fraction(1, 10), 3)
+        (v,) = poisson_values(1, Fraction(1, 10), 3)
         assert 0 <= v < 1
 
     def test_min_distance_property(self):
-        pts = gen_poisson_disk(10, Fraction(1, 50), 11)
+        pts = poisson_values(10, Fraction(1, 50), 11)
         for i, a in enumerate(pts):
             for b in pts[i + 1 :]:
                 assert abs(a - b) >= Fraction(1, 50)
 
     def test_frozen_fixture(self):
-        got = gen_poisson_disk(8, Fraction(1, 20), 7)
+        got = poisson_values(8, Fraction(1, 20), 7)
         assert [float(v) for v in got] == pytest.approx(
             [
                 0.8202466665411988,
@@ -410,6 +443,62 @@ class TestPoissonDisk:
     def test_attempts_exhausted(self):
         with pytest.raises(GenerationError):
             gen_poisson_disk(20, Fraction(1, 21), 1, max_attempts=2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("spacing", _SPACINGS, ids=str)
+    def test_cell_rule_matches_all_pairs_oracle(self, seed, spacing):
+        # 60 points: about 1/60 apart the throws jam after 43 to 47 points, so
+        # those cases end on an exhausted budget
+        want = poisson_disk_oracle(60, spacing, seed, 2000)
+        assert want is not None
+        if isinstance(want, int):
+            with pytest.raises(GenerationError, match=re.escape(
+                    f"after 2000 consecutive rejections ({want}/60 points placed)")):
+                gen_poisson_disk(60, spacing, seed, 2000)
+        else:
+            assert poisson_values(60, spacing, seed, 2000) == want
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_spacing_equal_to_a_drawn_gap(self, seed, shift):
+        # the first two draws lie exactly `gap` units apart: the second is kept
+        # at spacing gap - 1 and gap (|u - p| >= r) and rejected at gap + 1
+        draws = _xorshift64star(seed)
+        first, second = (next(draws) >> 11 for _ in range(2))
+        spacing = (abs(first - second) + shift) * _UNIT
+        want = poisson_disk_oracle(2, spacing, seed, 1000)
+        assert (want[1] == second * _UNIT) == (shift < 1)
+        assert poisson_values(2, spacing, seed, 1000) == want
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("units, n", [(0, 40), (Fraction("1e-30"), 40), (1, 40), (2, 16),
+                                          (Fraction(5, 2), 12), (3, 10), (4, 8)])
+    def test_cell_rule_on_clustered_draws(self, monkeypatch, seed, units, n):
+        # draws in 0..47 units: repeats, neighbours and points on cell edges,
+        # which 2^53-unit draws never give
+        def clustered(seed):
+            rng = random.Random(seed)
+            while True:
+                yield rng.randrange(48) << 11
+        monkeypatch.setattr("sclab.sequences._xorshift64star", clustered)
+        monkeypatch.setattr("conftest._xorshift64star", clustered)
+        want = poisson_disk_oracle(n, units * _UNIT, seed, 300)
+        assert isinstance(want, list)
+        assert poisson_values(n, units * _UNIT, seed, 300) == want
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("n, spacing, attempts", [
+        (11, Fraction(1, 10), 100), (2, 1, 100), (3, Fraction(1, 2), 100), (5, -_UNIT, 100),
+        (30, Fraction(1, 10), 100), (1 << 20, (1 << 33) * _UNIT, 1),
+        (20, Fraction(1, 21), 2), (9, Fraction(1, 9) - _UNIT, 1), (60, Fraction(1, 70), 50),
+        (100, Fraction(1, 101), 1000), (200, Fraction(1, 400), 3),
+    ])
+    def test_infeasible_and_exhausted_match_oracle(self, seed, n, spacing, attempts):
+        want = poisson_disk_oracle(n, spacing, seed, attempts)
+        message = "cannot fit" if want is None else re.escape(
+            f"after {attempts} consecutive rejections ({want}/{n} points placed)")
+        with pytest.raises(GenerationError, match=message):
+            gen_poisson_disk(n, spacing, seed, attempts)
 
 
 def lfsr_oracle(taps, seed, count, bits=8):
@@ -459,8 +548,8 @@ def test_weyl_beats_prng_discrepancy():
     for k in (6, 8, 10, 12):
         n = 1 << k
         weyl = fractions("weyl:irrational=silver", n)
-        rng = Xorshift64Star(12345)
-        prng = [Fraction(rng.next_u53(), 1 << 53) for _ in range(n)]
+        draws = _xorshift64star(12345)
+        prng = [Fraction(next(draws) >> 11, 1 << 53) for _ in range(n)]
         assert star_discrepancy(weyl) < star_discrepancy(prng)
 
 
@@ -656,8 +745,8 @@ class TestThresholds:
         ("r2:dim=1", lambda end: [weyl_oracle(FIXED64["r2:dim=1"], i) for i in range(end)]),
         ("hammersley", lambda end: [radical_inverse(2, i) for i in range(end)]),
         ("faure:prime=5,dim=2", lambda end: [radical_inverse(5, i, 2) for i in range(end)]),
-        ("latin_hypercube:seed=5", lambda end: gen_latin_hypercube(end, 5)),
-        ("poisson_disk:seed=3", lambda end: gen_poisson_disk(end, Fraction(1, 4 * end), 3)),
+        ("latin_hypercube:seed=5", lambda end: latin_values(end, 5)),
+        ("poisson_disk:seed=3", lambda end: poisson_disk_oracle(end, Fraction(1, 4 * end), 3)),
     ])
     def test_every_family_from_any_start_matches_oracles(self, text, oracle):
         spec = SequenceSpec.parse(text)
@@ -797,9 +886,10 @@ class TestRandomAccess:
             sequence_numerators(spec, 7, 250)
 
 
-# the scalar generators that duplicated sequence_numerators' route
-REMOVED_TWINS = ("gen_vdc", "gen_halton", "gen_hammersley_pair", "gen_faure", "_faure_digits",
-                 "gen_weyl", "gen_r2", "sequence_fractions", "group_reverse")
+# the scalar generators that duplicated sequence_numerators' route, and the
+# seeded families' former generator class
+REMOVED_NAMES = ("gen_vdc", "gen_halton", "gen_hammersley_pair", "gen_faure", "_faure_digits",
+                 "gen_weyl", "gen_r2", "sequence_fractions", "group_reverse", "Xorshift64Star")
 
 
 def test_readme_library_sketch_runs_as_written(capsys):
@@ -815,4 +905,4 @@ def test_readme_library_sketch_runs_as_written(capsys):
     assert header.split()[1:] == [f"2^{e}" for e in range(6, 17)]
     assert row.startswith("p2lsg:base=2 & p2lsg:base=N (mul)")
     for module in (sclab, sclab.sequences, sclab.p2lsg):
-        assert [name for name in REMOVED_TWINS if hasattr(module, name)] == []
+        assert [name for name in REMOVED_NAMES if hasattr(module, name)] == []
