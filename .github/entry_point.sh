@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The installed `sclab` console script, end to end; both CI jobs run it from
 # the repository root.  It installs the package and runs README's first
-# example, then four large `gen` runs whose stdout must keep its recorded
+# example, then nine large `gen` runs whose stdout must keep its recorded
 # SHA-256, then README's streams example against the installed package (not
 # ./src), then an RGB `scale`, a chroma-keyed `merge` and a matted `merge` at
 # N = 64 (one all-0/255 row block, whose pixel table is not the identity
@@ -14,6 +14,17 @@ sum="$(sclab gen --family vdc --base 3 --count 1048576 | sha256sum)"
 test "${sum%% *}" = 29ada672127da0734ee975da4498c342a732bbbd60caf20f309da978466644ee
 sum="$(sclab gen --family weyl --irrational pi --count 65536 | sha256sum)"
 test "${sum%% *}" = 51db1f30f4b757e1c151339bd6b4ee3cd1ac8a3ea28aa1317a7e7e897c6ef3b6
+# runs from unaligned starts, with 20-bit rows for the GF(2) families
+sum="$(sclab gen --family sobol --dim 5 --bits 20 --count 300000 --index 12345 | sha256sum)"
+test "${sum%% *}" = 62a59cb3ec9cc75131080c43cc5285950fd95046a8f28092be38e3bc0ade9bda
+sum="$(sclab gen --family niederreiter --dim 4 --skip 4096 --bits 20 --count 300000 --index 777 | sha256sum)"
+test "${sum%% *}" = 41597f82f7a1fe0893fc83270d1977ee0c6b46af08d82e0c40a18c43e0add336
+sum="$(sclab gen --family p2lsg --base 8 --bits 20 --count 300000 --index 100001 | sha256sum)"
+test "${sum%% *}" = 3bd4cc1fa61c2704e0a52eebf87298a5767f013ed770f9a0d74199eef12c1ecf
+sum="$(sclab gen --family halton --base 13 --count 300000 --index 1000 | sha256sum)"
+test "${sum%% *}" = d2f55c29c1d4803a0de54dc5147bcb6303854d9a4bea9c132173d61df0810131
+sum="$(sclab gen --family hammersley --dim 1 --count 300000 --index 4095 | sha256sum)"
+test "${sum%% *}" = dc31d8854060fd0919b0d51863fcec6013c07a8ad6b4afb659b81516db4e44fa
 # the seeded families: object numerators over 2^69 and int64 ones over 2^53
 sum="$(sclab gen --family latin_hypercube --seed 4 --count 65536 | sha256sum)"
 test "${sum%% *}" = 6fcfd939833c2d1ef2fb32bcf7aaafd4e838bab83cf4df8748aa4e075437493d

@@ -11,6 +11,10 @@ its pad above its index bits, so the cut drops index bits and keeps pad zeros:
 the outputs are then not a permutation (base 4 over 3 bits gives 0, 2, 4, 6,
 0, 2, 4, 6).
 
+Each output bit is the parity of the counter under one fixed mask, so, as the
+low byte cycles through all 256 values under each fixed high part, a run of
+counter values is the outer XOR of a low-byte table with one value per high part.
+
 All functions are pure; configs are immutable and safe to share across threads.
 """
 
@@ -74,26 +78,29 @@ def p2lsg_sequence(config, count, start=0):
         # bit t of group j lands at bit n - (j+1)*g + t; a negative one is a cut pad bit
         for t in range(max(0, (j + 1) * g - n), min(g, n - j * g)):
             rows[(j + 1) * g - 1 - t] = 1 << (j * g + t)
-    return gf2_outputs(rows, np.arange(start, start + count, dtype=np.uint64))
+    return gf2_outputs(rows, start, count)
 
 
-def gf2_outputs(rows, idx):
-    """GF(2) matrix times index bits: output bit j, counted from the most
-    significant of len(rows) <= 63 bits, is the parity of idx & rows[j].  Being
-    linear, a run longer than its tables XORs a gather per index byte from them."""
-    shifts = range(0, max(rows).bit_length() or 1, 8)
-    cells = idx if idx.size <= len(shifts) << 8 else np.concatenate(
-        [np.arange(256, dtype=np.uint64) << s for s in shifts])
-    out = np.zeros(cells.size, dtype=np.int64)
-    for row in rows:
-        out <<= 1
-        out |= np.bitwise_count(cells & np.uint64(row)) & 1
-    if cells is idx:
-        return out
-    table, out = out, np.zeros(idx.size, dtype=np.int64)
-    for c, s in enumerate(shifts):
-        out ^= table[c << 8 : (c + 1) << 8][idx >> s & 255]
-    return out
+def gf2_outputs(rows, start, count):
+    """GF(2) matrix times the bits of the indices start .. start + count - 1:
+    output bit j, counted from the most significant of len(rows) <= 63 bits, is
+    the parity of index & rows[j].  So an output is the XOR of one table entry
+    per index byte, and a run is the outer XOR of the low byte's 256-entry
+    table with one XOR of the higher bytes' entries per distinct index >> 8."""
+    nbytes = -(-(max(rows).bit_length() or 1) // 8)
+    # col[c, k]: the output of index bit 8c + k; table[c, v]: of index v << 8c,
+    # filled by doubling over the bits of v
+    bits = np.array(rows, dtype=np.uint64) >> np.arange(nbytes << 3, dtype=np.uint64)[:, None]
+    weights = np.uint64(1) << np.arange(len(rows) - 1, -1, -1, dtype=np.uint64)
+    col = ((bits & np.uint64(1)) @ weights).astype(np.int64).reshape(nbytes, 8)
+    table = np.zeros((nbytes, 256), dtype=np.int64)
+    for k in range(8):
+        table[:, 1 << k : 2 << k] = table[:, : 1 << k] ^ col[:, k, None]
+    high_idx = np.arange(start >> 8, (start + count - 1 >> 8) + 1, dtype=np.uint64)
+    high = np.zeros(high_idx.size, dtype=np.int64)
+    for c in range(1, nbytes):
+        high ^= table[c][high_idx >> 8 * (c - 1) & 255]
+    return (high[:, None] ^ table[0]).ravel()[start & 255 :][:count]
 
 
 def p2lsg_parallel(config, cycles):

@@ -143,7 +143,7 @@ def gen_sobol(direction_vectors, count, start=0):
     nbits = max(v.bit_length() for v in dva)
     # row j gathers bit nbits-1-j of every V_k, each placed at index bit k
     rows = [sum((v >> b & 1) << k for k, v in enumerate(dva)) for b in reversed(range(nbits))]
-    return gf2_outputs(rows, np.arange(start, start + count, dtype=np.uint64))
+    return gf2_outputs(rows, start, count)
 
 
 # monic irreducible polynomials over GF(2) by (degree, value): x, x+1, x^2+x+1, ...
@@ -200,7 +200,7 @@ def gen_niederreiter(dimension, count, precision_bits, skip=0):
         raise DomainError(f"skip + count must be at most 2^63, got {total}")
     nbits = max(precision_bits, max(1, (total - 1)).bit_length())
     rows = _niederreiter_rows(dimension, nbits)
-    out = gf2_outputs(rows, np.arange(skip, total, dtype=np.uint64))
+    out = gf2_outputs(rows, skip, count)
     return _floor_scaled(out, 1 << nbits, precision_bits)
 
 
@@ -559,10 +559,12 @@ def _radical_inverse(spec, start, count):
     Every index gets L base-p digits (zero padding mirrors to trailing zeros,
     so values do not change), Faure-scrambled by a Pascal matrix power mod p,
     in int64 unless p^L or the matrix product could overflow it.  Horner's
-    rule mirrors the digits as they are peeled, so only Faure holds all L.
-    Without the scrambling a value is the sum of its m-digit chunks' values, so
-    a run longer than the p^m <= 4096 chunk values gathers chunk c from one
-    table of them divided by p^(m*c).
+    rule mirrors the digits as they are peeled, so only Faure holds all L, in
+    one (L, count) array.  Without the scrambling a value is the mirrored low
+    m-digit chunk of its index plus the mirrored rest, and over a run the low
+    chunk cycles through all p^m <= 4096 values under each index // p^m.  So a
+    run longer than that table is the outer sum of the table with the mirrored
+    L - m high digits of each distinct index // p^m.
     """
     p, dim = _digit_base(spec)
     width = 1
@@ -570,17 +572,20 @@ def _radical_inverse(spec, start, count):
         width += 1
     dtype = np.int64 if p**width < 1 << 62 and width * (p - 1) ** 2 < 1 << 63 else object
 
-    def peel(idx, radix, n):  # n base-radix digits of every index, least significant first
+    def peel(idx, n):  # n base-p digits of every index, least significant first
         for _ in range(n):
-            q = idx // radix  # a division by a constant, far cheaper than %
-            idx -= q * radix
+            q = idx // p  # a division by a constant, far cheaper than %
+            idx -= q * p
             yield idx
             idx = q
 
     def mirror(start, count, width):  # the first `width` digits of start.., mirrored
-        digits = peel(np.arange(start, start + count, dtype=dtype), p, width)
+        digits = peel(np.arange(start, start + count, dtype=dtype), width)
         if dim > 0:  # (C^dim)_{j,r} = C(r,j) * dim^(r-j) mod p for r >= j
-            digits = np.array(list(digits))
+            stack = np.empty((width, count), dtype=dtype)  # the one copy of the L digit rows
+            for j in range(width):  # no name holds a peeled row past its copy
+                stack[j] = next(digits)
+            digits = stack
             for j in range(width):  # scrambled digit j reads digits j.., so replaces digit j
                 for r in range(j + 1, width):
                     digits[j] += math.comb(r, j) * pow(dim, r - j, p) % p * digits[r]
@@ -594,12 +599,10 @@ def _radical_inverse(spec, start, count):
     m = min(width, next((k for k in range(12, 0, -1) if p**k <= 4096), 0))
     if dim > 0 or not m or p**m >= count:  # scrambled, a base past 4096, or a short run
         return mirror(start, count, width), p**width
-    table = mirror(0, p**m, m) * p ** (width - m)
-    num = np.zeros(count, dtype=dtype)
-    chunks = peel(np.arange(start, start + count, dtype=dtype), p**m, -(-width // m))
-    for c, chunk in enumerate(chunks):
-        num += (table // p ** (m * c))[chunk.astype(np.intp, copy=False)]
-    return num, p**width
+    q = p**m
+    table = mirror(0, q, m) * p ** (width - m)
+    high = mirror(start // q, (start + count - 1) // q - start // q + 1, width - m)
+    return (high[:, None] + table).ravel()[start % q :][:count], p**width
 
 
 def _floor_scaled(num, den, bits):

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +9,7 @@ from conftest import digit_oracle
 from sclab.errors import ConfigurationError, DomainError
 from sclab.p2lsg import (
     P2lsgConfig,
+    gf2_outputs,
     p2lsg_pair_for_length,
     p2lsg_parallel,
     p2lsg_sequence,
@@ -169,3 +172,51 @@ class TestPairForLength:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ConfigurationError):
             p2lsg_pair_for_length(100)
+
+
+def gf2_oracle(rows, index):
+    """One output in Python ints: bit j, from the top, is the parity of index & rows[j]."""
+    out = 0
+    for row in rows:
+        out = out << 1 | (index & row).bit_count() & 1
+    return out
+
+
+def random_rows(width, n, seed):
+    """n rows of at most `width` bits; the first has its top bit set, so the
+    rows span exactly ceil(width / 8) index bytes."""
+    rng = random.Random(seed)
+    rows = [rng.getrandbits(width) for _ in range(n)]
+    rows[0] |= 1 << (width - 1)
+    return rows
+
+
+class TestGf2Outputs:
+    """`gf2_outputs(rows, start, count)`, the outer XOR of the low index byte's
+    256-entry table with one value per distinct index >> 8, against the
+    per-index parity."""
+
+    @pytest.mark.parametrize("width", range(1, 64))
+    def test_runs_from_each_low_byte_phase(self, width):
+        rows = random_rows(width, 6, width)
+        tables = -(-width // 8) << 8  # one 256-entry table per index byte
+        # start >> 8 at 0, in the middle, and just below 2^62, so runs cross it
+        for high in (0, 0x1234, (1 << 54) - 2):
+            for low in (0, 1, 255):
+                start = high << 8 | low
+                for count in (1, 255, 256, 257, tables + 1):
+                    got = gf2_outputs(rows, start, count)
+                    assert got.dtype == np.int64 and got.size == count
+                    want = [gf2_oracle(rows, i) for i in range(start, start + count)]
+                    assert got.tolist() == want, (start, count)
+
+    @pytest.mark.parametrize("width,nrows,start", [
+        (20, 20, 12345),  # the run crosses 274 values of index >> 8
+        (63, 8, (1 << 62) - 35001),  # and here carries into bit 62
+        (63, 63, (1 << 62) - 1000),  # the widest matrix: 63 output bits of 63
+    ])
+    def test_long_runs_cross_many_high_values(self, width, nrows, start):
+        rows = random_rows(width, nrows, nrows)
+        count = 70001 if nrows < 63 else 2049
+        got = gf2_outputs(rows, start, count)
+        assert got.tolist() == [gf2_oracle(rows, i) for i in range(start, start + count)]

@@ -860,6 +860,45 @@ class TestRandomAccess:
         want = [radical_inverse(3, i) for i in range(start, start + 2500)]
         assert fractions(spec, 2500, start) == want
 
+    # (spec, p, m): p^m is the digit families' table, the largest p^m <= 4096
+    DIGIT_TABLES = [("vdc:base=3", 3, 7), ("halton:base=13", 13, 3),
+                    ("hammersley:dim=0", 2, 12), ("faure:prime=7,dim=0", 7, 4)]
+
+    @pytest.mark.parametrize("text,p,m", DIGIT_TABLES)
+    def test_runs_either_side_of_one_table(self, text, p, m):
+        # counts p^m - 1 and p^m peel every digit of every index; p^m + 1 is
+        # the first outer sum of the table with one value per index // p^m
+        q = p**m
+        spec = SequenceSpec.parse(text)
+        for start in (5 * q + q // 2, q * q + q // 2 + 1):
+            for count in (q - 1, q, q + 1):
+                want = [radical_inverse(p, i) for i in range(start, start + count)]
+                assert fractions(spec, count, start) == want, (start, count)
+
+    @pytest.mark.parametrize("text,p,m", DIGIT_TABLES)
+    def test_runs_with_a_single_high_part(self, text, p, m):
+        q = p**m
+        spec = SequenceSpec.parse(text)
+        # every index of the run shares index // p^m
+        assert fractions(spec, q - 3, 9 * q + 2) == [
+            radical_inverse(p, i) for i in range(9 * q + 2, 10 * q - 1)]
+        # the high parts have one digit: the indices need m + 1 digits
+        assert fractions(spec, q + 7, q // 3) == [
+            radical_inverse(p, i) for i in range(q // 3, q // 3 + q + 7)]
+
+    @pytest.mark.parametrize("start,dtype", [
+        (3**39 - 2500, np.int64),  # ends at 3^39 - 1: 39 digits, 3^39 < 2^62
+        (3**39 - 1250, object),  # crosses 3^39: 40 digits, 3^40 > 2^62
+        (3**40 - 2500, object),
+        (3**40 - 1250, object),  # crosses 3^40: 41 digits
+    ])
+    def test_vdc3_either_side_of_the_int64_boundary(self, start, dtype):
+        spec = SequenceSpec.parse("vdc:base=3")
+        num, _ = sequence_numerators(spec, 2500, start)
+        assert num.dtype == dtype
+        assert fractions(spec, 2500, start) == [
+            radical_inverse(3, i) for i in range(start, start + 2500)]
+
     def test_sobol_and_niederreiter_from_deep_in_the_period(self):
         # from index 0 these runs would take 2^40 values
         start = (1 << 40) - 3
