@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The installed `sclab` console script, end to end; both CI jobs run it from
 # the repository root.  It installs the package and runs README's first
-# example, then nine large `gen` runs whose stdout must keep its recorded
+# example, then twelve large `gen` runs whose stdout must keep its recorded
 # SHA-256, then README's streams example against the installed package (not
 # ./src), then an RGB `scale`, a chroma-keyed `merge` and a matted `merge` at
 # N = 64 (one all-0/255 row block, whose pixel table is not the identity
@@ -25,6 +25,14 @@ sum="$(sclab gen --family halton --base 13 --count 300000 --index 1000 | sha256s
 test "${sum%% *}" = d2f55c29c1d4803a0de54dc5147bcb6303854d9a4bea9c132173d61df0810131
 sum="$(sclab gen --family hammersley --dim 1 --count 300000 --index 4095 | sha256sum)"
 test "${sum%% *}" = dc31d8854060fd0919b0d51863fcec6013c07a8ad6b4afb659b81516db4e44fa
+sum="$(sclab gen --family r2 --dim 1 --count 300000 --index 4321 | sha256sum)"
+test "${sum%% *}" = 476478f7df90ac49f957ec4dcde42a69f8f2705449007997e5f2a66c5ec4aec3
+# the lfsr from a seed state; tap mask 0x100b has period 65535, so the first
+# run wraps the register's period
+sum="$(sclab gen --family lfsr --seed 12345 --bits 16 --taps 0x100b --count 200000 --index 999 | sha256sum)"
+test "${sum%% *}" = e98d6d4d2f36913c6ff50dfbb10b36cf2027504219ef0eb7e977d6e19f96a330
+sum="$(sclab gen --family lfsr --seed 90 --count 65536 --index 77 | sha256sum)"
+test "${sum%% *}" = ce2d3e025c5c7c701e53a20bb2f1ce44d25303c58b995f7632017095077f8517
 # the seeded families: object numerators over 2^69 and int64 ones over 2^53
 sum="$(sclab gen --family latin_hypercube --seed 4 --count 65536 | sha256sum)"
 test "${sum%% *}" = 6fcfd939833c2d1ef2fb32bcf7aaafd4e838bab83cf4df8748aa4e075437493d

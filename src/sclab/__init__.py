@@ -32,15 +32,6 @@ from .media import (
 from .ops import min_correlated, mul_bipolar, mul_unipolar, mux2, mux2_sub, mux4
 from .p2lsg import P2lsgConfig, p2lsg_pair_for_length, p2lsg_parallel, p2lsg_sequence
 from .pnm import read_pnm, write_pnm
-from .sequences import (
-    SequenceSpec,
-    gen_latin_hypercube,
-    gen_lfsr,
-    gen_niederreiter,
-    gen_poisson_disk,
-    gen_sobol,
-    sequence_thresholds,
-    sobol_direction_vectors,
-)
+from .sequences import SequenceSpec, sequence_thresholds
 
 __version__ = "0.1.0"

@@ -1,7 +1,10 @@
 """The random / low-discrepancy sequence families, each computed by one route.
 
 `sequence_numerators` gives any family's values from any index as one integer
-array over a common denominator, and every command reads its values there.
+array over a common denominator, and every command reads its values there.  It
+is the one public route, and it checks each run once (start >= 0, count >= 1):
+the per-family `gen_sobol`, `sobol_direction_vectors`, `gen_niederreiter`,
+`gen_lfsr`, `gen_latin_hypercube` and `gen_poisson_disk` are gone.
 Digit-based families (vdc, halton, hammersley, faure) are exact over p^L.
 Additive-recurrence families (weyl, r2) run in 64-fractional-bit fixed point so
 every value is an exact dyadic rational, bit-reproducible across platforms.
@@ -104,12 +107,13 @@ _JOE_KUO = {
 }
 
 
-def sobol_direction_vectors(dimension, bits):
-    """Direction numbers V_0..V_{bits-1} for a Sobol dimension (1-based)."""
-    if not 1 <= bits <= 62:
-        raise ConfigurationError(f"bits must be in 1..62, got {bits}")
+@lru_cache(maxsize=None)
+def _sobol_rows(dimension, bits):
+    # generator-matrix rows of a Sobol dimension (1-based): row j gathers bit
+    # bits-1-j of each direction number V_k at index bit k, so an output is the
+    # XOR of V_k over its index's set bits k (the Gray-code recurrence's closed form)
     if dimension == 1:
-        return [1 << (bits - 1 - k) for k in range(bits)]
+        return tuple(1 << j for j in range(bits))
     if dimension not in _JOE_KUO:
         raise ConfigurationError(
             f"no direction numbers for sobol dimension {dimension} (have 1..{max(_JOE_KUO)})"
@@ -123,27 +127,7 @@ def sobol_direction_vectors(dimension, bits):
         for t in range(1, s):
             if (a >> (s - 1 - t)) & 1:
                 v[k] ^= v[k - t]
-    return v[1:]
-
-
-def gen_sobol(direction_vectors, count, start=0):
-    """Natural-order Sobol outputs from index `start`: element i is the XOR of
-    V_j over the set bits j of start + i (the closed form of the Gray-code XOR
-    recurrence), so dimension 1 reproduces plain bit reversal."""
-    dva = list(direction_vectors)
-    if not dva:
-        raise ConfigurationError("direction vector array is empty")
-    if any(not 0 < v < 1 << 63 for v in dva):
-        raise ConfigurationError("direction vectors must be in 1..2^63-1")
-    n = len(dva)
-    if count < 1:
-        raise DomainError(f"count must be positive, got {count}")
-    if start + count > (1 << n):
-        raise DomainError(f"index {start} + count {count} exceeds the 2^{n} period of the DVA")
-    nbits = max(v.bit_length() for v in dva)
-    # row j gathers bit nbits-1-j of every V_k, each placed at index bit k
-    rows = [sum((v >> b & 1) << k for k, v in enumerate(dva)) for b in reversed(range(nbits))]
-    return gf2_outputs(rows, start, count)
+    return tuple(sum((x >> b & 1) << k for k, x in enumerate(v[1:])) for b in reversed(range(bits)))
 
 
 # monic irreducible polynomials over GF(2) by (degree, value): x, x+1, x^2+x+1, ...
@@ -182,28 +166,6 @@ def _niederreiter_rows(dimension, bits):
     return tuple(rows)
 
 
-def gen_niederreiter(dimension, count, precision_bits, skip=0):
-    """Base-2 Niederreiter outputs: the generator-matrix image of the index digits.
-
-    Dimension 0 uses polynomial x and reduces to plain bit reversal.  `skip`
-    drops that many initial elements (generator programs customarily skip a
-    warm-up block).
-    """
-    if not 1 <= precision_bits <= 32:
-        raise ConfigurationError(f"precision_bits must be in 1..32, got {precision_bits}")
-    if count < 1:
-        raise DomainError(f"count must be positive, got {count}")
-    if skip < 0:
-        raise DomainError(f"skip must be non-negative, got {skip}")
-    total = count + skip
-    if total > 1 << 63:  # the index bits, and so the rows, must fit in 63
-        raise DomainError(f"skip + count must be at most 2^63, got {total}")
-    nbits = max(precision_bits, max(1, (total - 1)).bit_length())
-    rows = _niederreiter_rows(dimension, nbits)
-    out = gf2_outputs(rows, skip, count)
-    return _floor_scaled(out, 1 << nbits, precision_bits)
-
-
 # ---------------------------------------------------------------------------
 # seeded families
 # ---------------------------------------------------------------------------
@@ -219,11 +181,9 @@ def _xorshift64star(seed):
         yield (s * 0x2545F4914F6CDD1D) & _M64
 
 
-def gen_latin_hypercube(n_points, seed):
+def _latin_hypercube(n_points, seed):
     """One uniform draw per stratum [j/N, (j+1)/N), strata in seeded-shuffled order,
     as numerators (s << 53) + (the draw's top 53 bits) over N * 2^53 for stratum s."""
-    if n_points < 1:
-        raise DomainError(f"n_points must be positive, got {n_points}")
     draws = _xorshift64star(seed)
     strata = list(range(n_points))
     for i in range(n_points - 1, 0, -1):  # Fisher-Yates
@@ -232,9 +192,9 @@ def gen_latin_hypercube(n_points, seed):
     return [(s << 53) + (u >> 11) for s, u in zip(strata, draws)]
 
 
-def gen_poisson_disk(n_points, min_distance, seed, max_attempts=10000):
+def _poisson_disk(n_points, r, seed, max_attempts):
     """1-D dart throwing: seeded 53-bit draws, as numerators over 2^53, kept iff
-    >= min_distance from all accepted ones; fails after max_attempts
+    >= r (a Fraction) from all accepted ones; fails after max_attempts
     consecutive rejections.
 
     In units of 2^-53 the spacing is a rational `gap`, and cell c holds the
@@ -243,14 +203,11 @@ def gen_poisson_disk(n_points, min_distance, seed, max_attempts=10000):
     gap > 0); a conflicting one is under gap < w + 1 away, so in cell c-1, c
     or c+1.  Every decision, and so every message, is the all-pairs rule's.
     """
-    if n_points < 1:
-        raise DomainError(f"n_points must be positive, got {n_points}")
     if not 1 <= max_attempts <= MAX_ATTEMPTS:
         raise DomainError(f"max_attempts must be in 1..{MAX_ATTEMPTS}, got {max_attempts}")
-    r = Fraction(min_distance)
     if r < 0 or r * (n_points - 1) >= 1:
         raise GenerationError(
-            f"min distance {min_distance} cannot fit {n_points} points in the unit interval"
+            f"min distance {r} cannot fit {n_points} points in the unit interval"
         )
     # |u - p| >= r  <=>  |mu - mp| * rd >= rn * 2^53, with gap = rn * 2^53 / rd
     gap_num, gap_den = r.numerator << 53, r.denominator
@@ -278,7 +235,7 @@ def gen_poisson_disk(n_points, min_distance, seed, max_attempts=10000):
             )
 
 
-def gen_lfsr(taps, seed, count, bits=LFSR_DEFAULT_BITS):
+def _lfsr(taps, seed, count, bits):
     """Fibonacci LFSR state sequence starting at the seed state.
 
     Mask bit k means state bit k feeds the new top bit; the register shifts
@@ -293,8 +250,6 @@ def gen_lfsr(taps, seed, count, bits=LFSR_DEFAULT_BITS):
         raise ConfigurationError(f"seed {seed} out of range for {bits}-bit register")
     if not 0 < taps < (1 << bits):
         raise ConfigurationError(f"taps mask {taps:#x} out of range for {bits}-bit register")
-    if count < 1:
-        raise DomainError(f"count must be positive, got {count}")
     out = np.empty(count, dtype=np.int64)
     state = seed
     for i in range(count):
@@ -474,8 +429,11 @@ def _weyl_products(spec, start, count):
         a = (alpha.numerator % alpha.denominator << 64) // alpha.denominator  # of frac(alpha)
         if not a:  # every value would be 0
             raise ConfigurationError(f"irrational constant {raw} has no fractional part in 64 bits")
-    with np.errstate(over="ignore"):
-        return np.arange(start, start + count, dtype=np.uint64) * np.uint64(a)  # wraps mod 2^64
+    # i * a mod 2^64 depends only on i mod 2^64, so the run wraps there too
+    idx = np.arange(count, dtype=np.uint64)
+    idx += np.uint64(start & _M64)
+    idx *= np.uint64(a)
+    return idx
 
 
 def _fraction(raw, key):
@@ -495,8 +453,11 @@ def _fraction(raw, key):
 def sequence_numerators(spec, count, start=0):
     """(numerators, denominator): the values at indices start.. of the described
     sequence as one integer array (int64, uint64 or, past int64, object) over a
-    common denominator.  Every family's dispatch lives here."""
+    common denominator.  Every family's dispatch, and the one check of the run,
+    live here."""
     fam = spec.family
+    if count < 1:
+        raise DomainError(f"count must be positive, got {count}")
     if start < 0:
         raise DomainError(f"index must be non-negative, got {start}")
     if fam in ("vdc", "halton", "hammersley", "faure"):
@@ -507,19 +468,34 @@ def sequence_numerators(spec, count, start=0):
         cfg = P2lsgConfig(base=spec.get("base"), counter_bits=spec.get("bits"))
         return p2lsg_sequence(cfg, count, start), cfg.period
     end = start + count
-    if fam in ("sobol", "niederreiter", "lfsr"):  # n-bit integers
-        n = spec.get("bits")
+    if fam in ("sobol", "niederreiter"):  # n-bit images of the index bits under a GF(2) matrix
+        n, dim = spec.get("bits"), spec.get("dim")
         if fam == "sobol":
-            return gen_sobol(sobol_direction_vectors(spec.get("dim"), n), count, start), 1 << n
-        if fam == "niederreiter":  # from index skip + start; a negative skip is rejected there
+            if not 1 <= n <= 62:
+                raise ConfigurationError(f"bits must be in 1..62, got {n}")
+            first, period, rows = start, n, _sobol_rows(dim, n)
+        else:  # dimension 0 (polynomial x) is bit reversal; `skip` drops a warm-up block
+            if not 1 <= n <= 32:
+                raise ConfigurationError(f"precision_bits must be in 1..32, got {n}")
             skip = spec.get("skip")
-            return gen_niederreiter(spec.get("dim"), count, n, skip + start * (skip >= 0)), 1 << n
-        return gen_lfsr(spec.get("taps"), spec.get("seed"), end, n)[start:], 1 << n
+            if skip < 0:
+                raise DomainError(f"skip must be non-negative, got {skip}")
+            first, period = skip + start, 63  # the index bits, and so the rows, fit in 63
+        if first + count > 1 << period:
+            raise DomainError(f"index {start} + count {count} exceeds the 2^{n} period"
+                              if fam == "sobol" else
+                              f"skip + count must be at most 2^63, got {first + count}")
+        if fam == "niederreiter":
+            rows = _niederreiter_rows(dim, max(n, (first + count - 1).bit_length()))
+        return _floor_scaled(gf2_outputs(rows, first, count), 1 << len(rows), n), 1 << n
+    if fam == "lfsr":
+        n = spec.get("bits")
+        return _lfsr(spec.get("taps"), spec.get("seed"), end, n)[start:], 1 << n
     if fam == "latin_hypercube":  # its end * 2^53 passes int64 past 2^10 points
-        return np.array(gen_latin_hypercube(end, spec.get("seed"))[start:], object), end << 53
+        return np.array(_latin_hypercube(end, spec.get("seed"))[start:], object), end << 53
     r = spec.get("min_distance")
     r = Fraction(1, 4 * end) if r is None else _fraction(r, "min_distance")
-    draws = gen_poisson_disk(end, r, spec.get("seed"), spec.get("max_attempts"))
+    draws = _poisson_disk(end, r, spec.get("seed"), spec.get("max_attempts"))
     return np.array(draws[start:], np.int64), 1 << 53
 
 
@@ -611,7 +587,9 @@ def _floor_scaled(num, den, bits):
     remainder stays below 2^63."""
     if den & (den - 1) == 0:
         shift = den.bit_length() - 1 - bits
-        return (num >> shift if shift >= 0 else num << -shift).astype(np.int64)
+        if shift:  # an int64 run over 2^bits is returned as it is, not copied
+            num = num >> shift if shift > 0 else num << -shift
+        return num.astype(np.int64, copy=False)
     step = max(1, 63 - den.bit_length())
     out = np.zeros(num.size, dtype=num.dtype)
     for done in range(0, bits, step):

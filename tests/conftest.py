@@ -3,12 +3,15 @@
 The stream oracles work on plain Python lists of 0/1 ints so the packed-word
 kernels in the package are checked against an independent route.  The
 sequence oracles compute one value at a time in Python integers, one per
-family whose only route in the package is `sequence_numerators`:
+family, whose only route in the package is `sequence_numerators`:
 `radical_inverse` for vdc, halton and hammersley, and with the literal
 `pascal_matrix_oracle` for faure; `digit_oracle` for p2lsg; `weyl_oracle` with
-the `FIXED64` constants for weyl and r2; `poisson_disk_oracle`, the all-pairs
-rule, for poisson_disk.  `fractions` reads the package's values as exact
-rationals to compare against them.
+the `FIXED64` constants for weyl and r2; `sobol_oracle`, an XOR of direction
+numbers from the Bratley-Fox recurrence, for sobol; `niederreiter_oracle`,
+parities under the Laurent-series rows of `niederreiter_rows_oracle`, for
+niederreiter; `lfsr_oracle`, a bit-list register, for lfsr;
+`poisson_disk_oracle`, the all-pairs rule, for poisson_disk.  `fractions`
+reads the package's values as exact rationals to compare against them.
 """
 
 import math
@@ -20,7 +23,7 @@ from functools import lru_cache
 import pytest
 
 from sclab.bitstream import Bitstream
-from sclab.sequences import SequenceSpec, _xorshift64star, sequence_numerators
+from sclab.sequences import _JOE_KUO, SequenceSpec, _xorshift64star, sequence_numerators
 
 
 def naive_bits(stream):
@@ -134,6 +137,98 @@ def weyl_oracle(alpha64, index):
     return Fraction(index * alpha64 % 2**64, 2**64)
 
 
+@lru_cache(maxsize=None)
+def sobol_direction_numbers(dim, bits):
+    """V_1..V_bits of a Sobol dimension as bits-bit integers, m_k << (bits - k),
+    for the Bratley-Fox integers m_k = 2 a_1 m_{k-1} ^ 4 a_2 m_{k-2} ^ ...
+    ^ 2^s m_{k-s} ^ m_{k-s} from the Joe-Kuo (s, a, m_1..m_s); dimension 1 has
+    every m_k = 1."""
+    if dim == 1:
+        m = [1] * bits
+    else:
+        s, a, m = _JOE_KUO[dim]
+        m = list(m)
+        for k in range(s, bits):  # m[k] is m_{k+1}
+            new = m[k - s] ^ (m[k - s] << s)
+            for t in range(1, s):  # a_t is bit s-1-t of a
+                if a >> (s - 1 - t) & 1:
+                    new ^= m[k - t] << t
+            m.append(new)
+    return tuple(m[k] << (bits - 1 - k) for k in range(bits))
+
+
+def sobol_oracle(dim, bits, index):
+    """The bits-bit Sobol value at `index`: the XOR of V_{j+1} over the set bits j."""
+    out = 0
+    for j, v in enumerate(sobol_direction_numbers(dim, bits)):
+        if (index >> j) & 1:
+            out ^= v
+    return out
+
+
+# the irreducible polynomials over GF(2) of dimensions 0..7 as bitmasks:
+# x, x+1, x^2+x+1, x^3+x+1, x^3+x^2+1, x^4+x+1, x^4+x^3+1, x^4+x^3+x^2+x+1
+NIEDERREITER_POLYS = (0b10, 0b11, 0b111, 0b1011, 0b1101, 0b10011, 0b11001, 0b11111)
+
+
+def gf2_poly_mul(a, b):
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a, b = a << 1, b >> 1
+    return out
+
+
+def gf2_poly_quotient(num, den):
+    """Quotient of GF(2) polynomial long division, highest term first."""
+    quot = 0
+    while num.bit_length() >= den.bit_length():
+        shift = num.bit_length() - den.bit_length()
+        quot |= 1 << shift
+        num ^= den << shift
+    return quot
+
+
+@lru_cache(maxsize=None)
+def niederreiter_rows_oracle(dimension, bits):
+    """Row j (from 0) holds the Laurent coefficients of x^(e-1-u) / p(x)^(Q+1),
+    j = Q*e + u: bit r is the coefficient of x^-(r+1), read as the coefficient of
+    x^(bits-1-r) in the polynomial quotient of x^(e-1-u+bits) by p(x)^(Q+1)."""
+    poly = NIEDERREITER_POLYS[dimension]
+    e = poly.bit_length() - 1
+    rows = []
+    for j in range(bits):
+        q, u = divmod(j, e)
+        power = 1
+        for _ in range(q + 1):
+            power = gf2_poly_mul(power, poly)
+        quot = gf2_poly_quotient(1 << (e - 1 - u + bits), power)
+        rows.append(sum((quot >> (bits - 1 - r) & 1) << r for r in range(bits)))
+    return tuple(rows)
+
+
+def niederreiter_oracle(dim, bits, index):
+    """The bits-bit Niederreiter value at `index` (below 2^63): output bit
+    bits-1-j is the parity of the index under the 63-column row j."""
+    rows = niederreiter_rows_oracle(dim, 63)[:bits]
+    return sum((bin(index & row).count("1") & 1) << (bits - 1 - j) for j, row in enumerate(rows))
+
+
+def lfsr_oracle(taps, seed, count, bits=8):
+    """Independent bit-list simulation of the Fibonacci register."""
+    state = [int(b) for b in f"{seed:0{bits}b}"[::-1]]  # state[k] = bit k
+    out = []
+    for _ in range(count):
+        out.append(sum(b << k for k, b in enumerate(state)))
+        new = 0
+        for k in range(bits):
+            if (taps >> k) & 1:
+                new ^= state[k]
+        state = state[1:] + [new]
+    return out
+
+
 def poisson_disk_oracle(n_points, min_distance, seed, max_attempts=10000):
     """Dart throwing by its definition: each xorshift64* draw's top 53 bits, as
     a fraction of 1, is kept iff it lies at least min_distance from every point
@@ -157,13 +252,19 @@ def poisson_disk_oracle(n_points, min_distance, seed, max_attempts=10000):
                 return len(kept)
 
 
-def fractions(spec, count, start=0):
-    """`count` exact values of a spec (or spec text) from index `start`, read
-    through the package's one route."""
+def numerators(spec, count, start=0):
+    """`count` numerators of a spec (or spec text) from index `start`, as Python
+    ints, and their denominator, read through the package's one route."""
     if isinstance(spec, str):
         spec = SequenceSpec.parse(spec)
     num, den = sequence_numerators(spec, count, start)
-    return [Fraction(v, den) for v in num.tolist()]
+    return num.tolist(), den
+
+
+def fractions(spec, count, start=0):
+    """`count` exact values of a spec (or spec text) from index `start`."""
+    num, den = numerators(spec, count, start)
+    return [Fraction(v, den) for v in num]
 
 
 def random_bit_list(rng, length):

@@ -44,7 +44,7 @@ from sclab.p2lsg import (
     p2lsg_parallel,
     p2lsg_sequence,
 )
-from sclab.sequences import default_pair, gen_sobol, sobol_direction_vectors
+from sclab.sequences import SequenceSpec, default_pair, sequence_numerators
 
 MUL_LENGTHS = tuple(1 << e for e in range(6, 17))
 ADD_LENGTHS = tuple(1 << e for e in range(2, 10))
@@ -123,7 +123,7 @@ def test_criterion_3_other_family_rows():
                     f"{family} 2^{n.bit_length()-1}: got {float(mae):.6f}, "
                     f"want {tok} +/- {float(tol):.6f}"
                 )
-    dim1 = gen_sobol(sobol_direction_vectors(1, 16), 1 << 16)
+    dim1, _ = sequence_numerators(SequenceSpec.parse("sobol:dim=1,bits=16"), 1 << 16)
     p2 = p2lsg_sequence(P2lsgConfig(2, 16), 1 << 16)
     if not np.array_equal(dim1, p2):
         failures.append("dimension-1 sobol stream differs from the base-2 generator")

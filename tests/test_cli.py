@@ -11,21 +11,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXED64, digit_oracle, poisson_disk_oracle, radical_inverse, weyl_oracle
+from conftest import (
+    FIXED64,
+    digit_oracle,
+    fractions,
+    lfsr_oracle,
+    niederreiter_oracle,
+    poisson_disk_oracle,
+    radical_inverse,
+    sobol_oracle,
+    weyl_oracle,
+)
 from sclab import cli, media
 from sclab.cli import _lines, main
 from sclab.media import AlphaMap, GrayImage, RgbImage, merge_scene_sc, scale_image_sc
 from sclab.pnm import read_pnm_file, write_pnm_file
-from sclab.sequences import (
-    _REGISTRY,
-    FAMILIES,
-    SequenceSpec,
-    gen_latin_hypercube,
-    gen_lfsr,
-    gen_niederreiter,
-    gen_sobol,
-    sobol_direction_vectors,
-)
+from sclab.sequences import _REGISTRY, FAMILIES, SequenceSpec
 
 
 def run(capsys, *argv):
@@ -77,8 +78,7 @@ def hammersley_pair(i):
 
 
 # gen flags, and the values at indices 0..end-1 from the test oracles or, for
-# the families whose only route is their generator, from that generator (its
-# numerators over the family's documented denominator)
+# latin_hypercube, which has none, from sequence_numerators' run from index 0
 GEN_ORACLES = {
     "vdc": (["--family", "vdc", "--base", "3"],
             lambda end: [radical_inverse(3, i) for i in range(end)]),
@@ -95,16 +95,18 @@ GEN_ORACLES = {
     "r2": (["--family", "r2", "--dim", "1"],
            lambda end: [weyl_oracle(FIXED64["r2:dim=1"], i) for i in range(end)]),
     "sobol": (["--family", "sobol", "--dim", "2", "--bits", "10"],
-              lambda end: _scaled(gen_sobol(sobol_direction_vectors(2, 10), end), 10)),
+              lambda end: _scaled([sobol_oracle(2, 10, i) for i in range(end)], 10)),
     "niederreiter": (["--family", "niederreiter", "--dim", "3", "--bits", "10", "--skip", "5"],
-                     lambda end: _scaled(gen_niederreiter(3, end, 10, skip=5), 10)),
+                     lambda end: _scaled([niederreiter_oracle(3, 10, i + 5)
+                                          for i in range(end)], 10)),
     # no --skip: the family table's skip=0
     "niederreiter-skip-0": (["--family", "niederreiter", "--dim", "2"],
-                            lambda end: _scaled(gen_niederreiter(2, end, 8, skip=0), 8)),
+                            lambda end: _scaled([niederreiter_oracle(2, 8, i)
+                                                 for i in range(end)], 8)),
     "lfsr": (["--family", "lfsr", "--seed", "7"],
-             lambda end: _scaled(gen_lfsr(0x71, 7, end), 8)),
+             lambda end: _scaled(lfsr_oracle(0x71, 7, end), 8)),
     "latin_hypercube": (["--family", "latin_hypercube", "--seed", "4"],
-                        lambda end: [Fraction(v, end << 53) for v in gen_latin_hypercube(end, 4)]),
+                        lambda end: fractions("latin_hypercube:seed=4", end)),
     "poisson_disk": (["--family", "poisson_disk", "--seed", "2"],
                      lambda end: poisson_disk_oracle(end, Fraction(1, 4 * end), 2)),
 }

@@ -12,11 +12,18 @@ from hypothesis import strategies as st
 
 from conftest import (
     FIXED64,
+    NIEDERREITER_POLYS,
     digit_oracle,
     fractions,
+    lfsr_oracle,
+    niederreiter_oracle,
+    niederreiter_rows_oracle,
+    numerators,
     pascal_matrix_oracle,
     poisson_disk_oracle,
     radical_inverse,
+    sobol_direction_numbers,
+    sobol_oracle,
     weyl_oracle,
 )
 from sclab.errors import ConfigurationError, DomainError, GenerationError
@@ -29,16 +36,10 @@ from sclab.sequences import (
     _is_prime,
     _xorshift64star,
     default_pair,
-    gen_latin_hypercube,
-    gen_lfsr,
-    gen_niederreiter,
-    gen_poisson_disk,
-    gen_sobol,
     parse_spec_pair,
     resolve_spec,
     sequence_numerators,
     sequence_thresholds,
-    sobol_direction_vectors,
 )
 
 
@@ -98,6 +99,18 @@ class TestWeyl:
         for start in (0, (1 << 24) - 1000):
             want = [weyl_oracle(FIXED64[text], i) for i in range(start, start + 1000)]
             assert fractions(text, 1000, start) == want
+
+    @pytest.mark.parametrize("text", ["weyl:irrational=pi", "weyl:irrational=silver", "r2:dim=1"])
+    def test_indices_past_2_to_the_64_wrap(self, text):
+        # i * alpha mod 2^64 depends only on i mod 2^64
+        for k in (0, 5, 12345):
+            for wraps in (1, 64):  # from 2^64 + k and 2^70 + k
+                assert numerators(text, 300, (wraps << 64) + k) == numerators(text, 300, k)
+        edge = 1 << 64
+        across, _ = numerators(text, 300, edge - 100)
+        assert across == numerators(text, 100, edge - 100)[0] + numerators(text, 200, edge)[0]
+        assert fractions(text, 300, edge - 100) == [
+            weyl_oracle(FIXED64[text], i) for i in range(edge - 100, edge + 200)]
 
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ConfigurationError):
@@ -208,47 +221,42 @@ class TestFaure:
         with pytest.raises(ConfigurationError):
             fractions("faure:prime=8,dim=0", 1, 1)
 
-def sobol_direct_oracle(dva, index):
-    """XOR of direction numbers over the set bits of the index."""
-    out = 0
-    for j, v in enumerate(dva):
-        if (index >> j) & 1:
-            out ^= v
-    return out
+def sobol_values(dim, bits, count):
+    return numerators(f"sobol:dim={dim},bits={bits}", count)[0]
 
 
 class TestSobol:
     def test_dimension1_equals_bit_reversal(self):
-        dva = sobol_direction_vectors(1, 8)
-        got = gen_sobol(dva, 4)
-        assert list(got) == [0, 128, 64, 192]
+        assert sobol_values(1, 8, 4) == [0, 128, 64, 192]
         p2 = p2lsg_sequence(P2lsgConfig(2, 8), 256)
-        assert np.array_equal(gen_sobol(dva, 256), p2)
+        assert sobol_values(1, 8, 256) == p2.tolist()
 
     def test_single_element(self):
-        assert list(gen_sobol(sobol_direction_vectors(1, 8), 1)) == [0]
+        assert sobol_values(1, 8, 1) == [0]
+
+    def test_direction_number_oracle_dimension2(self):
+        # x + 1 with m_1 = 1: the published m_k = 1, 3, 5, 15, 17, 51, 85, 255
+        dva = sobol_direction_numbers(2, 8)
+        assert [v >> (8 - k) for k, v in enumerate(dva, 1)] == [1, 3, 5, 15, 17, 51, 85, 255]
 
     def test_dimension2_against_direct_oracle(self):
-        dva = sobol_direction_vectors(2, 8)
-        got = gen_sobol(dva, 64)
-        assert list(got[:4]) == [0, 128, 192, 64]
-        for i in range(64):
-            assert got[i] == sobol_direct_oracle(dva, i)
+        got = sobol_values(2, 8, 64)
+        assert got[:4] == [0, 128, 192, 64]
+        assert got == [sobol_oracle(2, 8, i) for i in range(64)]
 
-    def test_empty_dva_rejected(self):
-        with pytest.raises(ConfigurationError):
-            gen_sobol([], 4)
+    @pytest.mark.parametrize("dim", [0, 11])
+    def test_dimension_without_direction_numbers_rejected(self, dim):
+        message = f"no direction numbers for sobol dimension {dim} "
+        with pytest.raises(ConfigurationError, match=message):
+            sobol_values(dim, 8, 4)
 
     def test_all_dimensions_against_direct_oracle(self):
         for dim in range(1, 11):
-            dva = sobol_direction_vectors(dim, 12)
-            got = gen_sobol(dva, 1000).tolist()
-            assert got == [sobol_direct_oracle(dva, i) for i in range(1000)]
+            assert sobol_values(dim, 12, 1000) == [sobol_oracle(dim, 12, i) for i in range(1000)]
 
     def test_full_period_permutation(self):
         for dim in (1, 2, 3):
-            vals = gen_sobol(sobol_direction_vectors(dim, 8), 256)
-            assert np.array_equal(np.sort(vals), np.arange(256))
+            assert sorted(sobol_values(dim, 8, 256)) == list(range(256))
 
 
 def pascal_mod2_matrix(size):
@@ -258,53 +266,16 @@ def pascal_mod2_matrix(size):
     ]
 
 
-# the irreducible polynomials over GF(2) of dimensions 0..7 as bitmasks:
-# x, x+1, x^2+x+1, x^3+x+1, x^3+x^2+1, x^4+x+1, x^4+x^3+1, x^4+x^3+x^2+x+1
-NIEDERREITER_POLYS = (0b10, 0b11, 0b111, 0b1011, 0b1101, 0b10011, 0b11001, 0b11111)
-
-
-def gf2_poly_mul(a, b):
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a, b = a << 1, b >> 1
-    return out
-
-
-def gf2_poly_quotient(num, den):
-    """Quotient of GF(2) polynomial long division, highest term first."""
-    quot = 0
-    while num.bit_length() >= den.bit_length():
-        shift = num.bit_length() - den.bit_length()
-        quot |= 1 << shift
-        num ^= den << shift
-    return quot
-
-
-def niederreiter_rows_oracle(dimension, bits):
-    """Row j (from 0) holds the Laurent coefficients of x^(e-1-u) / p(x)^(Q+1),
-    j = Q*e + u: bit r is the coefficient of x^-(r+1), read as the coefficient of
-    x^(bits-1-r) in the polynomial quotient of x^(e-1-u+bits) by p(x)^(Q+1)."""
-    poly = NIEDERREITER_POLYS[dimension]
-    e = poly.bit_length() - 1
-    rows = []
-    for j in range(bits):
-        q, u = divmod(j, e)
-        power = 1
-        for _ in range(q + 1):
-            power = gf2_poly_mul(power, poly)
-        quot = gf2_poly_quotient(1 << (e - 1 - u + bits), power)
-        rows.append(sum((quot >> (bits - 1 - r) & 1) << r for r in range(bits)))
-    return rows
+def niederreiter_values(text, count):
+    return numerators(f"niederreiter:{text}", count)[0]
 
 
 class TestNiederreiter:
     def test_dimension0_is_bit_reversal(self):
-        assert list(gen_niederreiter(0, 4, 8)) == [0, 128, 64, 192]
+        assert niederreiter_values("dim=0,bits=8", 4) == [0, 128, 64, 192]
 
     def test_single(self):
-        assert list(gen_niederreiter(0, 1, 8)) == [0]
+        assert niederreiter_values("dim=0,bits=8", 1) == [0]
 
     def test_dimension1_matrix_is_pascal_mod2(self):
         # brute-force GF(2) oracle: polynomial x+1 must give binomial rows
@@ -334,37 +305,37 @@ class TestNiederreiter:
                     x |= 1 << (7 - j)
             want.append(x)
         assert want == [0, 128, 192, 64]
-        assert list(gen_niederreiter(1, 4, 8)) == want
+        assert niederreiter_values("dim=1,bits=8", 4) == want
 
     def test_unsupported_dimension(self):
         with pytest.raises(ConfigurationError):
-            gen_niederreiter(99, 4, 8)
+            niederreiter_values("dim=99,bits=8", 4)
 
     def test_full_period_permutation_low_dims(self):
         for dim in (0, 1):
-            vals = gen_niederreiter(dim, 256, 8)
-            assert np.array_equal(np.sort(vals), np.arange(256))
+            assert sorted(niederreiter_values(f"dim={dim},bits=8", 256)) == list(range(256))
 
     def test_indices_past_63_bits_rejected(self):
-        assert gen_niederreiter(2, 1, 8, skip=(1 << 63) - 1).size == 1
+        assert len(niederreiter_values(f"dim=2,bits=8,skip={(1 << 63) - 1}", 1)) == 1
         with pytest.raises(DomainError, match="2\\^63"):
-            gen_niederreiter(2, 2, 8, skip=(1 << 63) - 1)
+            niederreiter_values(f"dim=2,bits=8,skip={(1 << 63) - 1}", 2)
 
     def test_skip_drops_prefix(self):
-        base = gen_niederreiter(2, 64, 8)
-        skipped = gen_niederreiter(2, 32, 8, skip=32)
-        assert np.array_equal(base[32:], skipped)
+        base = niederreiter_values("dim=2,bits=8", 64)
+        skipped = niederreiter_values("dim=2,bits=8,skip=32", 32)
+        assert base[32:] == skipped
 
 
 def latin_values(n_points, seed):
-    """gen_latin_hypercube's numerators over their denominator N * 2^53."""
-    return [Fraction(v, n_points << 53) for v in gen_latin_hypercube(n_points, seed)]
+    """The first n_points latin_hypercube values: numerators over N * 2^53."""
+    return fractions(f"latin_hypercube:seed={seed}", n_points)
 
 
 def poisson_values(n_points, min_distance, seed, max_attempts=10000):
-    """gen_poisson_disk's numerators over their denominator 2^53."""
-    return [Fraction(v, 1 << 53)
-            for v in gen_poisson_disk(n_points, min_distance, seed, max_attempts)]
+    """The first n_points poisson_disk values: numerators over 2^53."""
+    spec = SequenceSpec("poisson_disk", (("seed", seed), ("min_distance", str(min_distance)),
+                                         ("max_attempts", max_attempts)))
+    return fractions(spec, n_points)
 
 
 class TestLatinHypercube:
@@ -393,10 +364,10 @@ class TestLatinHypercube:
 
     def test_zero_points_rejected(self):
         with pytest.raises(DomainError):
-            gen_latin_hypercube(0, 1)
+            latin_values(0, 1)
 
     def test_deterministic(self):
-        assert gen_latin_hypercube(32, 7) == gen_latin_hypercube(32, 7)
+        assert numerators("latin_hypercube:seed=7", 32) == numerators("latin_hypercube:seed=7", 32)
 
 
 # spacings for the cell rule: none, below one 2^-53 unit, exact multiples of
@@ -438,11 +409,11 @@ class TestPoissonDisk:
 
     def test_infeasible_spacing(self):
         with pytest.raises(GenerationError):
-            gen_poisson_disk(30, Fraction(1, 10), 1)
+            poisson_values(30, Fraction(1, 10), 1)
 
     def test_attempts_exhausted(self):
         with pytest.raises(GenerationError):
-            gen_poisson_disk(20, Fraction(1, 21), 1, max_attempts=2)
+            poisson_values(20, Fraction(1, 21), 1, max_attempts=2)
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("spacing", _SPACINGS, ids=str)
@@ -454,7 +425,7 @@ class TestPoissonDisk:
         if isinstance(want, int):
             with pytest.raises(GenerationError, match=re.escape(
                     f"after 2000 consecutive rejections ({want}/60 points placed)")):
-                gen_poisson_disk(60, spacing, seed, 2000)
+                poisson_values(60, spacing, seed, 2000)
         else:
             assert poisson_values(60, spacing, seed, 2000) == want
 
@@ -498,42 +469,28 @@ class TestPoissonDisk:
         message = "cannot fit" if want is None else re.escape(
             f"after {attempts} consecutive rejections ({want}/{n} points placed)")
         with pytest.raises(GenerationError, match=message):
-            gen_poisson_disk(n, spacing, seed, attempts)
-
-
-def lfsr_oracle(taps, seed, count, bits=8):
-    """Independent bit-list simulation of the Fibonacci register."""
-    state = [int(b) for b in f"{seed:0{bits}b}"[::-1]]  # state[k] = bit k
-    out = []
-    for _ in range(count):
-        out.append(sum(b << k for k, b in enumerate(state)))
-        new = 0
-        for k in range(bits):
-            if (taps >> k) & 1:
-                new ^= state[k]
-        state = state[1:] + [new]
-    return out
+            poisson_values(n, spacing, seed, attempts)
 
 
 class TestLfsr:
     def test_frozen_triple_matches_hand_step(self):
         assert lfsr_oracle(0x71, 1, 3) == [1, 128, 64]
-        assert list(gen_lfsr(0x71, 1, 3)) == [1, 128, 64]
+        assert numerators("lfsr:seed=1", 3)[0] == [1, 128, 64]
 
     def test_matches_oracle_longer(self):
-        assert list(gen_lfsr(0x71, 1, 300)) == lfsr_oracle(0x71, 1, 300)
+        assert numerators("lfsr:seed=1", 300)[0] == lfsr_oracle(0x71, 1, 300)
 
     def test_maximal_period(self):
-        states = gen_lfsr(0x71, 1, 256)
-        assert len(set(states[:255].tolist())) == 255
+        states = numerators("lfsr:seed=1", 256)[0]
+        assert len(set(states[:255])) == 255
         assert states[255] == states[0]
 
     def test_never_zero(self):
-        assert not np.any(gen_lfsr(0x71, 1, 255) == 0)
+        assert 0 not in numerators("lfsr:seed=1", 255)[0]
 
     def test_zero_seed_rejected(self):
         with pytest.raises(ConfigurationError):
-            gen_lfsr(0x71, 0, 3)
+            numerators("lfsr:seed=0", 3)
 
 
 def star_discrepancy(points):
@@ -730,16 +687,16 @@ class TestThresholds:
             for bits in (1, 8, 62):
                 got = sequence_thresholds(spec, count, bits).tolist()
                 assert got == [(v.numerator << bits) // v.denominator for v in want]
-            assert fractions(spec, count - 1, start=1) == want[1:]
+            assert fractions(spec, count, start=1) == want[1:] + [oracle(count)]
 
     @pytest.mark.parametrize("text,oracle", [
         ("p2lsg:base=16,bits=8",
          lambda end: [Fraction(digit_oracle(i, 8, 16), 256) for i in range(end)]),
         ("sobol:dim=3,bits=8",
-         lambda end: [Fraction(int(v), 256) for v in gen_sobol(sobol_direction_vectors(3, 8), end)]),
+         lambda end: [Fraction(sobol_oracle(3, 8, i), 256) for i in range(end)]),
         ("niederreiter:dim=2,skip=7",
-         lambda end: [Fraction(int(v), 256) for v in gen_niederreiter(2, end, 8, skip=7)]),
-        ("lfsr:seed=5", lambda end: [Fraction(int(v), 256) for v in gen_lfsr(0x71, 5, end)]),
+         lambda end: [Fraction(niederreiter_oracle(2, 8, i + 7), 256) for i in range(end)]),
+        ("lfsr:seed=5", lambda end: [Fraction(v, 256) for v in lfsr_oracle(0x71, 5, end)]),
         ("weyl:irrational=silver",
          lambda end: [weyl_oracle(FIXED64["weyl:irrational=silver"], i) for i in range(end)]),
         ("r2:dim=1", lambda end: [weyl_oracle(FIXED64["r2:dim=1"], i) for i in range(end)]),
@@ -761,6 +718,21 @@ class TestThresholds:
         for text in ("p2lsg:base=2,bits=8", "vdc:base=2", "weyl", "sobol:dim=2,bits=8"):
             with pytest.raises(DomainError, match="non-negative"):
                 sequence_numerators(SequenceSpec.parse(text), 4, start=-1)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("count, start, message", [
+        (0, 0, "count must be positive, got 0"),
+        (-3, 0, "count must be positive, got -3"),
+        (4, -1, "index must be non-negative, got -1"),
+    ])
+    def test_one_run_check_for_every_family(self, family, count, start, message):
+        # the default pairs' first specs; poisson_disk's, without min_distance,
+        # would space its points 1/(4 * (start + count))
+        spec = default_pair(family)[0]
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            sequence_numerators(spec, count, start)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            sequence_thresholds(spec, count, 8, start)
 
     def test_faure_negative_dimension_rejected(self):
         with pytest.raises(ConfigurationError, match="dimension"):
@@ -811,7 +783,7 @@ class TestRandomAccess:
         ("faure:prime=7,dim=1", lambda i: radical_inverse(7, i, 1), (2400, 2401), 2500),
         ("faure:prime=5,dim=3", lambda i: radical_inverse(5, i, 3), (624, 625), 700),
         ("sobol:dim=3,bits=24",
-         lambda i: Fraction(sobol_direct_oracle(sobol_direction_vectors(3, 24), i), 1 << 24),
+         lambda i: Fraction(sobol_oracle(3, 24, i), 1 << 24),
          (255, 256, 65535, 65536), 1000),
         ("p2lsg:base=16,bits=24", lambda i: Fraction(digit_oracle(i, 24, 16), 1 << 24),
          (255, 256, 65535, 65536), 1000),
@@ -902,14 +874,14 @@ class TestRandomAccess:
     def test_sobol_and_niederreiter_from_deep_in_the_period(self):
         # from index 0 these runs would take 2^40 values
         start = (1 << 40) - 3
-        dva = sobol_direction_vectors(5, 40)
         num, den = sequence_numerators(SequenceSpec.parse("sobol:dim=5,bits=40"), 3, start)
         assert den == 1 << 40
-        assert num.tolist() == [sobol_direct_oracle(dva, i) for i in range(start, start + 3)]
+        assert num.tolist() == [sobol_oracle(5, 40, i) for i in range(start, start + 3)]
         # 32 of the 40 bits the indices need, through the Laurent-series rows
         rows = [row & ((1 << 40) - 1) for row in niederreiter_rows_oracle(4, 63)[:40]]
         want = [sum((bin(i & row).count("1") & 1) << (39 - j) for j, row in enumerate(rows)) >> 8
                 for i in range(start, start + 3)]
+        assert want == [niederreiter_oracle(4, 32, i) for i in range(start, start + 3)]
         num, den = sequence_numerators(SequenceSpec.parse("niederreiter:dim=4,bits=32"), 3, start)
         assert den == 1 << 32 and num.tolist() == want
 
@@ -925,10 +897,13 @@ class TestRandomAccess:
             sequence_numerators(spec, 7, 250)
 
 
-# the scalar generators that duplicated sequence_numerators' route, and the
-# seeded families' former generator class
+# the scalar generators that duplicated sequence_numerators' route, the
+# seeded families' former generator class, and the per-family generator
+# functions beside sequence_numerators
 REMOVED_NAMES = ("gen_vdc", "gen_halton", "gen_hammersley_pair", "gen_faure", "_faure_digits",
-                 "gen_weyl", "gen_r2", "sequence_fractions", "group_reverse", "Xorshift64Star")
+                 "gen_weyl", "gen_r2", "sequence_fractions", "group_reverse", "Xorshift64Star",
+                 "gen_sobol", "sobol_direction_vectors", "gen_niederreiter", "gen_lfsr",
+                 "gen_latin_hypercube", "gen_poisson_disk")
 
 
 def test_readme_library_sketch_runs_as_written(capsys):
