@@ -3,9 +3,10 @@
 # the repository root.  It installs the package and runs README's first
 # example, then twelve large `gen` runs whose stdout must keep its recorded
 # SHA-256, then README's streams example against the installed package (not
-# ./src), then an RGB `scale`, a chroma-keyed `merge` and a matted `merge` at
-# N = 64 (one all-0/255 row block, whose pixel table is not the identity
-# there) whose output bytes keep theirs.
+# ./src) with every numerator encoded twice over one array, then an RGB
+# `scale`, a chroma-keyed `merge` and a matted `merge` at N = 64 (one
+# all-0/255 row block, whose pixel table is not the identity there) whose
+# output bytes keep theirs.
 set -eo pipefail
 python -m pip install .
 out="$(sclab gen --family vdc --base 3 --count 1 --index 11)"
@@ -52,6 +53,13 @@ x = sclab.sng_generate(sclab.FixedUnipolar(64, 8), ra)
 y = sclab.sng_generate(sclab.FixedUnipolar(128, 8), rb)
 assert sclab.decode_unipolar(sclab.mul_unipolar(x, y)) == Fraction(1, 8)
 assert sclab.scc(x, y) == Fraction(0)
+# every numerator twice over one array: the second round reads the
+# encoder cache's table, and each stream must be the comparator's
+import numpy as np
+for _ in range(2):
+    for k in range(256):
+        want = sclab.Bitstream.from_bools(np.asarray(ra) < k)
+        assert sclab.sng_generate(sclab.FixedUnipolar(k, 8), ra) == want, k
 EOF
 python - <<'EOF'
 # media inputs from np.arange patterns, the same bytes on every numpy

@@ -38,6 +38,7 @@ from .sequences import (
     MAX_LENGTH,
     SequenceSpec,
     _fraction,
+    _is_prime,
     default_pair,
     parse_spec_pair,
     sequence_numerators,
@@ -202,10 +203,38 @@ def _value_fields(num, den):
         exp = k - zeros
         d = _POW2_TEXT[:, : len(str(den))][exp]
         return [_digits(num >> zeros), _byte(b"/", exp != 0), (d, d != 0)]
-    g = np.gcd(num, den)
-    d = den // g
+    root = _prime_root(den)
+    if root:
+        num, d = _strip_prime(num, *root)
+    else:
+        g = np.gcd(num, den)
+        num, d = num // g, den // g
     chars, mask = _digits(d)
-    return [_digits(num // g), _byte(b"/", d != 1), (chars, mask & (d != 1)[:, None])]
+    return [_digits(num), _byte(b"/", d != 1), (chars, mask & (d != 1)[:, None])]
+
+
+def _prime_root(den):
+    """(p, L) when den = p^L for a prime p, else None."""
+    for width in range(den.bit_length() - 1, 0, -1):
+        p = den if width == 1 else round(den ** (1 / width))
+        if p**width == den and _is_prime(p):
+            return p, width
+    return None
+
+
+def _strip_prime(num, p, width):
+    """(n // g, p^width // g) for each n and g = gcd(n, p^width), p prime: g is
+    p to the number of trailing zero base-p digits of n (all `width` for 0), so
+    only the multiples of p are divided, each once per trailing zero."""
+    out, den = num.copy(), np.full(num.shape, p**width, num.dtype)
+    at, rest = np.arange(num.size), num
+    for _ in range(width):
+        q = rest // p
+        hit = rest == q * p
+        at, rest = at[hit], q[hit]
+        out[at] = rest
+        den[at] //= p
+    return out, den
 
 
 def _digits(v):

@@ -2,7 +2,9 @@
 
 These are circuits, not validators: correlation preconditions (uncorrelated
 inputs for multiplication, shared-sequence inputs for minimum) are the
-caller's responsibility.
+caller's responsibility.  Only `mul_bipolar`'s outer `~` can set pad bits, so
+it alone masks them; every other result is an AND or select of zero-padded
+words.
 """
 
 from .bitstream import Bitstream
@@ -17,10 +19,20 @@ def _check_lengths(*streams):
     return n
 
 
+def _select(a, b, sel):
+    """Words of a where sel is 0 and of b where it is 1: a ^ ((a ^ b) & sel)."""
+    out = a ^ b
+    out &= sel
+    out ^= a
+    return out
+
+
 def mul_unipolar(s1, s2):
     """Unipolar product: bitwise AND."""
-    n = _check_lengths(s1, s2)
-    return Bitstream._adopt(s1.words & s2.words, n)
+    n = s1.length
+    if s2.length != n:
+        _check_lengths(s1, s2)
+    return Bitstream._wrap(s1.words & s2.words, n)
 
 
 def mul_bipolar(s1, s2):
@@ -36,24 +48,23 @@ def min_correlated(s1, s2):
 
 def mux2(s1, s2, select):
     """Scaled addition MUX: bit i routes s1 on select 0, s2 on select 1."""
-    n = _check_lengths(s1, s2, select)
-    return Bitstream._adopt((s1.words & ~select.words) | (s2.words & select.words), n)
+    n = s1.length
+    if not s2.length == select.length == n:
+        _check_lengths(s1, s2, select)
+    return Bitstream._wrap(_select(s1.words, s2.words, select.words), n)
 
 
 def mux2_sub(s1, s2, select):
     """Scaled subtraction: MUX with one inverter on the second input."""
-    n = _check_lengths(s1, s2, select)
-    return Bitstream._adopt((s1.words & ~select.words) | (~s2.words & select.words), n)
+    n = s1.length
+    if not s2.length == select.length == n:
+        _check_lengths(s1, s2, select)
+    return Bitstream._wrap(_select(s1.words, ~s2.words, select.words), n)
 
 
 def mux4(i11, i12, i21, i22, sel_u, sel_v):
     """4-to-1 MUX: (sel_u, sel_v) = (0,0)/(0,1)/(1,0)/(1,1) routes i11/i12/i21/i22."""
     n = _check_lengths(i11, i12, i21, i22, sel_u, sel_v)
-    u, v = sel_u.words, sel_v.words
-    words = (
-        (i11.words & ~u & ~v)
-        | (i12.words & ~u & v)
-        | (i21.words & u & ~v)
-        | (i22.words & u & v)
-    )
-    return Bitstream._adopt(words, n)
+    v = sel_v.words
+    low, high = _select(i11.words, i12.words, v), _select(i21.words, i22.words, v)
+    return Bitstream._wrap(_select(low, high, sel_u.words), n)

@@ -476,7 +476,7 @@ def sequence_numerators(spec, count, start=0):
             first, period, rows = start, n, _sobol_rows(dim, n)
         else:  # dimension 0 (polynomial x) is bit reversal; `skip` drops a warm-up block
             if not 1 <= n <= 32:
-                raise ConfigurationError(f"precision_bits must be in 1..32, got {n}")
+                raise ConfigurationError(f"bits must be in 1..32, got {n}")
             skip = spec.get("skip")
             if skip < 0:
                 raise DomainError(f"skip must be non-negative, got {skip}")

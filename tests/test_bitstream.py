@@ -21,6 +21,7 @@ from sclab.bitstream import (
     sng_generate,
 )
 from sclab.errors import ConfigurationError, DomainError, GenerationError, ParseError
+from sclab.ops import mul_bipolar, mul_unipolar, mux2, mux2_sub, mux4
 from sclab.p2lsg import P2lsgConfig, p2lsg_sequence
 
 
@@ -209,6 +210,125 @@ class TestSng:
     def test_unsigned_values_past_int64_out_of_range(self):
         with pytest.raises(ConfigurationError, match=r"outside \[0, 2\^8\)"):
             sng_generate(FixedUnipolar(1, 8), np.array([0, 1 << 63], dtype=np.uint64))
+
+
+class TestEncoderCache:
+    """sng_generate's cache of threshold arrays: a hit (same id, length,
+    precision and int64 bytes) returns a table row that must equal the
+    comparator stream, and nothing else may change."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(bitstream, "_ENCODERS", {})
+
+    @staticmethod
+    def oracle(thresholds, k, length=None):
+        return Bitstream.from_bools(np.asarray(thresholds[:length], dtype=np.int64) < k)
+
+    @staticmethod
+    def tables():
+        return [entry[1] for entry in bitstream._ENCODERS.values() if entry[1] is not None]
+
+    @pytest.mark.parametrize("n", [1, 63, 65, 100, 1000, 1024])
+    def test_hits_equal_the_comparator_for_every_numerator(self, n):
+        thr = np.random.default_rng(n).integers(0, 256, n)
+        for _ in range(2):  # the first round stores the bytes, the second hits
+            for k in range(256):
+                assert sng_generate(FixedUnipolar(k, 8), thr) == self.oracle(thr, k)
+        assert len(self.tables()) == 1
+
+    @pytest.mark.parametrize("length", [1, 37, 64, 65, 200])
+    def test_length_prefixes(self, length):
+        thr = np.random.default_rng(length).integers(0, 16, 300)
+        for _ in range(2):
+            for k in range(16):
+                got = sng_generate(FixedUnipolar(k, 4), thr, length=length)
+                assert got == self.oracle(thr, k, length)
+                assert got.length == length and got.words.size == -(-length // 64)
+        assert sng_generate(FixedUnipolar(9, 4), thr) == self.oracle(thr, 9)
+
+    def test_integer_dtypes_and_objects_give_the_same_streams(self):
+        base = np.random.default_rng(7).integers(0, 128, 130)
+        inputs = [base.astype(np.int8), base.astype(np.uint16), base.astype(object), base]
+        for thr in inputs * 2:
+            for k in (0, 1, 64, 127, 255):
+                assert sng_generate(FixedUnipolar(k, 8), thr) == self.oracle(base, k)
+
+    def test_an_array_edited_in_place_is_checked_again(self):
+        thr = np.arange(100) % 256
+        for _ in range(2):
+            assert sng_generate(FixedUnipolar(50, 8), thr) == self.oracle(thr, 50)
+        thr[3] = 200
+        assert sng_generate(FixedUnipolar(50, 8), thr) == self.oracle(thr, 50)
+        assert sng_generate(FixedUnipolar(201, 8), thr) == self.oracle(thr, 201)
+        thr[5] = 256
+        with pytest.raises(ConfigurationError, match=r"outside \[0, 2\^8\)"):
+            sng_generate(FixedUnipolar(50, 8), thr)
+        thr[5] = -1
+        with pytest.raises(ConfigurationError, match=r"outside \[0, 2\^8\)"):
+            sng_generate(FixedUnipolar(50, 8), thr)
+        thr[5] = 5
+        for _ in range(2):
+            assert sng_generate(FixedUnipolar(6, 8), thr) == self.oracle(thr, 6)
+
+    def test_other_precisions_are_range_checked(self):
+        thr = np.arange(64) * 4
+        for _ in range(2):
+            sng_generate(FixedUnipolar(3, 8), thr)
+        with pytest.raises(ConfigurationError, match=r"outside \[0, 2\^6\)"):
+            sng_generate(FixedUnipolar(3, 6), thr)
+
+    def test_a_numerator_outside_the_table_takes_the_comparator(self):
+        class Wide:  # a duck-typed value whose numerator passes 2^precision_bits
+            precision_bits, numerator = 8, 300
+
+        thr = np.arange(256)
+        for _ in range(2):
+            sng_generate(FixedUnipolar(1, 8), thr)
+            assert sng_generate(Wide(), thr) == Bitstream.ones(256)
+
+    def test_a_cached_stream_is_read_only_and_outlives_its_array(self):
+        thr = np.random.default_rng(3).integers(0, 256, 100)
+        want = self.oracle(thr, 77)
+        streams = [sng_generate(FixedUnipolar(77, 8), thr) for _ in range(3)]
+        assert self.tables()
+        del thr
+        bitstream._ENCODERS.clear()
+        for s in streams:
+            assert s == want
+            assert not s.words.flags.writeable
+            with pytest.raises(ValueError):
+                s.words[0] = 0
+
+    def test_the_cache_is_bounded(self):
+        arrays = [np.full(64, i % 256) for i in range(3 * bitstream._ENCODER_ENTRIES)]
+        for thr in arrays * 2:
+            sng_generate(FixedUnipolar(5, 8), thr)
+            assert len(bitstream._ENCODERS) <= bitstream._ENCODER_ENTRIES
+        big = np.zeros(bitstream._ENCODER_WORDS, dtype=np.int64)  # its values alone fill an entry
+        for _ in range(2):
+            assert sng_generate(FixedUnipolar(1, 8), big) == Bitstream.ones(big.size)
+        assert all(key[0] != id(big) for key in bitstream._ENCODERS)
+        for table in self.tables():
+            assert table.size <= bitstream._ENCODER_WORDS
+
+    @pytest.mark.parametrize("n", [1, 5, 63, 65, 100, 130])
+    def test_circuits_keep_pad_bits_zero(self, n):
+        rng = np.random.default_rng(n)
+        s = [Bitstream.from_bools(rng.integers(0, 2, n, dtype=bool)) for _ in range(6)]
+        b = [x.bools() for x in s]
+        cases = [
+            (mul_unipolar(s[0], s[1]), b[0] & b[1]),
+            (mul_bipolar(s[0], s[1]), ~(b[0] ^ b[1])),
+            (mux2(s[0], s[1], s[2]), np.where(b[2], b[1], b[0])),
+            (mux2_sub(s[0], s[1], s[2]), np.where(b[2], ~b[1], b[0])),
+            (mux4(*s), np.where(b[4], np.where(b[5], b[3], b[2]), np.where(b[5], b[1], b[0]))),
+        ]
+        for out, want in cases:
+            assert out == Bitstream.from_bools(want)
+            if n % 64:
+                assert int(out.words[-1]) >> (n % 64) == 0
+            assert not out.words.flags.writeable
 
 
 class TestDecode:

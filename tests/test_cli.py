@@ -168,6 +168,14 @@ class TestGen:
         assert out == ""
         assert err.count("\n") == 1 and "bits must be in 1..62" in err
 
+    def test_niederreiter_bits_message_names_the_spec_key(self, capsys):
+        code, out, err = run(capsys, "gen", "--family", "niederreiter", "--bits", "40",
+                             "--count", "1")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "bits must be in 1..32, got 40" in err
+        assert "precision_bits" not in err
+
     def test_hammersley_pairs(self, capsys):
         code, out, _ = run(capsys, "gen", "--family", "hammersley", "--count", "2")
         assert code == 0
