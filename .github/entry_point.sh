@@ -4,9 +4,11 @@
 # example, then twelve large `gen` runs whose stdout must keep its recorded
 # SHA-256, then README's streams example against the installed package (not
 # ./src) with every numerator encoded twice over one array, then an RGB
-# `scale`, a chroma-keyed `merge` and a matted `merge` at N = 64 (one
-# all-0/255 row block, whose pixel table is not the identity there) whose
-# output bytes keep theirs.
+# `scale` at N = 1024, a chroma-keyed `merge` at 256 and a matted `merge` at
+# 64 (one all-0/255 row block, whose pixel table is not the identity there),
+# all on the kernels' int16 counts, and an RGB `scale` and a matted `merge` at
+# N = 2^15, the shortest stream on int32 counts, whose output bytes keep
+# theirs.
 set -eo pipefail
 python -m pip install .
 out="$(sclab gen --family vdc --base 3 --count 1 --index 11)"
@@ -92,3 +94,11 @@ test "${sum%% *}" = b7581fe867811abe94be40a586eea68f47c494ec02ea5b9a750c181baba0
 sclab merge --bg bg.ppm --fg-dir frames --alpha-dir mattes --out-dir matted --n 64
 sum="$(cat matted/f0.ppm matted/f1.ppm matted/f2.ppm | sha256sum)"
 test "${sum%% *}" = cebf761d09d9f3363899974c73b73147d98dda0594e52eec6e033ac79d2bb80d
+# N = 2^15: the largest folded count no longer fits int16, so the kernels
+# count in int32
+sclab scale --in img.ppm --out big32k.ppm --factor 3/2 --n 32768
+sum="$(sha256sum < big32k.ppm)"
+test "${sum%% *}" = 285defedb8d1b2261925a14f073c9b3b8a27f12503d134ec762ea965f99050be
+sclab merge --bg bg.ppm --fg-dir frames --alpha-dir mattes --out-dir matted32k --n 32768
+sum="$(cat matted32k/f0.ppm matted32k/f1.ppm matted32k/f2.ppm | sha256sum)"
+test "${sum%% *}" = 2ae2c880ff28c07eb2dc3b1e79ced4d70608abaa082d025fe9d6052a28e6e2d4

@@ -10,9 +10,12 @@ No stream is simulated: a comparator-stream 2-to-1 MUX's ones are gathers
 from one cumulative histogram C of (select, data) thresholds, and the 4-to-1
 MUX splits by its v select bit into two of those.  A merged sample's ones are
 `(C[256] - C)[a, bg] + C[a, fg]`, gathered, like scaling's, from flat 256x256
-int32 tables through uint16 cells `row << 8 | sample`.  The cells are built
-channel-contiguous: scaling works on rows of W*C samples, merging ORs a
-channel-stacked select plane, so no op broadcasts over the 3-wide RGB axis.
+tables through uint16 cells `row << 8 | sample`.  The tables and counts are
+int16 up to N = 2^14 and int32 above (`_count_dtype`): every partial sum a
+kernel forms counts distinct indices, so none exceeds the largest count.  The
+cells are built channel-contiguous: scaling works on rows of W*C samples,
+merging ORs a channel-stacked select plane, so no op broadcasts over the
+3-wide RGB axis.
 Counts c of N = 2^k round to 8 bits by shifts, folded into the tables (see
 `_rounding`), and the merge tables are built once per run of frames.  A block
 of rows whose alpha is all 0 or 255 (every chroma-keyed matte, most of an
@@ -169,11 +172,15 @@ def chroma_key_alpha(frame, green_threshold=100, dominance_margin=50):
 
 # largest scale_image_sc output, in pixels (8192 x 8192)
 MAX_OUTPUT_PIXELS = 1 << 26
-# output rows gathered at a time: bounds the uint16 cell and int32 count arrays
+# output rows gathered at a time: bounds the uint16 cell arrays and the count
+# arrays, int16 up to N = 2^14 and int32 above (see `_count_dtype`)
 _ROW_BLOCK = 32
-# a v-table update adds one rectangle per new index up to this many (N up to
-# about 4096), else a cumulative histogram whose cost does not grow with N
-_RECT_ADDS = 16
+# a v-table update adds one rectangle per new index up to this many, else a
+# cumulative histogram whose cost does not grow with N.  A rectangle costs
+# 4.6 us in int16 and 8.0 us in int32, a histogram 196-200 us (timeit, 2-core
+# Xeon, numpy 2.4.6): 43 adds break even in int16, and int32 tables (N >= 2^15)
+# meet groups of about N/256 >= 128 indices or more, past either crossover
+_RECT_ADDS = 40
 
 
 def _stream_levels(spec, n):
@@ -189,6 +196,17 @@ def _rounding(n):
     tables and bias into one table each count reads once; `_to_pixels` ends it."""
     k = n.bit_length() - 1
     return max(8 - k, 0), n >> 9, max(k - 8, 0)
+
+
+def _count_dtype(n):
+    """The kernels' table and count dtype: int16 when the largest folded count,
+    (N << lift) + bias, is below 2^15 (N <= 2^14), else int32.  Nothing relies
+    on wraparound: a merge adds two gathers that count distinct indices, and
+    scaling sums the lower half, then the upper, each as T[256, d0] - T[u, d0]
+    + T[u, d1], so every partial sum counts distinct indices plus the bias and
+    lies in 0..(N << lift) + bias."""
+    lift, bias, _ = _rounding(n)
+    return np.int16 if (n << lift) + bias < 1 << 15 else np.int32
 
 
 def _to_pixels(counts, drop):
@@ -234,7 +252,8 @@ def _scale_sc(pix, out_h, out_w, n, data, u_level, v_level):
     # every source row's x1 and x2 samples, gathered once for all its output rows
     near, far = (pix.reshape(h, w * ch).take(c, 1) for c in cols)
     lift, bias, drop = _rounding(n)
-    whole = count_table(u_level, data, 257, 257)[:, :256].astype(np.int32) << lift
+    dtype = _count_dtype(n)
+    whole = count_table(u_level, data, 257, 257)[:, :256].astype(dtype) << lift
     whole[256] += bias  # lower[256] is read once per count
     upper, lower = np.zeros_like(whole), np.empty_like(whole)
     by_v = np.argsort(v_level, kind="stable")
@@ -245,20 +264,23 @@ def _scale_sc(pix, out_h, out_w, n, data, u_level, v_level):
         stop = np.searchsorted(sorted_v, v8[rows[0]], side="right")
         new = by_v[added:stop]
         if new.size > _RECT_ADDS:
-            upper += count_table(u_level[new], data[new], 257, 257)[:, :256] << lift
+            upper += count_table(u_level[new], data[new], 257, 257)[:, :256].astype(dtype) << lift
         else:
-            for i in new:
-                upper[u_level[i]:, data[i]:] += 1 << lift
+            for u, d in zip(u_level[new].tolist(), data[new].tolist()):
+                upper[u:, d:] += 1 << lift
         added = stop
         np.subtract(whole, upper, out=lower)
         for r in range(0, rows.size, _ROW_BLOCK):
             block = rows[r : r + _ROW_BLOCK]
-            counts = np.zeros((block.size, out_w * ch), dtype=np.int32)
-            for table, y in ((lower, y1), (upper, y2)):
-                d0, d1 = near[y[block]], far[y[block]]
-                counts += table[256].take(d0)
-                counts -= table.ravel().take(u_cells | d0)
-                counts += table.ravel().take(u_cells | d1)
+            # lower half, then upper, so no partial sum leaves the count dtype
+            d0, d1 = near[y1[block]], far[y1[block]]
+            counts = lower[256].take(d0)
+            counts -= lower.ravel().take(u_cells | d0)
+            counts += lower.ravel().take(u_cells | d1)
+            d0, d1 = near[y2[block]], far[y2[block]]
+            counts += upper[256].take(d0)
+            counts -= upper.ravel().take(u_cells | d0)
+            counts += upper.ravel().take(u_cells | d1)
             out[block] = _to_pixels(counts, drop)
     return out.reshape(out_h, out_w, ch)
 
@@ -323,8 +345,9 @@ _SELECT_ROWS = np.append(np.arange(255), 256)
 @lru_cache(maxsize=1)
 def _merge_tables(n, seq_data, seq_select):
     """(outside, inside, routed): a merged sample's ones from the background
-    outside the select and from the foreground under it, as flat int32 tables by
-    the cell `alpha << 8 | sample`, with the rounding folded in; and the uint8
+    outside the select and from the foreground under it, as flat tables by the
+    cell `alpha << 8 | sample` in `_count_dtype` (int16 up to N = 2^14), with
+    the rounding folded in; and the uint8
     pixel of a sample v that alpha 0 or 255 routes whole.  One LUT serves both:
     outside[0, v] + inside[0, v'] and outside[255, v'] + inside[255, v] equal
     (C[256, v] << lift) + bias, since C's row 0 is all zeros.  Cached read-only,
@@ -332,7 +355,7 @@ def _merge_tables(n, seq_data, seq_select):
     lift, bias, drop = _rounding(n)
     table = count_table(_stream_levels(seq_select, n), _stream_levels(seq_data, n), 257, 257)
     table <<= lift
-    outside, inside = (t[_SELECT_ROWS, :256].astype(np.int32).ravel()
+    outside, inside = (t[_SELECT_ROWS, :256].astype(_count_dtype(n)).ravel()
                        for t in (table[256] + bias - table, table))
     routed = _to_pixels(outside[255 << 8:] + inside[255 << 8:], drop).astype(np.uint8)
     for t in (outside, inside, routed):

@@ -347,29 +347,36 @@ class TestScaling:
             results.append(scale_image_sc(img, Fraction(7, 3), n).pixels)
         assert np.array_equal(*results)
 
+    # N = 2^14 is the longest stream with int16 counts, 2^15 the shortest with int32
     @pytest.mark.parametrize("rect_adds", [0, 1 << 16], ids=["histogram", "rectangles"])
-    @pytest.mark.parametrize("n", [2, 1 << 16])
+    @pytest.mark.parametrize("n", [2, 1 << 14, 1 << 15, 1 << 16])
     def test_edge_cells_match_int64_tables(self, n, rect_adds, monkeypatch):
         # 2x2 -> 257x257 puts u8 and v8 on every offset 0..255, and the channels
-        # put samples 0 and 255 at each of the four neighbours
+        # put samples 0 and 255 at each of the four neighbours; the all-255 and
+        # all-0 images give every output its largest and smallest count
         monkeypatch.setattr(media, "_RECT_ADDS", rect_adds)
-        pix = np.stack([[[0, 255], [255, 0]], [[255, 0], [0, 255]], [[0, 0], [255, 255]]],
-                       axis=-1).astype(np.uint8)
-        out = scale_image_sc(RgbImage(pix), Fraction(257, 2), n).pixels
+        images = {
+            "edges": np.stack([[[0, 255], [255, 0]], [[255, 0], [0, 255]], [[0, 0], [255, 255]]],
+                              axis=-1).astype(np.uint8),
+            "all-255": np.full((2, 2, 3), 255, dtype=np.uint8),
+            "all-0": np.zeros((2, 2, 3), dtype=np.uint8),
+        }
         y1, y2, v8, _ = _axis_map(2, 257)
         x1, x2, u8, _ = _axis_map(2, 257)
         assert {0, 255} <= set(u8.tolist()) and {0, 255} <= set(v8.tolist())
         data, sel_u, sel_v = (table_levels(s, n) for s in (DATA_SPEC, U_SELECT_SPEC, V_SELECT_SPEC))
+        # the v select bit is 1 at the indices whose v level is at most v8
+        halves = [[count_table(sel_u[mask], data[mask], 257, 257)
+                   for mask in (sel_v > v8[yo], sel_v <= v8[yo])] for yo in range(257)]
         u = u8[:, None]
-        for yo in range(257):
-            # the v select bit is 1 at the indices whose v level is at most v8
-            under = sel_v <= v8[yo]
-            counts = 0
-            for mask, row in ((~under, pix[y1[yo]]), (under, pix[y2[yo]])):
-                table = count_table(sel_u[mask], data[mask], 257, 257)
-                d0, d1 = row[x1], row[x2]
-                counts = counts + table[256, d0] - table[u, d0] + table[u, d1]
-            assert np.array_equal(out[yo], rounded_counts(counts, n)), yo
+        for name, pix in images.items():
+            out = scale_image_sc(RgbImage(pix), Fraction(257, 2), n).pixels
+            for yo in range(257):
+                counts = 0
+                for table, row in zip(halves[yo], (pix[y1[yo]], pix[y2[yo]])):
+                    d0, d1 = row[x1], row[x2]
+                    counts = counts + table[256, d0] - table[u, d0] + table[u, d1]
+                assert np.array_equal(out[yo], rounded_counts(counts, n)), (name, yo)
 
     @pytest.mark.parametrize("n", [2, 1024])
     @pytest.mark.parametrize("channels", [1, 3], ids=["gray", "rgb"])
@@ -396,8 +403,12 @@ def rounded_pixel(count, n):
     return min(math.floor(Fraction(256 * count, n) + Fraction(1, 2)), 255)
 
 
-# the media kernels pass int32 counts; int64 is the widest a caller could pass
-COUNT_DTYPES = pytest.mark.parametrize("dtype", [np.int32, np.int64])
+# the media kernels pass int16 counts for N up to 2^14 and int32 counts above;
+# int64 is the widest a caller could pass
+WIDE_DTYPES = (np.int32, np.int64)
+COUNT_DTYPES = pytest.mark.parametrize(
+    "k, dtype", [(k, d) for k in range(1, 17) for d in (np.int16, *WIDE_DTYPES)
+                 if k <= 14 or d != np.int16])
 
 
 def kernel_pixels(counts, n):
@@ -414,14 +425,13 @@ def kernel_pixels(counts, n):
 
 class TestCountsToPixels:
     @COUNT_DTYPES
-    @pytest.mark.parametrize("k", range(1, 17))
     def test_every_count_matches_fraction_rounding(self, k, dtype):
         n = 1 << k
         got = kernel_pixels(np.arange(n + 1, dtype=dtype), n)
         assert got.dtype == np.uint8
         assert got.tolist() == [rounded_pixel(c, n) for c in range(n + 1)]
 
-    @COUNT_DTYPES
+    @pytest.mark.parametrize("dtype", WIDE_DTYPES)
     def test_ties_at_two_to_the_24(self, dtype):
         # 256 c / n is a half-integer at c = (2j - 1) n / 512
         n = 1 << 24
@@ -556,18 +566,30 @@ class TestMerging:
         assert 2 * media._ROW_BLOCK < 70 < 3 * media._ROW_BLOCK
         assert_matches_mux2_op(bg, fg, alpha, n, *SPEC_SETS[specs][:2])
 
-    @pytest.mark.parametrize("n", [2, 256, 1 << 16])
+    # N = 2^14 is the longest stream with int16 counts, 2^15 the shortest with int32
+    @pytest.mark.parametrize("n", [2, 256, 1 << 14, 1 << 15, 1 << 16])
     def test_edge_cells_match_int64_table(self, n):
         # alpha takes every byte down the rows, bg every byte across the columns
-        # and fg its mirror, so every cell of both gathered tables is read
+        # and fg its mirror, so every cell of both gathered tables is read; the
+        # all-255 and all-0 frames give every alpha its largest and smallest count
         alpha, col = np.mgrid[0:256, 0:256].astype(np.uint8)
-        bg, fg = (np.repeat(v[..., None], 3, axis=-1) for v in (col, 255 - col))
-        out = merge_scene_sc(RgbImage(bg), RgbImage(fg), AlphaMap(alpha), n).pixels
+        ramps = [np.repeat(v[..., None], 3, axis=-1) for v in (col, 255 - col)]
         table = count_table(table_levels(MERGE_SELECT_SPEC, n), table_levels(DATA_SPEC, n),
                             257, 257)
         a = np.where(alpha == 255, 256, alpha.astype(np.int64))[..., None]
-        counts = table[256, bg] - table[a, bg] + table[a, fg]
-        assert np.array_equal(out, rounded_counts(counts, n))
+        for bg, fg in (ramps, [np.full_like(ramps[0], 255)] * 2, [np.zeros_like(ramps[0])] * 2):
+            out = merge_scene_sc(RgbImage(bg), RgbImage(fg), AlphaMap(alpha), n).pixels
+            counts = table[256, bg] - table[a, bg] + table[a, fg]
+            assert np.array_equal(out, rounded_counts(counts, n))
+
+    def test_count_dtype_is_int16_up_to_two_to_the_14(self):
+        # the largest folded count, (N << lift) + bias, is 16416 at N = 2^14
+        # and 32832 at 2^15
+        for k in range(1, 25):
+            assert media._count_dtype(1 << k) == (np.int16 if k <= 14 else np.int32), k
+        for n, dtype in ((1 << 14, np.int16), (1 << 15, np.int32)):
+            outside, inside, _ = media._merge_tables(n, DATA_SPEC, MERGE_SELECT_SPEC)
+            assert outside.dtype == inside.dtype == dtype
 
     @pytest.mark.parametrize("n", [2, 1024])
     def test_memory_layout_does_not_change_bytes(self, n):
