@@ -4,11 +4,13 @@
 # example, then twelve large `gen` runs whose stdout must keep its recorded
 # SHA-256, then README's streams example against the installed package (not
 # ./src) with every numerator encoded twice over one array, then an RGB
-# `scale` at N = 1024, a chroma-keyed `merge` at 256 and a matted `merge` at
-# 64 (one all-0/255 row block, whose pixel table is not the identity there),
-# all on the kernels' int16 counts, and an RGB `scale` and a matted `merge` at
-# N = 2^15, the shortest stream on int32 counts, whose output bytes keep
-# theirs.
+# `scale` at N = 1024, a chroma-keyed `merge` at 256 (run twice, the second
+# time over longer files, which it must rewrite to the same bytes), a matted
+# `merge` at 64 (one all-0/255 row block, whose pixel table is not the
+# identity there) and mattes with a 1-pixel partial border at 64 and 1024
+# (row blocks that gather their few partial pixels alone), all on the
+# kernels' int16 counts, and an RGB `scale` and a matted `merge` at N = 2^15,
+# the shortest stream on int32 counts, whose output bytes keep theirs.
 set -eo pipefail
 python -m pip install .
 out="$(sclab gen --family vdc --base 3 --count 1 --index 11)"
@@ -84,6 +86,12 @@ for f in range(3):
     matte[:, 30 + 5 * f:] = 255
     matte[40:48] = (np.arange(8 * 80).reshape(8, 80) * 13 + f) % 256
     pnm(f"mattes/f{f}.pgm", matte)
+    # 255 inside a rectangle, 0 outside and partial bytes 1..254 on its
+    # 1-pixel border, across both row blocks
+    border = np.zeros((60, 80), dtype=np.uint8)
+    border[10:50, 15 + 5 * f:65 + 5 * f] = (np.arange(40 * 50).reshape(40, 50) * 29 + f) % 254 + 1
+    border[11:49, 16 + 5 * f:64 + 5 * f] = 255
+    pnm(f"borders/f{f}.pgm", border)
 EOF
 sclab scale --in img.ppm --out big.ppm --factor 3/2 --n 1024
 sum="$(sha256sum < big.ppm)"
@@ -91,9 +99,20 @@ test "${sum%% *}" = e157882ff47ebcddd5edde6a9628481982f76406bb6d0071965658c0dc59
 sclab merge --bg bg.ppm --fg-dir frames --out-dir merged --n 256
 sum="$(cat merged/f0.ppm merged/f1.ppm merged/f2.ppm | sha256sum)"
 test "${sum%% *}" = b7581fe867811abe94be40a586eea68f47c494ec02ea5b9a750c181baba0e5fe
+# outputs are rewritten in place, so each must still be cut to its length
+for f in 0 1 2; do head -c 20000 /dev/urandom > "merged/f$f.ppm"; done
+sclab merge --bg bg.ppm --fg-dir frames --out-dir merged --n 256
+sum="$(cat merged/f0.ppm merged/f1.ppm merged/f2.ppm | sha256sum)"
+test "${sum%% *}" = b7581fe867811abe94be40a586eea68f47c494ec02ea5b9a750c181baba0e5fe
 sclab merge --bg bg.ppm --fg-dir frames --alpha-dir mattes --out-dir matted --n 64
 sum="$(cat matted/f0.ppm matted/f1.ppm matted/f2.ppm | sha256sum)"
 test "${sum%% *}" = cebf761d09d9f3363899974c73b73147d98dda0594e52eec6e033ac79d2bb80d
+sclab merge --bg bg.ppm --fg-dir frames --alpha-dir borders --out-dir bordered --n 64
+sum="$(cat bordered/f0.ppm bordered/f1.ppm bordered/f2.ppm | sha256sum)"
+test "${sum%% *}" = b34c459d81d216431078e4c7a4e091e36916040fb95533bdb4959ce1c890e257
+sclab merge --bg bg.ppm --fg-dir frames --alpha-dir borders --out-dir bordered1k --n 1024
+sum="$(cat bordered1k/f0.ppm bordered1k/f1.ppm bordered1k/f2.ppm | sha256sum)"
+test "${sum%% *}" = 887482aacd5090c2e46f7bc19bac27da905c5c1ba37ffc3fa97aef59313054b4
 # N = 2^15: the largest folded count no longer fits int16, so the kernels
 # count in int32
 sclab scale --in img.ppm --out big32k.ppm --factor 3/2 --n 32768

@@ -334,7 +334,7 @@ def _cmd_merge(args):
     if not isinstance(bg, RgbImage):
         raise DomainError("--bg must be an RGB (P6) image")
     specs = _given_specs(args, "seq_data", "seq_select")
-    out_dir = Path(args.out_dir)
+    out_dir, made = Path(args.out_dir), False
     for frame_path in _frame_paths(args.fg_dir):
         fg = _read_image(frame_path)
         if not isinstance(fg, RgbImage):
@@ -350,8 +350,9 @@ def _cmd_merge(args):
                 fg, green_threshold=args.green_threshold, dominance_margin=args.margin
             )
         merged = merge_scene_sc(bg, fg, alpha, stream_length=args.n, **specs)
-        # made only once a frame has merged, so a rejected run leaves no directory
-        out_dir.mkdir(parents=True, exist_ok=True)
+        if not made:  # once a frame has merged, so a rejected run leaves no directory
+            out_dir.mkdir(parents=True, exist_ok=True)
+            made = True
         write_pnm_file(out_dir / frame_path.name, merged.pixels)
     return 0
 

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import os
+import pathlib
 import time
 from fractions import Fraction
 from unittest import mock
@@ -810,7 +811,12 @@ class TestMediaCommands:
         assert len(builds) == 1
         info = media._merge_tables.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
-        for table in media._merge_tables(256, media.DATA_SPEC, media.MERGE_SELECT_SPEC):
+        # the pixel table is None here: at N = 256 the default data routes
+        # every sample to itself
+        outside, inside, routed = media._merge_tables(256, media.DATA_SPEC,
+                                                      media.MERGE_SELECT_SPEC)
+        assert routed is None
+        for table in (outside, inside):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 1
@@ -860,6 +866,20 @@ class TestMediaCommands:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "2^24" in err
         assert not (tmp_path / "out").exists()
+
+    def test_merge_makes_its_output_dir_once_per_run(self, capsys, tmp_path, monkeypatch):
+        write_pnm_file(tmp_path / "bg.ppm", np.zeros((4, 4, 3), dtype=np.uint8))
+        (tmp_path / "frames").mkdir()
+        for i in range(3):
+            write_pnm_file(tmp_path / "frames" / f"f{i}.ppm", np.zeros((4, 4, 3), dtype=np.uint8))
+        made, mkdir = [], pathlib.Path.mkdir
+        monkeypatch.setattr(pathlib.Path, "mkdir",
+                            lambda path, *a, **k: made.append(path) or mkdir(path, *a, **k))
+        code, _, _ = run(capsys, "merge", "--bg", str(tmp_path / "bg.ppm"),
+                         "--fg-dir", str(tmp_path / "frames"),
+                         "--out-dir", str(tmp_path / "out"), "--n", "256")
+        assert code == 0 and len(list((tmp_path / "out").iterdir())) == 3
+        assert made == [tmp_path / "out"]
 
     @pytest.mark.parametrize("bg, n", [("bg.ppm", "3"), ("bg.pgm", "256")])
     def test_merge_rejected_run_leaves_no_output_dir(self, capsys, tmp_path, bg, n):

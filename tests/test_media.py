@@ -566,6 +566,39 @@ class TestMerging:
         assert 2 * media._ROW_BLOCK < 70 < 3 * media._ROW_BLOCK
         assert_matches_mux2_op(bg, fg, alpha, n, *SPEC_SETS[specs][:2])
 
+    @pytest.mark.parametrize("n, specs", [(64, "default"), (1024, "default"), (1024, "other")])
+    def test_matches_mux2_op_on_every_block_route(self, n, specs):
+        # 8-wide row blocks of 256 pixels: all 0/255; a few partial pixels,
+        # the block's first and last among them; exactly a quarter partial
+        # (the last block to gather its partial pixels alone) and one more;
+        # then a short block of partial bytes only (whole-block gathers)
+        seq_data, seq_select = SPEC_SETS[specs][:2]
+        identity = media._merge_tables(n, seq_data, seq_select)[2] is None
+        assert identity == (n == 1024 and specs == "default")
+        block = media._ROW_BLOCK * 8
+        assert block // media._SPARSE_SHARE == 64
+        rng = np.random.default_rng(15)
+        bg, fg = (rng.integers(0, 256, (150, 8, 3), dtype=np.uint8) for _ in range(2))
+        alpha = np.where(rng.random((150, 8)) < 0.5, 0, 255).astype(np.uint8).ravel()
+        for b, partial in enumerate([[], [0, 9, 100, 255], rng.permutation(256)[:64],
+                                     rng.permutation(256)[:65]]):
+            alpha[b * block + np.asarray(partial, dtype=np.int64)] = rng.integers(1, 255, len(partial))
+        alpha[4 * block:] = rng.integers(1, 255, alpha.size - 4 * block)
+        assert 4 * block < alpha.size < 5 * block
+        assert_matches_mux2_op(bg, fg, alpha.reshape(150, 8), n, seq_data, seq_select)
+
+    @pytest.mark.parametrize("specs", sorted(SPEC_SETS))
+    @pytest.mark.parametrize("n", [2, 8, 64, 256, 1024, 1 << 14, 1 << 16])
+    def test_pixel_table_is_none_exactly_at_the_identity(self, n, specs):
+        seq_data, seq_select = SPEC_SETS[specs][:2]
+        routed = media._merge_tables(n, seq_data, seq_select)[2]
+        table = count_table(table_levels(seq_select, n), table_levels(seq_data, n), 257, 257)
+        want = rounded_counts(table[256, :256], n)
+        if np.array_equal(want, np.arange(256)):
+            assert routed is None
+        else:
+            assert np.array_equal(routed, want) and not routed.flags.writeable
+
     # N = 2^14 is the longest stream with int16 counts, 2^15 the shortest with int32
     @pytest.mark.parametrize("n", [2, 256, 1 << 14, 1 << 15, 1 << 16])
     def test_edge_cells_match_int64_table(self, n):

@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sclab.cli import main
 from sclab.errors import PnmError
 from sclab.pnm import read_pnm, write_pnm, write_pnm_file
 
@@ -147,3 +150,26 @@ class TestWrite:
             write_pnm_file(tmp_path / "out.pnm", pixels)
         assert str(got.value) == str(want.value)
         assert not (tmp_path / "out.pnm").exists()
+
+    @pytest.mark.parametrize("old_size", [0, 10, 100_000])
+    def test_file_rewritten_in_place_to_exactly_write_pnm_bytes(self, old_size, tmp_path):
+        # an existing file shorter or longer than the new bytes: overwritten
+        # in place, then cut to their length
+        pixels = np.arange(300, dtype=np.uint8).reshape(10, 10, 3)
+        path = tmp_path / "out.ppm"
+        path.write_bytes(b"\xee" * old_size)
+        write_pnm_file(path, pixels)
+        assert path.read_bytes() == write_pnm(pixels)
+
+    def test_file_to_devnull(self):
+        write_pnm_file(os.devnull, np.zeros((2, 3), dtype=np.uint8))
+
+    def test_cli_out_directory_exits_3_with_one_line(self, capsys, tmp_path):
+        write_pnm_file(tmp_path / "in.pgm", np.zeros((4, 4), dtype=np.uint8))
+        (tmp_path / "out").mkdir()
+        code = main(["scale", "--in", str(tmp_path / "in.pgm"), "--out", str(tmp_path / "out"),
+                     "--factor", "2"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("sclab: ") and captured.err.count("\n") == 1
+        assert list((tmp_path / "out").iterdir()) == []
