@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The installed `sclab` console script, end to end; both CI jobs run it from
 # the repository root.  It installs the package and runs README's first
-# example, then twelve large `gen` runs whose stdout must keep its recorded
+# example, then fourteen large `gen` runs whose stdout must keep its recorded
 # SHA-256, then README's streams example against the installed package (not
 # ./src) with every numerator encoded twice over one array, then an RGB
 # `scale` at N = 1024, a chroma-keyed `merge` at 256 (run twice, the second
@@ -32,6 +32,12 @@ sum="$(sclab gen --family hammersley --dim 1 --count 300000 --index 4095 | sha25
 test "${sum%% *}" = dc31d8854060fd0919b0d51863fcec6013c07a8ad6b4afb659b81516db4e44fa
 sum="$(sclab gen --family r2 --dim 1 --count 300000 --index 4321 | sha256sum)"
 test "${sum%% *}" = 476478f7df90ac49f957ec4dcde42a69f8f2705449007997e5f2a66c5ec4aec3
+# a Faure-scrambled prime power (7^7) and a composite base (10^6), whose
+# text reduces by np.gcd
+sum="$(sclab gen --family faure --base 7 --dim 2 --count 300000 --index 4321 | sha256sum)"
+test "${sum%% *}" = bd57c0d4797e04de86d4db688fdb139362310f22c101000bd3690d2377a46909
+sum="$(sclab gen --family vdc --base 10 --count 300000 --index 999 | sha256sum)"
+test "${sum%% *}" = ff4d8de131a2e5f3528890c5654aec6609c1877eb7223458fd1785db22a9bae9
 # the lfsr from a seed state; tap mask 0x100b has period 65535, so the first
 # run wraps the register's period
 sum="$(sclab gen --family lfsr --seed 12345 --bits 16 --taps 0x100b --count 200000 --index 999 | sha256sum)"

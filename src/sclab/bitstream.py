@@ -114,37 +114,26 @@ class Bitstream:
     __slots__ = ("words", "length")
 
     def __init__(self, words, length):
-        buf = np.ascontiguousarray(words, dtype=np.uint64)
-        if length >= 1 and buf.shape != (-(-length // WORD_BITS),):
+        buf = np.array(words, dtype=np.uint64, ndmin=1)  # always a private copy
+        if length < 1:
+            raise DomainError(f"stream length must be >= 1, got {length}")
+        if buf.shape != (-(-length // WORD_BITS),):
             raise DomainError(
                 f"word buffer shape {buf.shape} does not match length {length}"
             )
-        self._seal(buf.copy() if np.may_share_memory(buf, words) else buf, length)
-
-    def _seal(self, buf, length):
-        if length < 1:
-            raise DomainError(f"stream length must be >= 1, got {length}")
         rem = length % WORD_BITS
         if rem:
             buf[-1] &= _PAD_MASKS[rem]
         buf.setflags(write=False)
-        self.words = buf
-        self.length = length
-
-    @classmethod
-    def _adopt(cls, buf, length):
-        """Wrap a word buffer of the right shape that the package itself just
-        allocated: no alias check and no copy, but pad bits are still masked
-        (`~` sets them) and `words` still becomes read-only."""
-        stream = cls.__new__(cls)
-        stream._seal(buf, length)
-        return stream
+        self.words, self.length = buf, length
 
     @classmethod
     def _wrap(cls, buf, length):
-        """`_adopt` for a buffer whose pad bits are already zero, as in any AND,
-        XOR or select of streams' words (and in a `~` that one of them ANDs
-        away): nothing is masked or checked, `words` just becomes read-only."""
+        """Wrap a word buffer of the right shape that the package itself just
+        allocated and whose pad bits are already zero, as in `from_bools`'
+        zero-padded packing and in any AND, XOR or select of streams' words
+        (and in a `~` that one of them ANDs away): nothing is copied, masked or
+        checked, `words` just becomes read-only."""
         buf.setflags(write=False)
         stream = cls.__new__(cls)
         stream.words, stream.length = buf, length
@@ -155,13 +144,16 @@ class Bitstream:
     @classmethod
     def from_bools(cls, flags):
         flags = np.asarray(flags, dtype=bool)
-        # packbits returns a new array, so whole words are viewed in place
+        if flags.size < 1:
+            raise DomainError(f"stream length must be >= 1, got {flags.size}")
+        # packbits returns a new array with its last byte zero-padded, so whole
+        # words are viewed in place
         packed = np.packbits(flags, bitorder="little")
         if flags.size % WORD_BITS:
             padded = np.zeros(-(-flags.size // WORD_BITS) * 8, dtype=np.uint8)
             padded[: packed.size] = packed
             packed = padded
-        return cls._adopt(packed.view("<u8"), flags.size)
+        return cls._wrap(packed.view("<u8"), flags.size)
 
     @classmethod
     def from_bits(cls, bits):

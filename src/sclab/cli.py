@@ -145,9 +145,6 @@ def _cmd_gen(args):
 
 # lines `gen` formats and writes at a time
 _ROW_BLOCK = 1 << 16
-# the text of 2^e for e = 1..64, left-aligned in NUL padding; "" for 2^0, which is never printed
-_POW2_TEXT = np.array([b""] + [b"%d" % (1 << e) for e in range(1, 65)])
-_POW2_TEXT = _POW2_TEXT.view(np.uint8).reshape(65, -1)
 
 
 def _lines(cells, decimal):
@@ -195,22 +192,22 @@ def _value_fields(num, den):
     num = num.astype(np.uint32 if max(int(num.max()), den - 1) < 1 << 32 else np.uint64)
     if den == 1:
         return [_digits(num)]
-    if den & (den - 1) == 0:
-        # the gcd is n's lowest set bit (den for n = 0), so n / den reduces to
-        # (n >> zeros) / 2^exp, and 2^exp, which may be 2^64, prints from a table
-        k = den.bit_length() - 1
-        zeros = np.minimum(np.bitwise_count((num & -num) - 1), k)
-        exp = k - zeros
-        d = _POW2_TEXT[:, : len(str(den))][exp]
-        return [_digits(num >> zeros), _byte(b"/", exp != 0), (d, d != 0)]
     root = _prime_root(den)
-    if root:
-        num, d = _strip_prime(num, *root)
-    else:
+    if root is None:
         g = np.gcd(num, den)
-        num, d = num // g, den // g
-    chars, mask = _digits(d)
-    return [_digits(num), _byte(b"/", d != 1), (chars, mask & (d != 1)[:, None])]
+        chars, mask = _digits(den // g)
+        return [_digits(num // g), _byte(b"/", g != den), (chars, mask & (g != den)[:, None])]
+    p, width = root
+    if p == 2:  # the gcd is n's lowest set bit (den for n = 0)
+        zeros = np.minimum(np.bitwise_count((num & -num) - 1), width)
+        num, exp = num >> zeros, width - zeros
+    else:
+        num, exp = _strip_prime(num, p, width)
+    # n / den reduces to num / p^exp, and p^exp, which may be 2^64, prints from
+    # the texts of p^0..p^width, left-aligned in NUL padding ("" for p^0)
+    table = np.array([b""] + [b"%d" % p**e for e in range(1, width + 1)])
+    d = table.view(np.uint8).reshape(width + 1, -1)[exp]
+    return [_digits(num), _byte(b"/", exp != 0), (d, d != 0)]
 
 
 def _prime_root(den):
@@ -223,18 +220,19 @@ def _prime_root(den):
 
 
 def _strip_prime(num, p, width):
-    """(n // g, p^width // g) for each n and g = gcd(n, p^width), p prime: g is
-    p to the number of trailing zero base-p digits of n (all `width` for 0), so
-    only the multiples of p are divided, each once per trailing zero."""
-    out, den = num.copy(), np.full(num.shape, p**width, num.dtype)
+    """(n // g, e) for each n, g = gcd(n, p^width) and p^e = p^width // g, p
+    prime: g is p to the number of trailing zero base-p digits of n (all
+    `width` for 0), so only the multiples of p are divided, each once per
+    trailing zero."""
+    out, exp = num.copy(), np.full(num.shape, width, np.uint8)
     at, rest = np.arange(num.size), num
     for _ in range(width):
         q = rest // p
         hit = rest == q * p
         at, rest = at[hit], q[hit]
         out[at] = rest
-        den[at] //= p
-    return out, den
+        exp[at] -= 1
+    return out, exp
 
 
 def _digits(v):

@@ -3,8 +3,9 @@
 These are circuits, not validators: correlation preconditions (uncorrelated
 inputs for multiplication, shared-sequence inputs for minimum) are the
 caller's responsibility.  Only `mul_bipolar`'s outer `~` can set pad bits, so
-it alone masks them; every other result is an AND or select of zero-padded
-words.
+it alone builds its result through the checked constructor `Bitstream(...)`,
+which copies the words and masks them; every other result is an AND or select
+of zero-padded words, wrapped as it is.
 """
 
 from .bitstream import Bitstream
@@ -38,7 +39,7 @@ def mul_unipolar(s1, s2):
 def mul_bipolar(s1, s2):
     """Bipolar product: bitwise XNOR."""
     n = _check_lengths(s1, s2)
-    return Bitstream._adopt(~(s1.words ^ s2.words), n)
+    return Bitstream(~(s1.words ^ s2.words), n)
 
 
 def min_correlated(s1, s2):

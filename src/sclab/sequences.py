@@ -2,9 +2,7 @@
 
 `sequence_numerators` gives any family's values from any index as one integer
 array over a common denominator, and every command reads its values there.  It
-is the one public route, and it checks each run once (start >= 0, count >= 1):
-the per-family `gen_sobol`, `sobol_direction_vectors`, `gen_niederreiter`,
-`gen_lfsr`, `gen_latin_hypercube` and `gen_poisson_disk` are gone.
+is the one public route, and it checks each run once (start >= 0, count >= 1).
 Digit-based families (vdc, halton, hammersley, faure) are exact over p^L.
 Additive-recurrence families (weyl, r2) run in 64-fractional-bit fixed point so
 every value is an exact dyadic rational, bit-reproducible across platforms.
@@ -468,25 +466,25 @@ def sequence_numerators(spec, count, start=0):
         cfg = P2lsgConfig(base=spec.get("base"), counter_bits=spec.get("bits"))
         return p2lsg_sequence(cfg, count, start), cfg.period
     end = start + count
-    if fam in ("sobol", "niederreiter"):  # n-bit images of the index bits under a GF(2) matrix
-        n, dim = spec.get("bits"), spec.get("dim")
-        if fam == "sobol":
-            if not 1 <= n <= 62:
-                raise ConfigurationError(f"bits must be in 1..62, got {n}")
-            first, period, rows = start, n, _sobol_rows(dim, n)
-        else:  # dimension 0 (polynomial x) is bit reversal; `skip` drops a warm-up block
-            if not 1 <= n <= 32:
-                raise ConfigurationError(f"bits must be in 1..32, got {n}")
-            skip = spec.get("skip")
-            if skip < 0:
-                raise DomainError(f"skip must be non-negative, got {skip}")
-            first, period = skip + start, 63  # the index bits, and so the rows, fit in 63
-        if first + count > 1 << period:
-            raise DomainError(f"index {start} + count {count} exceeds the 2^{n} period"
-                              if fam == "sobol" else
-                              f"skip + count must be at most 2^63, got {first + count}")
-        if fam == "niederreiter":
-            rows = _niederreiter_rows(dim, max(n, (first + count - 1).bit_length()))
+    if fam == "sobol":  # n-bit images of the index bits under a GF(2) matrix
+        n = spec.get("bits")
+        if not 1 <= n <= 62:
+            raise ConfigurationError(f"bits must be in 1..62, got {n}")
+        rows = _sobol_rows(spec.get("dim"), n)
+        if end > 1 << n:
+            raise DomainError(f"index {start} + count {count} exceeds the 2^{n} period")
+        return gf2_outputs(rows, start, count), 1 << n
+    if fam == "niederreiter":  # dim 0 (polynomial x) is bit reversal; `skip` drops a warm-up
+        n = spec.get("bits")
+        if not 1 <= n <= 32:
+            raise ConfigurationError(f"bits must be in 1..32, got {n}")
+        skip = spec.get("skip")
+        if skip < 0:
+            raise DomainError(f"skip must be non-negative, got {skip}")
+        first = skip + start
+        if first + count > 1 << 63:  # the index bits, and so the rows, fit in 63
+            raise DomainError(f"skip + count must be at most 2^63, got {first + count}")
+        rows = _niederreiter_rows(spec.get("dim"), max(n, (first + count - 1).bit_length()))
         return _floor_scaled(gf2_outputs(rows, first, count), 1 << len(rows), n), 1 << n
     if fam == "lfsr":
         n = spec.get("bits")

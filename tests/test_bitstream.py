@@ -80,6 +80,24 @@ class TestBitstreamPacking:
         s = Bitstream(w, 70)
         assert int(s.words[1]) == 0x3F and int(w[1]) == 0xFFFF
 
+    @pytest.mark.parametrize("build", [lambda: Bitstream.from_bools([]),
+                                       lambda: Bitstream.from_bits("")])
+    def test_empty_stream_rejected(self, build):
+        with pytest.raises(DomainError, match=r"^stream length must be >= 1, got 0$"):
+            build()
+
+    def test_packed_words_have_zero_pad_bits_and_are_read_only(self):
+        # from_bools and from01 wrap their packed words unmasked and uncopied
+        for n in range(1, 131):
+            flags = np.random.default_rng(n).integers(0, 2, n, dtype=bool)
+            for bits in (flags, np.ones(n, bool)):
+                for s in (Bitstream.from_bools(bits),
+                          Bitstream.from01("".join("01"[b] for b in bits.tolist()))):
+                    assert s.words.shape == (-(-n // 64),) and s.length == n
+                    assert int(s.words[-1]) >> ((n - 1) % 64 + 1) == 0
+                    assert s.popcount() == int(bits.sum())
+                    assert not s.words.flags.writeable
+
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=200))
     def test_bools_inverse_of_from_bits(self, bits):
         s = Bitstream.from_bits(bits)

@@ -417,10 +417,13 @@ class TestGen:
 
 
 # (dtype, denominators) of the columns gen formats: int64 over 1 (integer
-# output), 2^k, p^L and the power of a composite vdc base; uint64 over weyl's
-# and r2's 2^64; object numerators past int64
+# output), 2^k, p^L and the power of a composite vdc base, with 2^31 and 2^32,
+# where the lowest-set-bit shift meets the uint32 width, and two large primes'
+# short tables of p^0..p^L; uint64 over weyl's and r2's 2^64; object numerators
+# past int64
 _KERNEL_COLUMNS = [
-    (np.int64, [1, 2, 1 << 30, 1 << 36, 3**22, 1 << 62, 3**39, 13**16, 10**18, 6**24]),
+    (np.int64, [1, 2, 1 << 30, 1 << 31, 1 << 32, 1 << 36, 3**22, 1 << 62, 3**39, 13**16,
+                2147483647**2, 65537**3, 10**18, 6**24]),
     (np.uint64, [1 << 64]),
     (object, [3037000507**3, (10**20) ** 2, 1 << 100]),
 ]
