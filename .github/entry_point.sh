@@ -1,16 +1,18 @@
 #!/usr/bin/env bash
 # The installed `sclab` console script, end to end; both CI jobs run it from
 # the repository root.  It installs the package and runs README's first
-# example, then fourteen large `gen` runs whose stdout must keep its recorded
-# SHA-256, then README's streams example against the installed package (not
-# ./src) with every numerator encoded twice over one array, then an RGB
-# `scale` at N = 1024, a chroma-keyed `merge` at 256 (run twice, the second
-# time over longer files, which it must rewrite to the same bytes), a matted
-# `merge` at 64 (one all-0/255 row block, whose pixel table is not the
-# identity there) and mattes with a 1-pixel partial border at 64 and 1024
-# (row blocks that gather their few partial pixels alone), all on the
-# kernels' int16 counts, and an RGB `scale` and a matted `merge` at N = 2^15,
-# the shortest stream on int32 counts, whose output bytes keep theirs.
+# example, then fourteen large `gen` runs and three `bench-mul` routes the
+# benchmark never runs, whose stdout must keep its recorded SHA-256 (the CSV's
+# run-dependent wall_seconds column cut), then README's streams example
+# against the installed package (not ./src) with every numerator encoded
+# twice over one array, then an RGB `scale` at N = 1024, a chroma-keyed
+# `merge` at 256 (run twice, the second time over longer files, which it must
+# rewrite to the same bytes), a matted `merge` at 64 (one all-0/255 row block,
+# whose pixel table is not the identity there) and mattes with a 1-pixel
+# partial border at 64 and 1024 (row blocks that gather their few partial
+# pixels alone), all on the kernels' int16 counts, and an RGB `scale` and a
+# matted `merge` at N = 2^15, the shortest stream on int32 counts, whose
+# output bytes keep theirs.
 set -eo pipefail
 python -m pip install .
 out="$(sclab gen --family vdc --base 3 --count 1 --index 11)"
@@ -49,6 +51,14 @@ sum="$(sclab gen --family latin_hypercube --seed 4 --count 65536 | sha256sum)"
 test "${sum%% *}" = 6fcfd939833c2d1ef2fb32bcf7aaafd4e838bab83cf4df8748aa4e075437493d
 sum="$(sclab gen --family poisson_disk --seed 2 --count 65536 | sha256sum)"
 test "${sum%% *}" = 6f908c177ca0db0d2617939b67daad3ce82265131abf6d2d40ff7bd1d76b7505
+# bench-mul past the benchmark's rows: N > K^2 (uint32 count lanes, nonzero
+# MAE), row blocks at 12 input bits, and 4 input bits
+sum="$(sclab bench-mul --seqs halton --lengths 17..20 --out csv | cut -d, -f1,2 | sha256sum)"
+test "${sum%% *}" = e51e038c89239afb6484030eb51b2ff4f11d101bb7fb1ac18ad99f5f957796c1
+sum="$(sclab bench-mul --seqs halton --lengths 6..12 --input-bits 12 --out csv | cut -d, -f1,2 | sha256sum)"
+test "${sum%% *}" = 09673fde8a2355d939b90854de3b07c385125d4be92aece0368c303d2fa822c0
+sum="$(sclab bench-mul --seqs lfsr --lengths 6..16 --input-bits 4 --out csv | cut -d, -f1,2 | sha256sum)"
+test "${sum%% *}" = 91452ee1da74146821088a0c2d88426439e3eadc772357a8f2d4ce6d9c520d65
 cd "$RUNNER_TEMP"
 python - <<'EOF'
 # README's "streams and arithmetic" example; the scc value was

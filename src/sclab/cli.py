@@ -63,11 +63,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {_short(message)}\n")
 
 
+def _integer(text, form="an integer (decimal or 0x hex)", base=0):
+    """int(text, base), or a usage error that names the expected `form`."""
+    try:
+        return int(text, base)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+
+
 def _parse_lengths(text):
-    ranges = []
+    ranges, form = [], "length exponents such as 6..16, 8 or 6,8,10"
     for part in text.split(","):
         lo, dots, hi = part.partition("..")
-        ranges.append(range(int(lo), int(hi if dots else lo) + 1))
+        ranges.append(range(_integer(lo, form, 10), _integer(hi if dots else lo, form, 10) + 1))
     # bounds are checked before any range is expanded, so `1..10**15` costs nothing
     top = MAX_LENGTH.bit_length() - 1
     if not any(ranges) or any(r and (r[0] < 1 or r[-1] > top) for r in ranges):
@@ -384,7 +392,7 @@ def build_parser():
     gen.add_argument("--count", type=int, required=True,
                      help="values to emit (p2lsg parallel mode: cycles, one line per cycle)")
     gen.add_argument("--index", type=int, default=0, help="starting index (default 0)")
-    gen.add_argument("--base", type=lambda s: s if s == "N" else int(s, 0),
+    gen.add_argument("--base", type=lambda s: s if s == "N" else _integer(s, "an integer or N"),
                      help="radix (vdc/halton/p2lsg) or prime (faure)")
     gen.add_argument("--bits", type=int, help="generator precision bits")
     gen.add_argument("--par", type=int, default=1,
@@ -395,7 +403,7 @@ def build_parser():
     gen.add_argument("--seed", type=int, help="seed for seeded families (required there)")
     gen.add_argument("--min-distance", help="poisson_disk minimum spacing (fraction)")
     gen.add_argument("--max-attempts", type=int, help="poisson_disk rejection budget")
-    gen.add_argument("--taps", type=lambda s: int(s, 0), help="lfsr recurrence mask")
+    gen.add_argument("--taps", type=_integer, help="lfsr recurrence mask")
     gen.add_argument("--skip", type=int, help="niederreiter warm-up skip")
     gen.add_argument("--scale-bits", type=int,
                      help="emit floor(2^bits * value) integers instead of fractions")

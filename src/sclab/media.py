@@ -179,12 +179,10 @@ MAX_OUTPUT_PIXELS = 1 << 26
 # output rows gathered at a time: bounds the uint16 cell arrays and the count
 # arrays, int16 up to N = 2^14 and int32 above (see `_count_dtype`)
 _ROW_BLOCK = 32
-# a v-table update adds one rectangle per new index up to this many, else a
-# cumulative histogram whose cost does not grow with N.  A rectangle costs
-# 4.6 us in int16 and 8.0 us in int32, a histogram 196-200 us (timeit, 2-core
-# Xeon, numpy 2.4.6): 43 adds break even in int16, and int32 tables (N >= 2^15)
-# meet groups of about N/256 >= 128 indices or more, past either crossover
-_RECT_ADDS = 40
+# a v-table update adds one rectangle per new index up to this many, else one
+# cumulative histogram: 15 (int16) or 10 (int32) rectangles at 4.3 or 7.3 us cost
+# one histogram's 66 or 72 us (timeit, N = 2^13..2^16, 2-core Xeon, numpy 2.4.6)
+_RECT_ADDS = 15
 
 
 def _stream_levels(spec, n):

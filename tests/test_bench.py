@@ -177,13 +177,29 @@ class TestKernelsAgainstBruteForce:
 
     @pytest.mark.parametrize("n,bits", [(128, 12), (131, 12), (131, 8), (1 << 16, 8)])
     def test_error_dtype_follows_the_lcm_bound(self, monkeypatch, n, bits):
+        # the error cells are built in the dtype of the products they subtract
         dtypes = []
-        real = bench.count_table
-        monkeypatch.setattr(bench, "count_table", lambda *args: dtypes.append(args[4]) or real(*args))
+        real = bench._products
+        monkeypatch.setattr(bench, "_products", lambda *args: dtypes.append(args[3]) or real(*args))
         thr = np.arange(n) % (1 << bits)
         mul_error_sum(thr, thr[::-1], bits)
         want = np.int64 if math.lcm(n, 1 << 2 * bits) >= 1 << 31 else np.int32
         assert dtypes and set(dtypes) == {want}
+
+    # 2^16 - 1 indices are the most that uint16 lanes count, 2^16 the fewest in uint32
+    @pytest.mark.parametrize("bits", [8, 12])
+    @pytest.mark.parametrize("n", [(1 << 16) - 1, 1 << 16, (1 << 16) + 1])
+    def test_every_count_is_n_across_the_lane_switch(self, n, bits):
+        # with every threshold at -1 each comparator bit is 1, so every count is
+        # N and each pair's error numerator is N*(K^2 - k1*k2)
+        k_count = 1 << bits
+        thr = np.full(n, -1)
+        levels = bench._levels(thr, 256)
+        for size in (256, 257):  # mul_error_sum's corner, and media's table
+            table = bench.count_table(levels, levels, size, size)
+            assert table.shape == (size, size) and (table == n).all()
+        want = n * (k_count**4 - (k_count * (k_count - 1) // 2) ** 2)
+        assert mul_error_sum(thr, thr, bits) == want
 
     def test_row_blocks_match_single_block(self, monkeypatch):
         spec_a, spec_b = default_pair("halton", 256)

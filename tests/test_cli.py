@@ -526,7 +526,8 @@ class TestExitCodes:
         (("bench-mul", "--lengths", "25"), "length exponents out of range in '25'"),
         (("bench-mul", "--lengths", "6..3"), "length exponents out of range in '6..3'"),
         (("bench-add", "--lengths", "0"), "length exponents out of range in '0'"),
-        (("bench-mul", "--lengths", "x"), "invalid _parse_lengths value: 'x'"),
+        (("bench-mul", "--lengths", "x"),
+         "expected length exponents such as 6..16, 8 or 6,8,10, got 'x'"),
         (("bench-mul", "--lengths", "1..30000000"),
          "length exponents out of range in '1..30000000'"),
         (("bench-add", "--lengths", "1..1000000000000000"),
@@ -539,6 +540,12 @@ class TestExitCodes:
          "bad factor value: decimal exponent beyond +/-4300"),
         (("scale", "--in", "a.pgm", "--out", "b.pgm", "--factor", "1e-4000000"),
          "bad factor value: decimal exponent beyond +/-4300"),
+        (("bench-add", "--lengths", "6..y"),
+         "expected length exponents such as 6..16, 8 or 6,8,10, got 'y'"),
+        (("gen", "--family", "p2lsg", "--count", "2", "--base", "x"),
+         "expected an integer or N, got 'x'"),
+        (("gen", "--family", "lfsr", "--count", "2", "--taps", "zz"),
+         "expected an integer (decimal or 0x hex), got 'zz'"),
     ])
     def test_rejected_flag_value_is_one_line_usage_error(self, capsys, argv, message):
         start = time.perf_counter()

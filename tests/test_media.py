@@ -366,7 +366,7 @@ class TestScaling:
         assert {0, 255} <= set(u8.tolist()) and {0, 255} <= set(v8.tolist())
         data, sel_u, sel_v = (table_levels(s, n) for s in (DATA_SPEC, U_SELECT_SPEC, V_SELECT_SPEC))
         # the v select bit is 1 at the indices whose v level is at most v8
-        halves = [[count_table(sel_u[mask], data[mask], 257, 257)
+        halves = [[count_table(sel_u[mask], data[mask], 257, 257).astype(np.int64)
                    for mask in (sel_v > v8[yo], sel_v <= v8[yo])] for yo in range(257)]
         u = u8[:, None]
         for name, pix in images.items():
@@ -608,7 +608,7 @@ class TestMerging:
         alpha, col = np.mgrid[0:256, 0:256].astype(np.uint8)
         ramps = [np.repeat(v[..., None], 3, axis=-1) for v in (col, 255 - col)]
         table = count_table(table_levels(MERGE_SELECT_SPEC, n), table_levels(DATA_SPEC, n),
-                            257, 257)
+                            257, 257).astype(np.int64)
         a = np.where(alpha == 255, 256, alpha.astype(np.int64))[..., None]
         for bg, fg in (ramps, [np.full_like(ramps[0], 255)] * 2, [np.zeros_like(ramps[0])] * 2):
             out = merge_scene_sc(RgbImage(bg), RgbImage(fg), AlphaMap(alpha), n).pixels
