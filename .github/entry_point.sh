@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The installed `sclab` console script, end to end; both CI jobs run it from
 # the repository root.  It installs the package and runs README's first
-# example, then fourteen large `gen` runs and three `bench-mul` routes the
+# example, then eighteen large `gen` runs and three `bench-mul` routes the
 # benchmark never runs, whose stdout must keep its recorded SHA-256 (the CSV's
 # run-dependent wall_seconds column cut), then README's streams example
 # against the installed package (not ./src) with every numerator encoded
@@ -51,6 +51,16 @@ sum="$(sclab gen --family latin_hypercube --seed 4 --count 65536 | sha256sum)"
 test "${sum%% *}" = 6fcfd939833c2d1ef2fb32bcf7aaafd4e838bab83cf4df8748aa4e075437493d
 sum="$(sclab gen --family poisson_disk --seed 2 --count 65536 | sha256sum)"
 test "${sum%% *}" = 6f908c177ca0db0d2617939b67daad3ce82265131abf6d2d40ff7bd1d76b7505
+# digital_outputs' tables over two levels (sobol), to 16 base-3 digits
+# (vdc ending at 2^24), and either side of the 4096-entry table limit (halton)
+sum="$(sclab gen --family sobol --dim 3 --bits 24 --count 300000 --index 16000000 | sha256sum)"
+test "${sum%% *}" = 2809401750fe68fc8bc52463d8d9f8d72d84875d8230fc18df3b1e4ea915e93f
+sum="$(sclab gen --family vdc --base 3 --count 300000 --index 16477216 | sha256sum)"
+test "${sum%% *}" = a8d136d3c548c23aa5f8592ed24dfc80631ee351d7062b473f0b693ebfafd956
+sum="$(sclab gen --family halton --base 4093 --count 300000 | sha256sum)"
+test "${sum%% *}" = d4eda2e74ba87328def4b0daa389a75eed0a8dea08a8aa997d1d58ef47ff62ee
+sum="$(sclab gen --family halton --base 4099 --count 300000 | sha256sum)"
+test "${sum%% *}" = dcceb779a12627cd1647598591c33c6b6a6c8c738c0460c49f7210c5197ce340
 # bench-mul past the benchmark's rows: N > K^2 (uint32 count lanes, nonzero
 # MAE), row blocks at 12 input bits, and 4 input bits
 sum="$(sclab bench-mul --seqs halton --lengths 17..20 --out csv | cut -d, -f1,2 | sha256sum)"

@@ -80,7 +80,9 @@ def _check_size(n, input_bits):
 def _levels(thresholds, k_count):
     """Smallest input whose comparator bit is 1: 0 for thresholds below 0
     (always 1), k_count for thresholds >= k_count - 1 (never 1)."""
-    return np.clip(np.asarray(thresholds, dtype=np.int64), -1, k_count - 1) + 1
+    levels = np.clip(np.asarray(thresholds, dtype=np.int64), -1, k_count - 1)
+    levels += 1
+    return levels
 
 
 def count_table(row_level, col_level, rows, cols):

@@ -498,8 +498,8 @@ def main(argv=None):
         return 1
     try:
         return args.func(args)
-    except (WorkbenchError, OSError) as exc:
-        print("sclab: " + _short(str(exc)), file=sys.stderr)
+    except (WorkbenchError, OSError, MemoryError) as exc:
+        print("sclab: " + _short(str(exc) or "out of memory"), file=sys.stderr)
         return 3 if isinstance(exc, (ParseError, OSError)) else 2
 
 

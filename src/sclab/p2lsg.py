@@ -11,18 +11,21 @@ its pad above its index bits, so the cut drops index bits and keeps pad zeros:
 the outputs are then not a permutation (base 4 over 3 bits gives 0, 2, 4, 6,
 0, 2, 4, 6).
 
-Each output bit is the parity of the counter under one fixed mask, so, as the
-low byte cycles through all 256 values under each fixed high part, a run of
-counter values is the outer XOR of a low-byte table with one value per high part.
+Output bit k is the parity of the counter under one fixed mask: the outputs
+are a digital sequence over GF(2), which `digital_outputs` computes as it does
+the unscrambled base-p digit families, whose + takes XOR's place.
 
 All functions are pure; configs are immutable and safe to share across threads.
 """
 
 from dataclasses import dataclass
+from operator import xor
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
+
+TABLE_SIZE = 4096  # most entries in one digit table of digital_outputs
 
 
 def _log2_exact(value, what):
@@ -73,34 +76,29 @@ def p2lsg_sequence(config, count, start=0):
             f"indices {start}..{start + count - 1} exceed the counter period {config.period}"
         )
     n, g = config.counter_bits, config.group_bits
-    rows = [0] * n  # rows[k]: the index bit of output bit n-1-k, which gf2_outputs takes
-    for j in range(-(-n // g)):
-        # bit t of group j lands at bit n - (j+1)*g + t; a negative one is a cut pad bit
-        for t in range(max(0, (j + 1) * g - n), min(g, n - j * g)):
-            rows[(j + 1) * g - 1 - t] = 1 << (j * g + t)
-    return gf2_outputs(rows, start, count)
+    # counter bit i, bit i % g of group i // g, lands at output bit b, or is cut when b < 0
+    cols = [1 << b if b >= 0 else 0 for b in (n - (i // g + 1) * g + i % g for i in range(n))]
+    return digital_outputs(cols, 2, xor, start, count)
 
 
-def gf2_outputs(rows, start, count):
-    """GF(2) matrix times the bits of the indices start .. start + count - 1:
-    output bit j, counted from the most significant of len(rows) <= 63 bits, is
-    the parity of index & rows[j].  So an output is the XOR of one table entry
-    per index byte, and a run is the outer XOR of the low byte's 256-entry
-    table with one XOR of the higher bytes' entries per distinct index >> 8."""
-    nbytes = -(-(max(rows).bit_length() or 1) // 8)
-    # col[c, k]: the output of index bit 8c + k; table[c, v]: of index v << 8c,
-    # filled by doubling over the bits of v
-    bits = np.array(rows, dtype=np.uint64) >> np.arange(nbytes << 3, dtype=np.uint64)[:, None]
-    weights = np.uint64(1) << np.arange(len(rows) - 1, -1, -1, dtype=np.uint64)
-    col = ((bits & np.uint64(1)) @ weights).astype(np.int64).reshape(nbytes, 8)
-    table = np.zeros((nbytes, 256), dtype=np.int64)
-    for k in range(8):
-        table[:, 1 << k : 2 << k] = table[:, : 1 << k] ^ col[:, k, None]
-    high_idx = np.arange(start >> 8, (start + count - 1 >> 8) + 1, dtype=np.uint64)
-    high = np.zeros(high_idx.size, dtype=np.int64)
-    for c in range(1, nbytes):
-        high ^= table[c][high_idx >> 8 * (c - 1) & 255]
-    return (high[:, None] ^ table[0]).ravel()[start & 255 :][:count]
+def digital_outputs(cols, p, add, start, count, dtype=np.int64):
+    """The sums, by `add`, of d_t * cols[t] over the base-p digits d_t of each
+    index start .. start + count - 1 (below p^len(cols)), least significant
+    first.  The low m digits cycle through all p^m values under each fixed
+    index // p^m, so a run is a table over them (entry d * p^t + v is entry v
+    plus d * cols[t]; the most digits with p^m <= TABLE_SIZE, at least one)
+    combined with one sum per distinct index // p^m, which this function gives
+    over the higher digits."""
+    table, m = np.zeros(1, dtype=dtype), 0
+    digits = np.arange(p, dtype=dtype)[:, None]
+    while m < len(cols) and (not m or table.size * p <= TABLE_SIZE):
+        table, m = add(digits * cols[m], table).ravel(), m + 1
+    q = table.size
+    if start + count <= q:
+        return table[start : start + count]
+    first, last = start // q, (start + count - 1) // q
+    high = digital_outputs(cols[m:], p, add, first, last - first + 1, dtype)
+    return add(high[:, None], table).ravel()[start % q :][:count]
 
 
 def p2lsg_parallel(config, cycles):

@@ -20,6 +20,7 @@ reader uses.
 
 import contextlib
 import math
+import operator
 import re
 from collections import namedtuple
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, GenerationError
-from .p2lsg import P2lsgConfig, gf2_outputs, p2lsg_sequence
+from .p2lsg import TABLE_SIZE, P2lsgConfig, digital_outputs, p2lsg_sequence
 
 _M64 = (1 << 64) - 1
 
@@ -106,12 +107,12 @@ _JOE_KUO = {
 
 
 @lru_cache(maxsize=None)
-def _sobol_rows(dimension, bits):
-    # generator-matrix rows of a Sobol dimension (1-based): row j gathers bit
-    # bits-1-j of each direction number V_k at index bit k, so an output is the
-    # XOR of V_k over its index's set bits k (the Gray-code recurrence's closed form)
+def _sobol_cols(dimension, bits):
+    # generator-matrix columns of a Sobol dimension (1-based): the direction
+    # numbers V_1..V_bits, so an output is the XOR of V_(k+1) over its index's
+    # set bits k (the Gray-code recurrence's closed form)
     if dimension == 1:
-        return tuple(1 << j for j in range(bits))
+        return tuple(1 << (bits - 1 - k) for k in range(bits))
     if dimension not in _JOE_KUO:
         raise ConfigurationError(
             f"no direction numbers for sobol dimension {dimension} (have 1..{max(_JOE_KUO)})"
@@ -125,7 +126,7 @@ def _sobol_rows(dimension, bits):
         for t in range(1, s):
             if (a >> (s - 1 - t)) & 1:
                 v[k] ^= v[k - t]
-    return tuple(sum((x >> b & 1) << k for k, x in enumerate(v[1:])) for b in reversed(range(bits)))
+    return tuple(v[1:])
 
 
 # monic irreducible polynomials over GF(2) by (degree, value): x, x+1, x^2+x+1, ...
@@ -144,11 +145,12 @@ def _gf2_series_div(a, q, length):
 
 
 @lru_cache(maxsize=None)
-def _niederreiter_rows(dimension, bits):
+def _niederreiter_cols(dimension, bits, n):
     # generator-matrix rows: row j holds the Laurent coefficients of
     # x^(e-1-u) / p(x)^(Q+1) with j = Q*e + u, as a bitmask over columns r.
     # With q(t) = t^e p(1/t) that is t^(j+1) / q(t)^(Q+1) at t = 1/x, so row j
-    # is the series of 1/q^(Q+1) shifted up by j.
+    # is the series of 1/q^(Q+1) shifted up by j.  Returned as the columns of
+    # the top n rows: column r is the n-bit output of index bit r.
     if not 0 <= dimension < len(_NIED_POLYS):
         raise ConfigurationError(
             f"niederreiter dimension must be in 0..{len(_NIED_POLYS) - 1}, got {dimension}"
@@ -157,11 +159,12 @@ def _niederreiter_rows(dimension, bits):
     e = poly.bit_length() - 1
     q = int(f"{poly:b}"[::-1], 2)
     series, rows = 1, []
-    for j in range(bits):
+    for j in range(n):
         if j % e == 0:
             series = _gf2_series_div(series, q, bits)  # now 1/q^(Q+1)
-        rows.append(series << j & ((1 << bits) - 1))
-    return tuple(rows)
+        rows.append(series << j)
+    return tuple(sum((row >> r & 1) << (n - 1 - j) for j, row in enumerate(rows))
+                 for r in range(bits))
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +473,10 @@ def sequence_numerators(spec, count, start=0):
         n = spec.get("bits")
         if not 1 <= n <= 62:
             raise ConfigurationError(f"bits must be in 1..62, got {n}")
-        rows = _sobol_rows(spec.get("dim"), n)
+        cols = _sobol_cols(spec.get("dim"), n)
         if end > 1 << n:
             raise DomainError(f"index {start} + count {count} exceeds the 2^{n} period")
-        return gf2_outputs(rows, start, count), 1 << n
+        return digital_outputs(cols, 2, operator.xor, start, count), 1 << n
     if fam == "niederreiter":  # dim 0 (polynomial x) is bit reversal; `skip` drops a warm-up
         n = spec.get("bits")
         if not 1 <= n <= 32:
@@ -482,10 +485,10 @@ def sequence_numerators(spec, count, start=0):
         if skip < 0:
             raise DomainError(f"skip must be non-negative, got {skip}")
         first = skip + start
-        if first + count > 1 << 63:  # the index bits, and so the rows, fit in 63
+        if first + count > 1 << 63:  # the index bits, and so the columns, fit in 63
             raise DomainError(f"skip + count must be at most 2^63, got {first + count}")
-        rows = _niederreiter_rows(spec.get("dim"), max(n, (first + count - 1).bit_length()))
-        return _floor_scaled(gf2_outputs(rows, first, count), 1 << len(rows), n), 1 << n
+        cols = _niederreiter_cols(spec.get("dim"), max(n, (first + count - 1).bit_length()), n)
+        return digital_outputs(cols, 2, operator.xor, first, count), 1 << n
     if fam == "lfsr":
         n = spec.get("bits")
         return _lfsr(spec.get("taps"), spec.get("seed"), end, n)[start:], 1 << n
@@ -531,20 +534,21 @@ def _radical_inverse(spec, start, count):
     """(numerators, p^L): a digit family's values at start.. over one denominator.
 
     Every index gets L base-p digits (zero padding mirrors to trailing zeros,
-    so values do not change), Faure-scrambled by a Pascal matrix power mod p,
-    in int64 unless p^L or the matrix product could overflow it.  Horner's
-    rule mirrors the digits as they are peeled, so only Faure holds all L, in
-    one (L, count) array.  Without the scrambling a value is the mirrored low
-    m-digit chunk of its index plus the mirrored rest, and over a run the low
-    chunk cycles through all p^m <= 4096 values under each index // p^m.  So a
-    run longer than that table is the outer sum of the table with the mirrored
-    L - m high digits of each distinct index // p^m.
+    so values do not change), in int64 unless p^L or Faure's matrix product
+    could overflow it.  Unscrambled, digit t of the index is digit L-1-t of the
+    value: `digital_outputs` sums the columns p^(L-1-t) with +.  Faure's
+    dimensions above 0 (a Pascal matrix power mod p) and bases with no digit
+    table peel the digits in place and mirror them by Horner's rule; only
+    Faure holds all L, in one (L, count) array.
     """
     p, dim = _digit_base(spec)
     width = 1
     while p**width < start + count:
         width += 1
     dtype = np.int64 if p**width < 1 << 62 and width * (p - 1) ** 2 < 1 << 63 else object
+    if not dim and p <= TABLE_SIZE:
+        cols = [p**t for t in reversed(range(width))]
+        return digital_outputs(cols, p, operator.add, start, count, dtype), p**width
 
     def peel(idx, n):  # n base-p digits of every index, least significant first
         for _ in range(n):
@@ -553,30 +557,21 @@ def _radical_inverse(spec, start, count):
             yield idx
             idx = q
 
-    def mirror(start, count, width):  # the first `width` digits of start.., mirrored
-        digits = peel(np.arange(start, start + count, dtype=dtype), width)
-        if dim > 0:  # (C^dim)_{j,r} = C(r,j) * dim^(r-j) mod p for r >= j
-            stack = np.empty((width, count), dtype=dtype)  # the one copy of the L digit rows
-            for j in range(width):  # no name holds a peeled row past its copy
-                stack[j] = next(digits)
-            digits = stack
-            for j in range(width):  # scrambled digit j reads digits j.., so replaces digit j
-                for r in range(j + 1, width):
-                    digits[j] += math.comb(r, j) * pow(dim, r - j, p) % p * digits[r]
-                digits[j] -= digits[j] // p * p
-        num = np.zeros(count, dtype=dtype)
-        for digit in digits:  # digit j of the index is digit L-1-j of the value
-            num *= p
-            num += digit
-        return num
-
-    m = min(width, next((k for k in range(12, 0, -1) if p**k <= 4096), 0))
-    if dim > 0 or not m or p**m >= count:  # scrambled, a base past 4096, or a short run
-        return mirror(start, count, width), p**width
-    q = p**m
-    table = mirror(0, q, m) * p ** (width - m)
-    high = mirror(start // q, (start + count - 1) // q - start // q + 1, width - m)
-    return (high[:, None] + table).ravel()[start % q :][:count], p**width
+    digits = peel(np.arange(start, start + count, dtype=dtype), width)
+    if dim > 0:  # (C^dim)_{j,r} = C(r,j) * dim^(r-j) mod p for r >= j
+        stack = np.empty((width, count), dtype=dtype)  # the one copy of the L digit rows
+        for j in range(width):  # no name holds a peeled row past its copy
+            stack[j] = next(digits)
+        digits = stack
+        for j in range(width):  # scrambled digit j reads digits j.., so replaces digit j
+            for r in range(j + 1, width):
+                digits[j] += math.comb(r, j) * pow(dim, r - j, p) % p * digits[r]
+            digits[j] -= digits[j] // p * p
+    num = np.zeros(count, dtype=dtype)
+    for digit in digits:  # digit j of the index is digit L-1-j of the value
+        num *= p
+        num += digit
+    return num, p**width
 
 
 def _floor_scaled(num, den, bits):
@@ -589,11 +584,11 @@ def _floor_scaled(num, den, bits):
             num = num >> shift if shift > 0 else num << -shift
         return num.astype(np.int64, copy=False)
     step = max(1, 63 - den.bit_length())
-    out = np.zeros(num.size, dtype=num.dtype)
     for done in range(0, bits, step):
         shift = min(step, bits - done)
+        if done:  # the last step's remainder goes on
+            num -= q * den
         num = num << shift
         q = num // den
-        out = (out << shift) | q
-        num -= q * den
-    return out.astype(np.int64)
+        out = (out << shift) | q if done else q
+    return out.astype(np.int64, copy=False)

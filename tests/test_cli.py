@@ -504,6 +504,22 @@ class TestGenText:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("target,argv,error", [
+        ("sequence_numerators", ("gen", "--family", "vdc", "--base", "3", "--count", "4"),
+         MemoryError()),
+        ("run_bench", ("bench-mul", "--seqs", "vdc", "--lengths", "6"),
+         MemoryError("Unable to allocate 128. MiB for an array with shape (16777216,)")),
+    ])
+    def test_running_out_of_memory_is_one_line_and_exit_2(
+            self, capsys, monkeypatch, target, argv, error):
+        def fail(*args, **kwargs):  # what an allocation past the memory limit raises
+            raise error
+
+        monkeypatch.setattr(cli, target, fail)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"sclab: {str(error) or 'out of memory'}\n"
+
     def test_unknown_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--family", "vdc", "--count", "1", "--nope"])

@@ -1,15 +1,17 @@
+import operator
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import digit_oracle
+from conftest import digit_oracle, radical_inverse
 from sclab.errors import ConfigurationError, DomainError
 from sclab.p2lsg import (
     P2lsgConfig,
-    gf2_outputs,
+    digital_outputs,
     p2lsg_pair_for_length,
     p2lsg_parallel,
     p2lsg_sequence,
@@ -184,39 +186,65 @@ def gf2_oracle(rows, index):
 
 def random_rows(width, n, seed):
     """n rows of at most `width` bits; the first has its top bit set, so the
-    rows span exactly ceil(width / 8) index bytes."""
+    rows reach index bit width - 1."""
     rng = random.Random(seed)
     rows = [rng.getrandbits(width) for _ in range(n)]
     rows[0] |= 1 << (width - 1)
     return rows
 
 
-class TestGf2Outputs:
-    """`gf2_outputs(rows, start, count)`, the outer XOR of the low index byte's
-    256-entry table with one value per distinct index >> 8, against the
-    per-index parity."""
+def columns(rows):
+    """The 63 columns of a GF(2) matrix given by rows, the first row the top
+    output bit: column k is the output of index bit k alone."""
+    n = len(rows)
+    return [sum((row >> k & 1) << (n - 1 - j) for j, row in enumerate(rows)) for k in range(63)]
+
+
+class TestDigitalOutputs:
+    """`digital_outputs(cols, p, add, start, count)`, a table over the low index
+    digits combined with one value per distinct high part from the same
+    function over the higher digits: over GF(2), XOR of the columns of random
+    matrices against the per-index parity, and over Z_p, + of the columns
+    p^(L-1-t) against the radical inverse."""
 
     @pytest.mark.parametrize("width", range(1, 64))
     def test_runs_from_each_low_byte_phase(self, width):
         rows = random_rows(width, 6, width)
-        tables = -(-width // 8) << 8  # one 256-entry table per index byte
+        cols = columns(rows)
+        long_count = (-(-width // 8) << 8) + 1  # from 257 at 8 bits to 2049 at 63
         # start >> 8 at 0, in the middle, and just below 2^62, so runs cross it
         for high in (0, 0x1234, (1 << 54) - 2):
             for low in (0, 1, 255):
                 start = high << 8 | low
-                for count in (1, 255, 256, 257, tables + 1):
-                    got = gf2_outputs(rows, start, count)
+                for count in (1, 255, 256, 257, long_count):
+                    got = digital_outputs(cols, 2, operator.xor, start, count)
                     assert got.dtype == np.int64 and got.size == count
                     want = [gf2_oracle(rows, i) for i in range(start, start + count)]
                     assert got.tolist() == want, (start, count)
 
     @pytest.mark.parametrize("width,nrows,start", [
-        (20, 20, 12345),  # the run crosses 274 values of index >> 8
+        (20, 20, 12345),  # the run crosses 18 values of index >> 12
         (63, 8, (1 << 62) - 35001),  # and here carries into bit 62
         (63, 63, (1 << 62) - 1000),  # the widest matrix: 63 output bits of 63
     ])
     def test_long_runs_cross_many_high_values(self, width, nrows, start):
         rows = random_rows(width, nrows, nrows)
         count = 70001 if nrows < 63 else 2049
-        got = gf2_outputs(rows, start, count)
+        got = digital_outputs(columns(rows), 2, operator.xor, start, count)
         assert got.tolist() == [gf2_oracle(rows, i) for i in range(start, start + count)]
+
+    @pytest.mark.parametrize("p,starts,count", [
+        (3, (0, 2186, 3**14 - 2000), 5000),  # 2187-entry tables, three levels
+        (10, (0, 999, 10**9 - 1500), 2500),  # 1000-entry tables: a composite base
+        (4093, (0, 4092, 4093**3 - 100), 4200),  # one digit per table
+    ])
+    def test_sums_over_zp_are_radical_inverses(self, p, starts, count):
+        for start in starts:
+            for n in (1, 2, p - 1, p + 1, count):
+                width = 1
+                while p**width < start + n:
+                    width += 1
+                cols = [p**t for t in reversed(range(width))]
+                got = digital_outputs(cols, p, operator.add, start, n)
+                assert [Fraction(v, p**width) for v in got.tolist()] == [
+                    radical_inverse(p, i) for i in range(start, start + n)], (start, n)

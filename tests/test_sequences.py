@@ -266,6 +266,15 @@ def pascal_mod2_matrix(size):
     ]
 
 
+def niederreiter_rows(dimension, bits):
+    """The package's generator matrix, stored as columns, read back as rows:
+    row j, the top output bit first, as a bitmask over index bits."""
+    from sclab.sequences import _niederreiter_cols
+
+    cols = _niederreiter_cols(dimension, bits, bits)
+    return [sum((c >> (bits - 1 - j) & 1) << r for r, c in enumerate(cols)) for j in range(bits)]
+
+
 def niederreiter_values(text, count):
     return numerators(f"niederreiter:{text}", count)[0]
 
@@ -279,20 +288,23 @@ class TestNiederreiter:
 
     def test_dimension1_matrix_is_pascal_mod2(self):
         # brute-force GF(2) oracle: polynomial x+1 must give binomial rows
-        from sclab.sequences import _niederreiter_rows
-
-        rows = _niederreiter_rows(1, 8)
-        assert list(rows) == pascal_mod2_matrix(8)
+        assert niederreiter_rows(1, 8) == pascal_mod2_matrix(8)
 
     @pytest.mark.parametrize("dimension", range(len(NIEDERREITER_POLYS)))
     def test_matrix_matches_laurent_oracle(self, dimension):
-        from sclab.sequences import _niederreiter_rows
-
         # the first `bits` columns of a row do not depend on how many follow
         full = niederreiter_rows_oracle(dimension, 63)
         for bits in range(1, 64):
             want = [row & ((1 << bits) - 1) for row in full[:bits]]
-            assert list(_niederreiter_rows(dimension, bits)) == want, bits
+            assert niederreiter_rows(dimension, bits) == want, bits
+
+    @pytest.mark.parametrize("dimension", range(len(NIEDERREITER_POLYS)))
+    def test_columns_of_the_top_rows(self, dimension):
+        from sclab.sequences import _niederreiter_cols
+
+        full = _niederreiter_cols(dimension, 63, 63)
+        for n in (1, 8, 20, 32):
+            assert _niederreiter_cols(dimension, 63, n) == tuple(c >> (63 - n) for c in full), n
 
     def test_dimension1_first_outputs(self):
         # frozen from the matrix oracle: digits of i through the Pascal rows
@@ -768,9 +780,9 @@ class TestThresholds:
 
 class TestRandomAccess:
     """`sequence_numerators(spec, count, start)` from starts on either side of
-    the chunk edges radix^c of the table paths: 256 for the byte tables of
-    sobol, niederreiter and p2lsg, p^m <= 4096 for the digit families.  Each
-    count is larger than the tables, so the tables are what runs."""
+    the edges of `digital_outputs`' tables and of its tables' tables: 2^12
+    for sobol, niederreiter and p2lsg, the largest p^m <= 4096 for the digit
+    families."""
 
     # (spec, oracle of index i, starts at chunk edges, count)
     SCALAR = [
@@ -784,9 +796,9 @@ class TestRandomAccess:
         ("faure:prime=5,dim=3", lambda i: radical_inverse(5, i, 3), (624, 625), 700),
         ("sobol:dim=3,bits=24",
          lambda i: Fraction(sobol_oracle(3, 24, i), 1 << 24),
-         (255, 256, 65535, 65536), 1000),
+         (255, 256, 4095, 4096, 65535, 65536), 1000),
         ("p2lsg:base=16,bits=24", lambda i: Fraction(digit_oracle(i, 24, 16), 1 << 24),
-         (255, 256, 65535, 65536), 1000),
+         (255, 256, 4095, 4096, 65535, 65536), 1000),
         ("p2lsg:base=8,bits=40", lambda i: Fraction(digit_oracle(i, 40, 8), 1 << 40),
          ((1 << 32) - 1, 1 << 32), 1500),
     ]
@@ -796,6 +808,27 @@ class TestRandomAccess:
         spec = SequenceSpec.parse(text)
         for start in starts:
             assert fractions(spec, count, start) == [oracle(i) for i in range(start, start + count)]
+
+    @pytest.mark.parametrize("text,oracle", [
+        ("vdc:base=2", lambda i: radical_inverse(2, i)),
+        ("vdc:base=3", lambda i: radical_inverse(3, i)),
+        ("vdc:base=10", lambda i: radical_inverse(10, i)),
+        ("halton:base=13", lambda i: radical_inverse(13, i)),
+        ("hammersley:dim=1", lambda i: radical_inverse(3, i)),
+        ("faure:prime=7,dim=0", lambda i: radical_inverse(7, i)),
+        ("sobol:dim=3,bits=16", lambda i: Fraction(sobol_oracle(3, 16, i), 1 << 16)),
+        ("niederreiter:dim=4,bits=12,skip=4096",
+         lambda i: Fraction(niederreiter_oracle(4, 12, 4096 + i), 1 << 12)),
+        ("p2lsg:base=8,bits=16", lambda i: Fraction(digit_oracle(i, 16, 8), 1 << 16)),
+    ])
+    def test_tiny_tables_cross_edges_at_every_level(self, monkeypatch, text, oracle):
+        # tables of one base-p digit (two bits for p = 2): a run of 300 crosses
+        # table edges at three or more levels of digital_outputs
+        monkeypatch.setattr("sclab.p2lsg.TABLE_SIZE", 4)
+        spec = SequenceSpec.parse(text)
+        for start, count in ((0, 300), (1000, 300), (4093, 4), (12345, 1)):
+            assert fractions(spec, count, start) == [
+                oracle(i) for i in range(start, start + count)], (start, count)
 
     @pytest.mark.parametrize("text,start,count", [
         ("vdc:base=2", 4095, 4500),
@@ -838,8 +871,8 @@ class TestRandomAccess:
 
     @pytest.mark.parametrize("text,p,m", DIGIT_TABLES)
     def test_runs_either_side_of_one_table(self, text, p, m):
-        # counts p^m - 1 and p^m peel every digit of every index; p^m + 1 is
-        # the first outer sum of the table with one value per index // p^m
+        # counts p^m - 1, p^m and p^m + 1 from starts inside a table's span:
+        # each run spans two values of index // p^m
         q = p**m
         spec = SequenceSpec.parse(text)
         for start in (5 * q + q // 2, q * q + q // 2 + 1):
@@ -898,12 +931,13 @@ class TestRandomAccess:
 
 
 # the scalar generators that duplicated sequence_numerators' route, the
-# seeded families' former generator class, and the per-family generator
-# functions beside sequence_numerators
+# seeded families' former generator class, the per-family generator
+# functions beside sequence_numerators, and the GF(2) byte-table kernel
+# that digital_outputs replaced
 REMOVED_NAMES = ("gen_vdc", "gen_halton", "gen_hammersley_pair", "gen_faure", "_faure_digits",
                  "gen_weyl", "gen_r2", "sequence_fractions", "group_reverse", "Xorshift64Star",
                  "gen_sobol", "sobol_direction_vectors", "gen_niederreiter", "gen_lfsr",
-                 "gen_latin_hypercube", "gen_poisson_disk")
+                 "gen_latin_hypercube", "gen_poisson_disk", "gf2_outputs")
 
 
 def test_readme_library_sketch_runs_as_written(capsys):
