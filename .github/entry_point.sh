@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The installed `sclab` console script, end to end; both CI jobs run it from
 # the repository root.  It installs the package and runs README's first
-# example, then eighteen large `gen` runs and three `bench-mul` routes the
+# example, then twenty-two large `gen` runs and three `bench-mul` routes the
 # benchmark never runs, whose stdout must keep its recorded SHA-256 (the CSV's
 # run-dependent wall_seconds column cut), then README's streams example
 # against the installed package (not ./src) with every numerator encoded
@@ -61,6 +61,16 @@ sum="$(sclab gen --family halton --base 4093 --count 300000 | sha256sum)"
 test "${sum%% *}" = d4eda2e74ba87328def4b0daa389a75eed0a8dea08a8aa997d1d58ef47ff62ee
 sum="$(sclab gen --family halton --base 4099 --count 300000 | sha256sum)"
 test "${sum%% *}" = dcceb779a12627cd1647598591c33c6b6a6c8c738c0460c49f7210c5197ce340
+# Faure's scrambled digit vectors up to 2^22 values, and bases above the
+# 4096-entry table limit, whose digits are peeled from the run itself
+sum="$(sclab gen --family faure --base 7 --dim 2 --count 4194304 | sha256sum)"
+test "${sum%% *}" = 6d9b641b6df4f8c4d8d73735bd828f98920b54d671e7ad99b7213f04498161c5
+sum="$(sclab gen --family faure --base 7 --dim 1 --count 1048576 --index 12345 | sha256sum)"
+test "${sum%% *}" = 7a8b713d471d829ab3618a7c5833d966fadbc983c85b9a29d58da16c04db039e
+sum="$(sclab gen --family vdc --base 65537 --count 1048576 --index 12345 | sha256sum)"
+test "${sum%% *}" = 312b9d3041c9747590aba0536531a5e47752de11c7167a32f09712d43c2cb981
+sum="$(sclab gen --family faure --base 4099 --dim 1 --count 300000 --index 777 | sha256sum)"
+test "${sum%% *}" = 84494d300e7dbd4e39e34397dc791a323e07cde88cf94a3e6ecadc7dfcd2f6a7
 # bench-mul past the benchmark's rows: N > K^2 (uint32 count lanes, nonzero
 # MAE), row blocks at 12 input bits, and 4 input bits
 sum="$(sclab bench-mul --seqs halton --lengths 17..20 --out csv | cut -d, -f1,2 | sha256sum)"

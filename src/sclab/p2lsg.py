@@ -12,8 +12,8 @@ the outputs are then not a permutation (base 4 over 3 bits gives 0, 2, 4, 6,
 0, 2, 4, 6).
 
 Output bit k is the parity of the counter under one fixed mask: the outputs
-are a digital sequence over GF(2), which `digital_outputs` computes as it does
-the unscrambled base-p digit families, whose + takes XOR's place.
+are a digital sequence over GF(2), computed by `digital_outputs` as is every
+linear family, over GF(2) or, with + in XOR's place, over Z_p.
 
 All functions are pure; configs are immutable and safe to share across threads.
 """
@@ -84,21 +84,35 @@ def p2lsg_sequence(config, count, start=0):
 def digital_outputs(cols, p, add, start, count, dtype=np.int64):
     """The sums, by `add`, of d_t * cols[t] over the base-p digits d_t of each
     index start .. start + count - 1 (below p^len(cols)), least significant
-    first.  The low m digits cycle through all p^m values under each fixed
-    index // p^m, so a run is a table over them (entry d * p^t + v is entry v
-    plus d * cols[t]; the most digits with p^m <= TABLE_SIZE, at least one)
-    combined with one sum per distinct index // p^m, which this function gives
-    over the higher digits."""
-    table, m = np.zeros(1, dtype=dtype), 0
-    digits = np.arange(p, dtype=dtype)[:, None]
-    while m < len(cols) and (not m or table.size * p <= TABLE_SIZE):
-        table, m = add(digits * cols[m], table).ravel(), m + 1
-    q = table.size
+    first; a column is a number or a vector, summed along a trailing axis.
+    The low m digits cycle through all p^m values under each fixed index //
+    p^m, so a run is a table over them (entry d * p^t + v is entry v plus d *
+    cols[t], grown until it covers the run or would pass TABLE_SIZE) combined
+    with one sum per distinct index // p^m, which this function gives over the
+    higher digits.  A p above TABLE_SIZE has no table: the run's own lowest
+    digits are peeled, and each one's product added to its higher digits' sum."""
+    if p > TABLE_SIZE:
+        low = np.arange(start, start + count, dtype=dtype)
+        high = low // p
+        low -= high * p
+        low = np.multiply.outer(low, cols[0])
+        if start + count <= p:
+            return low
+        high -= start // p
+        rest = digital_outputs(cols[1:], p, add, start // p, int(high[-1]) + 1, dtype)
+        high = np.take(rest, high.astype(np.intp, copy=False), axis=0)  # over higher digits
+        return add(low, high)
+    tail = getattr(cols[0], "shape", ())  # () for a number
+    digits = np.arange(p, dtype=dtype).reshape((p, 1) + (1,) * len(tail))
+    table, m = (digits * cols[0]).reshape((-1,) + tail), 1
+    while len(table) < start + count and len(table) * p <= TABLE_SIZE:
+        table, m = add(digits * cols[m], table).reshape((-1,) + tail), m + 1
+    q = len(table)
     if start + count <= q:
         return table[start : start + count]
     first, last = start // q, (start + count - 1) // q
     high = digital_outputs(cols[m:], p, add, first, last - first + 1, dtype)
-    return add(high[:, None], table).ravel()[start % q :][:count]
+    return add(high[:, None], table).reshape((-1,) + tail)[start % q :][:count]
 
 
 def p2lsg_parallel(config, cycles):

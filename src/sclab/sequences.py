@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, GenerationError
-from .p2lsg import TABLE_SIZE, P2lsgConfig, digital_outputs, p2lsg_sequence
+from .p2lsg import P2lsgConfig, digital_outputs, p2lsg_sequence
 
 _M64 = (1 << 64) - 1
 
@@ -534,44 +534,28 @@ def _radical_inverse(spec, start, count):
     """(numerators, p^L): a digit family's values at start.. over one denominator.
 
     Every index gets L base-p digits (zero padding mirrors to trailing zeros,
-    so values do not change), in int64 unless p^L or Faure's matrix product
-    could overflow it.  Unscrambled, digit t of the index is digit L-1-t of the
-    value: `digital_outputs` sums the columns p^(L-1-t) with +.  Faure's
-    dimensions above 0 (a Pascal matrix power mod p) and bases with no digit
-    table peel the digits in place and mirror them by Horner's rule; only
-    Faure holds all L, in one (L, count) array.
+    so values do not change), in int64 unless p^L or a Faure digit's sum of L
+    terms below p^2 could overflow it.  Unscrambled, digit t of the index is
+    digit L-1-t of the value: `digital_outputs` sums the columns p^(L-1-t)
+    with +.  Faure's dimensions above 0 scramble the digits by the Pascal
+    matrix power C^dim mod p, whose columns it sums as digit vectors into one
+    (count, L) matrix, reduced mod p in place and summed under the weights.
     """
     p, dim = _digit_base(spec)
     width = 1
     while p**width < start + count:
         width += 1
     dtype = np.int64 if p**width < 1 << 62 and width * (p - 1) ** 2 < 1 << 63 else object
-    if not dim and p <= TABLE_SIZE:
-        cols = [p**t for t in reversed(range(width))]
-        return digital_outputs(cols, p, operator.add, start, count, dtype), p**width
+    weights = [p**t for t in reversed(range(width))]
+    if not dim:
+        return digital_outputs(weights, p, operator.add, start, count, dtype), p**width
 
-    def peel(idx, n):  # n base-p digits of every index, least significant first
-        for _ in range(n):
-            q = idx // p  # a division by a constant, far cheaper than %
-            idx -= q * p
-            yield idx
-            idx = q
-
-    digits = peel(np.arange(start, start + count, dtype=dtype), width)
-    if dim > 0:  # (C^dim)_{j,r} = C(r,j) * dim^(r-j) mod p for r >= j
-        stack = np.empty((width, count), dtype=dtype)  # the one copy of the L digit rows
-        for j in range(width):  # no name holds a peeled row past its copy
-            stack[j] = next(digits)
-        digits = stack
-        for j in range(width):  # scrambled digit j reads digits j.., so replaces digit j
-            for r in range(j + 1, width):
-                digits[j] += math.comb(r, j) * pow(dim, r - j, p) % p * digits[r]
-            digits[j] -= digits[j] // p * p
-    num = np.zeros(count, dtype=dtype)
-    for digit in digits:  # digit j of the index is digit L-1-j of the value
-        num *= p
-        num += digit
-    return num, p**width
+    # column r of C^dim: entry j is C(r, j) * dim^(r-j) mod p, and 0 for j > r
+    cols = np.array([[math.comb(r, j) * pow(dim, r - j, p) % p if j <= r else 0
+                      for j in range(width)] for r in range(width)], dtype)
+    digits = digital_outputs(cols, p, operator.add, start, count, dtype)
+    digits %= p
+    return digits @ np.array(weights, dtype), p**width
 
 
 def _floor_scaled(num, den, bits):

@@ -200,12 +200,25 @@ def columns(rows):
     return [sum((row >> k & 1) << (n - 1 - j) for j, row in enumerate(rows)) for k in range(63)]
 
 
+def zp_oracle(cols, p, index):
+    """The sum of d_t * cols[t] over the base-p digits d_t of index, least
+    significant first, entry by entry in Python ints: the digit vector times
+    the matrix whose rows are the columns."""
+    digits = []
+    for _ in cols:
+        index, d = divmod(index, p)
+        digits.append(d)
+    return [sum(d * int(col[k]) for d, col in zip(digits, cols)) for k in range(len(cols[0]))]
+
+
 class TestDigitalOutputs:
     """`digital_outputs(cols, p, add, start, count)`, a table over the low index
     digits combined with one value per distinct high part from the same
-    function over the higher digits: over GF(2), XOR of the columns of random
-    matrices against the per-index parity, and over Z_p, + of the columns
-    p^(L-1-t) against the radical inverse."""
+    function over the higher digits, and for p > TABLE_SIZE the run's own
+    lowest digits peeled: over GF(2), XOR of the columns of random matrices
+    against the per-index parity, and over Z_p, + of the columns p^(L-1-t)
+    against the radical inverse and of random digit-vector columns against
+    the matrix product."""
 
     @pytest.mark.parametrize("width", range(1, 64))
     def test_runs_from_each_low_byte_phase(self, width):
@@ -232,6 +245,24 @@ class TestDigitalOutputs:
         count = 70001 if nrows < 63 else 2049
         got = digital_outputs(columns(rows), 2, operator.xor, start, count)
         assert got.tolist() == [gf2_oracle(rows, i) for i in range(start, start + count)]
+
+    @pytest.mark.parametrize("p,width,starts,count,dtype", [
+        (3, 10, (0, 2186, 3**10 - 3000), 3000, np.int64),  # 2187-entry tables, two levels
+        (7, 7, (0, 2400, 7**7 - 3000), 3000, np.int64),  # 2401-entry tables
+        (4099, 3, (0, 4000, 4099**2 - 2000, 4099**3 - 5000), 5000, np.int64),  # no table
+        # past int64: starts beyond 2^62, in Python integers
+        (3, 41, ((1 << 62) + 12345, 3**41 - 300), 300, object),
+        (4099, 6, ((1 << 62) - 4000, (1 << 62) + 5), 300, object),
+    ])
+    def test_digit_vector_columns_are_matrix_products(self, p, width, starts, count, dtype):
+        rng = random.Random(p + width)
+        cols = np.array([[rng.randrange(p) for _ in range(5)] for _ in range(width)], dtype)
+        for start in starts:
+            for n in (1, 2, count):
+                got = digital_outputs(cols, p, operator.add, start, n, dtype)
+                assert got.shape == (n, 5) and got.dtype == dtype
+                assert got.tolist() == [zp_oracle(cols, p, i)
+                                        for i in range(start, start + n)], (start, n)
 
     @pytest.mark.parametrize("p,starts,count", [
         (3, (0, 2186, 3**14 - 2000), 5000),  # 2187-entry tables, three levels

@@ -691,6 +691,7 @@ class TestThresholds:
         ("faure:prime=7,dim=1", lambda i: radical_inverse(7, i, 1)),
         ("faure:prime=7,dim=2", lambda i: radical_inverse(7, i, 2)),
         ("faure:prime=7,dim=3", lambda i: radical_inverse(7, i, 3)),
+        ("faure:prime=7,dim=7", lambda i: radical_inverse(7, i, 7)),  # C^7 = I mod 7
     ])
     def test_digit_thresholds_match_radical_inverse_oracle(self, text, oracle):
         spec = SequenceSpec.parse(text)
@@ -816,14 +817,19 @@ class TestRandomAccess:
         ("halton:base=13", lambda i: radical_inverse(13, i)),
         ("hammersley:dim=1", lambda i: radical_inverse(3, i)),
         ("faure:prime=7,dim=0", lambda i: radical_inverse(7, i)),
+        ("faure:prime=7,dim=1", lambda i: radical_inverse(7, i, 1)),
+        ("faure:prime=3,dim=2", lambda i: radical_inverse(3, i, 2)),
+        ("faure:prime=5,dim=3", lambda i: radical_inverse(5, i, 3)),
+        ("faure:prime=4099,dim=1", lambda i: radical_inverse(4099, i, 1)),
         ("sobol:dim=3,bits=16", lambda i: Fraction(sobol_oracle(3, 16, i), 1 << 16)),
         ("niederreiter:dim=4,bits=12,skip=4096",
          lambda i: Fraction(niederreiter_oracle(4, 12, 4096 + i), 1 << 12)),
         ("p2lsg:base=8,bits=16", lambda i: Fraction(digit_oracle(i, 16, 8), 1 << 16)),
     ])
     def test_tiny_tables_cross_edges_at_every_level(self, monkeypatch, text, oracle):
-        # tables of one base-p digit (two bits for p = 2): a run of 300 crosses
-        # table edges at three or more levels of digital_outputs
+        # tables of one base-p digit (two bits for p = 2), and none for p >= 5,
+        # whose lowest digits are peeled from the run itself: the runs cross
+        # table or digit edges at several levels of digital_outputs
         monkeypatch.setattr("sclab.p2lsg.TABLE_SIZE", 4)
         spec = SequenceSpec.parse(text)
         for start, count in ((0, 300), (1000, 300), (4093, 4), (12345, 1)):
