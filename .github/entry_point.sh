@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The installed `sclab` console script, end to end; both CI jobs run it from
 # the repository root.  It installs the package and runs README's first
-# example, then twenty-two large `gen` runs and three `bench-mul` routes the
-# benchmark never runs, whose stdout must keep its recorded SHA-256 (the CSV's
+# example, then twenty-two large `gen` runs, three `bench-mul` routes the
+# benchmark never runs and three rows that share a spec's thresholds across
+# their lengths, whose stdout must keep its recorded SHA-256 (the CSV's
 # run-dependent wall_seconds column cut), then README's streams example
 # against the installed package (not ./src) with every numerator encoded
 # twice over one array, then an RGB `scale` at N = 1024, a chroma-keyed
@@ -79,6 +80,14 @@ sum="$(sclab bench-mul --seqs halton --lengths 6..12 --input-bits 12 --out csv |
 test "${sum%% *}" = 09673fde8a2355d939b90854de3b07c385125d4be92aece0368c303d2fa822c0
 sum="$(sclab bench-mul --seqs lfsr --lengths 6..16 --input-bits 4 --out csv | cut -d, -f1,2 | sha256sum)"
 test "${sum%% *}" = 91452ee1da74146821088a0c2d88426439e3eadc772357a8f2d4ce6d9c520d65
+# rows whose specs resolve the same at every length: one shared and one built
+# per length, both shared at explicit bits, and a shared add row
+sum="$(sclab bench-mul --seqs halton:base=11,p2lsgN --lengths 6..16 --out csv | cut -d, -f1,2 | sha256sum)"
+test "${sum%% *}" = 0e12099ab450cfa5d8b44cc9827ccdea56d0385881de04ea9126208230e8c76b
+sum="$(sclab bench-mul --seqs sobol:dim=1,bits=16,sobol:dim=2,bits=16 --lengths 6..16 --out csv | cut -d, -f1,2 | sha256sum)"
+test "${sum%% *}" = a9f06676c5af019899414a944e890023c8cb7cb63c3003e17531a5ccbeb4a520
+sum="$(sclab bench-add --seqs halton,vdc:base=2 --lengths 2..12 --out csv | cut -d, -f1,2 | sha256sum)"
+test "${sum%% *}" = ea1309fa25fb4c64508c98f4ec3375c910821336d185bebd1650ce0b0b248a00
 cd "$RUNNER_TEMP"
 python - <<'EOF'
 # README's "streams and arithmetic" example; the scc value was

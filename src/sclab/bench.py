@@ -14,6 +14,7 @@ int32 and int64 cumsums 308, 330, 1147 us; timeit, 2-core Xeon, numpy 2.4.6).
 The packed-word kernels in `ops` are the tests' independent oracle for counts.
 """
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass, field
@@ -23,8 +24,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .sequences import MAX_LENGTH, check_stream_length, resolve_spec, sequence_thresholds
+from .errors import ConfigurationError, WorkbenchError
+from .sequences import (_REGISTRY, MAX_LENGTH, check_stream_length, resolve_spec,
+                        sequence_thresholds)
 
 # the pair-count table has 2^(2*input_bits) cells; it is built _BLOCK_CELLS at a time
 MAX_INPUT_BITS = 12
@@ -134,9 +136,13 @@ def mul_error_sum(thr_a, thr_b, input_bits=8):
             err += carry
             carry = err[-1] - want[1]
         np.abs(err, out=err)
-        # cells are below 2^48 under MAX_LENGTH and MAX_INPUT_BITS, so int64
-        # row sums stay below 2^60; their total may not
-        total += sum(err.sum(axis=1, dtype=np.int64).tolist())
+        # int32 cells are below 2^31, at most 2^20 a block, so one int64 sum is
+        # exact; int64 cells are below 2^48 under MAX_LENGTH and MAX_INPUT_BITS,
+        # so their row sums stay below 2^60, but their total may not
+        if dtype is np.int32:
+            total += int(err.sum(dtype=np.int64))
+        else:
+            total += sum(err.sum(axis=1, dtype=np.int64).tolist())
     return total * g
 
 
@@ -173,21 +179,42 @@ def add_error_sum(thr_data, thr_select, input_bits=8):
 
 
 def run_bench(config):
-    """MAE-percent of the configured operation over the exhaustive input sweep."""
-    k_count = 1 << config.input_bits
+    """MAE-percent of the configured operation over the exhaustive input sweep.
+
+    A spec is shared when it resolves to one spec at every length and its
+    family's values do not depend on the run's length: its thresholds are
+    built once, read-only, at the longest length, and each length reads their
+    first N.  Every other spec is built per length.  A shared build that fails
+    falls back to per-length builds, so the first failing length raises its
+    own message.  The shared builds' time goes to the last row, so each row's
+    wall_seconds counts the work done for it.
+    """
+    k_count, bits = 1 << config.input_bits, config.input_bits
     if config.operation == "mul":
         error_sum, per_pair = mul_error_sum, k_count * k_count
     else:
         error_sum, per_pair = add_error_sum, 2 * k_count
     label = " & ".join(s.describe() for s in config.sequence_pair)
-    report = MaeReport(config.operation, label, config.input_bits)
-    for n in config.lengths:
+    report = MaeReport(config.operation, label, bits)
+    top, shared, spent = max(config.lengths, default=0), {}, 0.0
+    for spec in config.sequence_pair:
+        resolved = {resolve_spec(spec, n) for n in config.lengths}
+        if len(resolved) != 1 or _REGISTRY[spec.family].run_sized or resolved <= shared.keys():
+            continue
+        (spec,) = resolved
         start = time.perf_counter()
-        # no name keeps a length's thresholds alive while the next length's are built
-        err = error_sum(*(sequence_thresholds(resolve_spec(spec, n), n, config.input_bits)
-                          for spec in config.sequence_pair), config.input_bits)
+        with contextlib.suppress(WorkbenchError, MemoryError):  # the failing length raises
+            shared[spec] = sequence_thresholds(spec, top, bits)
+            shared[spec].flags.writeable = False
+        spent += time.perf_counter() - start
+    for i, n in enumerate(config.lengths):
+        start = time.perf_counter()
+        # a per-length build's thresholds are freed before the next length's are built
+        err = error_sum(*(shared[s][:n] if s in shared else sequence_thresholds(s, n, bits)
+                          for s in (resolve_spec(spec, n) for spec in config.sequence_pair)), bits)
         mae = Fraction(100 * err, k_count * k_count * (n * per_pair))
-        report.rows.append(MaeRow(n, mae, time.perf_counter() - start))
+        wall = time.perf_counter() - start + (spent if i == len(config.lengths) - 1 else 0)
+        report.rows.append(MaeRow(n, mae, wall))
     return report
 
 

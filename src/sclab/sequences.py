@@ -265,9 +265,11 @@ def _lfsr(taps, seed, count, bits):
 # ---------------------------------------------------------------------------
 
 # One record per family: its parameters, each mapped to its default or, when a
-# spec must give it, to `int`; its default two-input pair, as spec texts; and
-# the parameters that a stream length N decides (see resolve_spec).
-_Family = namedtuple("_Family", "params pair sized", defaults=((),))
+# spec must give it, to `int`; its default two-input pair, as spec texts; the
+# parameters that a stream length N decides (see resolve_spec); and whether a
+# value depends on the run's length as well as its index (latin_hypercube's
+# strata are 1/count wide), so that a run is not the start of a longer one.
+_Family = namedtuple("_Family", "params pair sized run_sized", defaults=((), False))
 _REGISTRY = {
     "vdc": _Family({"base": int}, ("vdc:base=2", "vdc:base=3")),
     "sobol": _Family({"dim": 1, "bits": 8}, ("sobol:dim=1", "sobol:dim=2"), ("bits",)),
@@ -279,7 +281,8 @@ _REGISTRY = {
                             ("bits",)),
     "weyl": _Family({"irrational": "pi"}, ("weyl:irrational=pi", "weyl:irrational=silver")),
     "r2": _Family({"dim": 0}, ("r2:dim=0", "r2:dim=1")),
-    "latin_hypercube": _Family({"seed": int}, ("latin_hypercube:seed=1", "latin_hypercube:seed=2")),
+    "latin_hypercube": _Family({"seed": int}, ("latin_hypercube:seed=1", "latin_hypercube:seed=2"),
+                               run_sized=True),
     "poisson_disk": _Family({"seed": int, "min_distance": None, "max_attempts": 10000},
                             ("poisson_disk:seed=1", "poisson_disk:seed=2"), ("min_distance",)),
     "lfsr": _Family({"seed": int, "taps": LFSR_DEFAULT_TAPS, "bits": LFSR_DEFAULT_BITS},

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -19,11 +20,12 @@ from sclab.bench import (
     mae_mul_sweep,
     mul_error_sum,
     round_mae,
+    run_bench,
 )
 from sclab.bitstream import FixedUnipolar, decode_unipolar, sng_generate
 from sclab.errors import ConfigurationError
 from sclab.ops import mul_unipolar, mux2
-from sclab.sequences import FAMILIES, default_pair, sequence_thresholds
+from sclab.sequences import FAMILIES, SequenceSpec, default_pair, sequence_thresholds
 
 
 def _comparator_streams(thresholds, input_bits):
@@ -287,6 +289,76 @@ class TestSweeps:
                 fn(long, long, input_bits=8)
             with pytest.raises(ConfigurationError, match="input_bits"):
                 fn(short, short, input_bits=13)
+
+
+def _spy(monkeypatch, name):
+    """Wrap bench's `name`, recording each call's arguments and result."""
+    calls, real = [], getattr(bench, name)
+
+    def wrapper(*args):
+        calls.append((args, result := real(*args)))
+        return result
+
+    monkeypatch.setattr(bench, name, wrapper)
+    return calls
+
+
+class TestSharedRows:
+    """A row builds each length-independent spec once, at its longest length."""
+
+    EXPLICIT = ("sobol:dim=1,bits=12", "p2lsg:base=4,bits=12",
+                "poisson_disk:seed=1,min_distance=1/8192", "latin_hypercube:seed=3")
+
+    @pytest.mark.parametrize("operation, lengths", [("mul", range(6, 12)), ("add", range(2, 10))])
+    @pytest.mark.parametrize("pair", [*FAMILIES, *EXPLICIT])
+    def test_row_equals_one_run_per_length(self, operation, lengths, pair):
+        if pair in FAMILIES:
+            pair = default_pair(pair)
+        else:
+            pair = (SequenceSpec.parse(pair), SequenceSpec.parse("vdc:base=3"))
+        lengths = tuple(1 << e for e in lengths)
+        row = run_bench(BenchConfig(operation, pair, lengths)).mae_by_length()
+        for n in lengths:
+            assert row[n] == run_bench(BenchConfig(operation, pair, (n,))).mae_by_length()[n], n
+
+    @pytest.mark.parametrize("family, builds", [("halton", 2), ("p2lsg", 22)])
+    def test_builds_per_row(self, monkeypatch, family, builds):
+        # halton resolves to one spec at every length; p2lsg's base and bits follow N
+        calls = _spy(monkeypatch, "sequence_thresholds")
+        run_bench(BenchConfig("mul", default_pair(family), tuple(1 << e for e in range(6, 17))))
+        assert len(calls) == builds
+
+    def test_shared_thresholds_are_read_only_views(self, monkeypatch):
+        built = _spy(monkeypatch, "sequence_thresholds")
+        sums = _spy(monkeypatch, "mul_error_sum")
+        run_bench(BenchConfig("mul", default_pair("halton"), (64, 128, 256)))
+        assert [args[1] for args, _ in built] == [256, 256]
+        for (thr_a, thr_b, _), _ in sums:
+            assert not thr_a.flags.writeable and not thr_b.flags.writeable
+            assert np.array_equal(thr_a, built[0][1][:len(thr_a)])
+
+    def test_identical_specs_build_once(self, monkeypatch):
+        calls = _spy(monkeypatch, "sequence_thresholds")
+        spec = SequenceSpec.parse("halton:base=11")
+        report = run_bench(BenchConfig("mul", (spec, spec), (64, 128)))
+        assert len(calls) == 1 and len(report.rows) == 2
+
+    def test_no_lengths_is_an_empty_report(self, monkeypatch):
+        calls = _spy(monkeypatch, "sequence_thresholds")
+        assert run_bench(BenchConfig("mul", default_pair("halton"), ())).rows == []
+        assert calls == []
+
+    def test_shared_build_time_goes_to_the_last_row(self, monkeypatch):
+        real = bench.sequence_thresholds
+
+        def slow(spec, count, bits):
+            if count == 256:  # only the shared builds run at the longest length
+                time.sleep(0.1)
+            return real(spec, count, bits)
+
+        monkeypatch.setattr(bench, "sequence_thresholds", slow)
+        rows = run_bench(BenchConfig("mul", default_pair("vdc"), (64, 128, 256), 4)).rows
+        assert rows[-1].wall_seconds >= 0.2 > max(row.wall_seconds for row in rows[:-1])
 
 
 class TestReports:

@@ -736,6 +736,20 @@ class TestBench:
         code, _, err = run(capsys, "bench-mul", "--seqs", "p2lsg2", "--lengths", "6")
         assert code == 2
 
+    @pytest.mark.parametrize("seqs, lengths, message", [
+        ("sobol:dim=1,bits=7,sobol:dim=2,bits=7", "6..9",
+         "index 0 + count 256 exceeds the 2^7 period"),
+        ("p2lsg:base=2,bits=7,p2lsg:base=128,bits=7", "6..9",
+         "indices 0..255 exceed the counter period 128"),
+        ("poisson_disk:seed=1,min_distance=1/100,poisson_disk:seed=2,min_distance=1/100", "6..8",
+         "min distance 1/100 cannot fit 128 points in the unit interval"),
+    ])
+    def test_row_fails_at_its_first_failing_length(self, capsys, seqs, lengths, message):
+        # a row whose longest length cannot be built names the first length that cannot
+        code, out, err = run(capsys, "bench-mul", "--seqs", seqs, "--lengths", lengths)
+        assert code == 2 and out == ""
+        assert err == f"sclab: {message}\n"
+
     def test_deterministic_mae_column(self, capsys):
         args = ("bench-mul", "--seqs", "sobol:dim=1,sobol:dim=2", "--lengths",
                 "6,7", "--out", "csv")
