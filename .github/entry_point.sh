@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # The installed `sclab` console script, end to end; both CI jobs run it from
 # the repository root.  It installs the package and runs README's first
-# example, then twenty-two large `gen` runs, three `bench-mul` routes the
-# benchmark never runs and three rows that share a spec's thresholds across
-# their lengths, whose stdout must keep its recorded SHA-256 (the CSV's
-# run-dependent wall_seconds column cut), then README's streams example
-# against the installed package (not ./src) with every numerator encoded
-# twice over one array, then an RGB `scale` at N = 1024, a chroma-keyed
+# example, then twenty-five large `gen` runs, five `bench-mul` routes the
+# benchmark never runs (two as tables, the text of their rounded cells) and
+# three rows that share a spec's thresholds across their lengths, whose stdout
+# must keep its recorded SHA-256 (the CSV's run-dependent wall_seconds column
+# cut), then README's streams example against the installed package (not
+# ./src) with every numerator encoded twice over one array, then an RGB `scale` at N = 1024, a chroma-keyed
 # `merge` at 256 (run twice, the second time over longer files, which it must
 # rewrite to the same bytes), a matted `merge` at 64 (one all-0/255 row block,
 # whose pixel table is not the identity there) and mattes with a 1-pixel
@@ -72,6 +72,14 @@ sum="$(sclab gen --family vdc --base 65537 --count 1048576 --index 12345 | sha25
 test "${sum%% *}" = 312b9d3041c9747590aba0536531a5e47752de11c7167a32f09712d43c2cb981
 sum="$(sclab gen --family faure --base 4099 --dim 1 --count 300000 --index 777 | sha256sum)"
 test "${sum%% *}" = 84494d300e7dbd4e39e34397dc791a323e07cde88cf94a3e6ecadc7dfcd2f6a7
+# base-2 digit families, whose sums are XORs: disjoint bits (vdc, both
+# hammersley columns) and Faure digits taken mod 2
+sum="$(sclab gen --family vdc --base 2 --count 1048576 --index 777 | sha256sum)"
+test "${sum%% *}" = 309e06a5b30e20e0bf871adfed3e5efb99169641027267d0b075bf3561ae1803
+sum="$(sclab gen --family faure --base 2 --dim 3 --count 300000 --index 12345 | sha256sum)"
+test "${sum%% *}" = e3bef8ec959bf610de91e07e5a7f15c924245fcbb56fef0434fe9e9b4f8c4f95
+sum="$(sclab gen --family hammersley --count 300000 --index 4095 | sha256sum)"
+test "${sum%% *}" = 95e95ec6701affe3c84967e7a8560fa29f6ad1ca18f7a66d4edbd2964e57eb88
 # bench-mul past the benchmark's rows: N > K^2 (uint32 count lanes, nonzero
 # MAE), row blocks at 12 input bits, and 4 input bits
 sum="$(sclab bench-mul --seqs halton --lengths 17..20 --out csv | cut -d, -f1,2 | sha256sum)"
@@ -80,6 +88,11 @@ sum="$(sclab bench-mul --seqs halton --lengths 6..12 --input-bits 12 --out csv |
 test "${sum%% *}" = 09673fde8a2355d939b90854de3b07c385125d4be92aece0368c303d2fa822c0
 sum="$(sclab bench-mul --seqs lfsr --lengths 6..16 --input-bits 4 --out csv | cut -d, -f1,2 | sha256sum)"
 test "${sum%% *}" = 91452ee1da74146821088a0c2d88426439e3eadc772357a8f2d4ce6d9c520d65
+# the same routes as tables: each exact MAE rounded half to even
+sum="$(sclab bench-mul --seqs halton --lengths 17..22 --out table | sha256sum)"
+test "${sum%% *}" = 56d9cfe9cba30631573cfd65aed436616824ca510ff83f162de2c9a4be27c24a
+sum="$(sclab bench-mul --seqs sobol --lengths 6..14 --input-bits 12 --out table | sha256sum)"
+test "${sum%% *}" = efc42bf68da3c7fd2fc0fccdc442860cf96aa0487e1302dfc18ee0b010fc5aab
 # rows whose specs resolve the same at every length: one shared and one built
 # per length, both shared at explicit bits, and a shared add row
 sum="$(sclab bench-mul --seqs halton:base=11,p2lsgN --lengths 6..16 --out csv | cut -d, -f1,2 | sha256sum)"

@@ -18,7 +18,6 @@ import contextlib
 import math
 import time
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -248,11 +247,10 @@ def display_decimals(operation, length):
 
 
 def round_mae(value, decimals):
-    """Half-even rounding of an exact rational to a fixed-decimal string."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        d = Decimal(value.numerator) / Decimal(value.denominator)
-        return str(d.quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_EVEN))
+    """A non-negative exact rational as a string with `decimals` >= 1 places,
+    rounded half to even (Fraction's round is exact and ties to even)."""
+    digits = str(round(value * 10**decimals)).rjust(decimals + 1, "0")
+    return digits[:-decimals] + "." + digits[-decimals:]
 
 
 def emit_report(report, fmt):

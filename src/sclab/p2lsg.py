@@ -13,13 +13,12 @@ the outputs are then not a permutation (base 4 over 3 bits gives 0, 2, 4, 6,
 
 Output bit k is the parity of the counter under one fixed mask: the outputs
 are a digital sequence over GF(2), computed by `digital_outputs` as is every
-linear family, over GF(2) or, with + in XOR's place, over Z_p.
+linear family, which sums by XOR over GF(2) (p = 2) and by + over Z_p.
 
 All functions are pure; configs are immutable and safe to share across threads.
 """
 
 from dataclasses import dataclass
-from operator import xor
 
 import numpy as np
 
@@ -78,19 +77,19 @@ def p2lsg_sequence(config, count, start=0):
     n, g = config.counter_bits, config.group_bits
     # counter bit i, bit i % g of group i // g, lands at output bit b, or is cut when b < 0
     cols = [1 << b if b >= 0 else 0 for b in (n - (i // g + 1) * g + i % g for i in range(n))]
-    return digital_outputs(cols, 2, xor, start, count)
+    return digital_outputs(cols, 2, start, count)
 
 
-def digital_outputs(cols, p, add, start, count, dtype=np.int64):
-    """The sums, by `add`, of d_t * cols[t] over the base-p digits d_t of each
-    index start .. start + count - 1 (below p^len(cols)), least significant
-    first; a column is a number or a vector, summed along a trailing axis.
-    The low m digits cycle through all p^m values under each fixed index //
-    p^m, so a run is a table over them (entry d * p^t + v is entry v plus d *
-    cols[t], grown until it covers the run or would pass TABLE_SIZE) combined
-    with one sum per distinct index // p^m, which this function gives over the
-    higher digits.  A p above TABLE_SIZE has no table: the run's own lowest
-    digits are peeled, and each one's product added to its higher digits' sum."""
+def digital_outputs(cols, p, start, count, dtype=np.int64):
+    """The sums, by XOR if p = 2 and else by +, of d_t * cols[t] over the base-p
+    digits d_t of each index start .. start + count - 1 (below p^len(cols)),
+    least significant first; a column is a number or a vector, summed along a
+    trailing axis.  The low m digits cycle through all p^m values under each
+    fixed index // p^m, so a run is a table over them (entry d * p^t + v is
+    entry v plus d * cols[t], grown until it covers the run or would pass
+    TABLE_SIZE) combined with one sum per distinct index // p^m, which this
+    function gives over the higher digits.  A p above TABLE_SIZE has no table:
+    the run's lowest digits are peeled, their higher digits' sums added in place."""
     if p > TABLE_SIZE:
         low = np.arange(start, start + count, dtype=dtype)
         high = low // p
@@ -99,9 +98,9 @@ def digital_outputs(cols, p, add, start, count, dtype=np.int64):
         if start + count <= p:
             return low
         high -= start // p
-        rest = digital_outputs(cols[1:], p, add, start // p, int(high[-1]) + 1, dtype)
-        high = np.take(rest, high.astype(np.intp, copy=False), axis=0)  # over higher digits
-        return add(low, high)
+        rest = digital_outputs(cols[1:], p, start // p, int(high[-1]) + 1, dtype)
+        return np.add(low, np.take(rest, high.astype(np.intp, copy=False), axis=0), out=low)
+    add = np.bitwise_xor if p == 2 else np.add
     tail = getattr(cols[0], "shape", ())  # () for a number
     digits = np.arange(p, dtype=dtype).reshape((p, 1) + (1,) * len(tail))
     table, m = (digits * cols[0]).reshape((-1,) + tail), 1
@@ -111,7 +110,7 @@ def digital_outputs(cols, p, add, start, count, dtype=np.int64):
     if start + count <= q:
         return table[start : start + count]
     first, last = start // q, (start + count - 1) // q
-    high = digital_outputs(cols[m:], p, add, first, last - first + 1, dtype)
+    high = digital_outputs(cols[m:], p, first, last - first + 1, dtype)
     return add(high[:, None], table).reshape((-1,) + tail)[start % q :][:count]
 
 

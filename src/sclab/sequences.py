@@ -20,7 +20,6 @@ reader uses.
 
 import contextlib
 import math
-import operator
 import re
 from collections import namedtuple
 from dataclasses import dataclass
@@ -479,7 +478,7 @@ def sequence_numerators(spec, count, start=0):
         cols = _sobol_cols(spec.get("dim"), n)
         if end > 1 << n:
             raise DomainError(f"index {start} + count {count} exceeds the 2^{n} period")
-        return digital_outputs(cols, 2, operator.xor, start, count), 1 << n
+        return digital_outputs(cols, 2, start, count), 1 << n
     if fam == "niederreiter":  # dim 0 (polynomial x) is bit reversal; `skip` drops a warm-up
         n = spec.get("bits")
         if not 1 <= n <= 32:
@@ -491,7 +490,7 @@ def sequence_numerators(spec, count, start=0):
         if first + count > 1 << 63:  # the index bits, and so the columns, fit in 63
             raise DomainError(f"skip + count must be at most 2^63, got {first + count}")
         cols = _niederreiter_cols(spec.get("dim"), max(n, (first + count - 1).bit_length()), n)
-        return digital_outputs(cols, 2, operator.xor, first, count), 1 << n
+        return digital_outputs(cols, 2, first, count), 1 << n
     if fam == "lfsr":
         n = spec.get("bits")
         return _lfsr(spec.get("taps"), spec.get("seed"), end, n)[start:], 1 << n
@@ -539,10 +538,10 @@ def _radical_inverse(spec, start, count):
     Every index gets L base-p digits (zero padding mirrors to trailing zeros,
     so values do not change), in int64 unless p^L or a Faure digit's sum of L
     terms below p^2 could overflow it.  Unscrambled, digit t of the index is
-    digit L-1-t of the value: `digital_outputs` sums the columns p^(L-1-t)
-    with +.  Faure's dimensions above 0 scramble the digits by the Pascal
-    matrix power C^dim mod p, whose columns it sums as digit vectors into one
-    (count, L) matrix, reduced mod p in place and summed under the weights.
+    digit L-1-t of the value: `digital_outputs` sums the columns p^(L-1-t),
+    disjoint bits at p = 2.  Faure's dimensions above 0 scramble the digits
+    by the Pascal matrix power C^dim mod p, whose columns it sums as digit
+    vectors into one (count, L) matrix, reduced mod p in place and weighted.
     """
     p, dim = _digit_base(spec)
     width = 1
@@ -551,12 +550,12 @@ def _radical_inverse(spec, start, count):
     dtype = np.int64 if p**width < 1 << 62 and width * (p - 1) ** 2 < 1 << 63 else object
     weights = [p**t for t in reversed(range(width))]
     if not dim:
-        return digital_outputs(weights, p, operator.add, start, count, dtype), p**width
+        return digital_outputs(weights, p, start, count, dtype), p**width
 
     # column r of C^dim: entry j is C(r, j) * dim^(r-j) mod p, and 0 for j > r
     cols = np.array([[math.comb(r, j) * pow(dim, r - j, p) % p if j <= r else 0
                       for j in range(width)] for r in range(width)], dtype)
-    digits = digital_outputs(cols, p, operator.add, start, count, dtype)
+    digits = digital_outputs(cols, p, start, count, dtype)
     digits %= p
     return digits @ np.array(weights, dtype), p**width
 

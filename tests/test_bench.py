@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -262,8 +263,17 @@ class TestSweeps:
 
     def test_operation_mismatch(self):
         config = BenchConfig("mul", default_pair("p2lsg"), (64,))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="^mae_add_sweep needs operation='add'$"):
             mae_add_sweep(config)
+        config = BenchConfig("add", default_pair("p2lsg"), (64,))
+        with pytest.raises(ConfigurationError, match="^mae_mul_sweep needs operation='mul'$"):
+            mae_mul_sweep(config)
+
+    @pytest.mark.parametrize("operation", ["div", "MUL", ""])
+    def test_unknown_operation(self, operation):
+        with pytest.raises(ConfigurationError,
+                           match=f"^operation must be 'mul' or 'add', got '{operation}'$"):
+            BenchConfig(operation, default_pair("p2lsg"), (64,))
 
     def test_input_bits_capped(self):
         BenchConfig("mul", default_pair("p2lsg"), (64,), input_bits=12)
@@ -393,6 +403,36 @@ class TestReports:
         assert display_decimals("mul", 64) == 2
         assert display_decimals("mul", 65536) == 4
         assert display_decimals("add", 256) == 3
+
+    @staticmethod
+    def _decimal_rounding(value, decimals):
+        """Half-even rounding through 50-digit decimal division, printed in
+        fixed point (an exact zero too, which str() writes as 0E-7)."""
+        with localcontext() as ctx:
+            ctx.prec = 50
+            d = Decimal(value.numerator) / Decimal(value.denominator)
+            return f"{d.quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_EVEN):f}"
+
+    def test_rounding_matches_decimal_on_every_default_cell(self):
+        values = [row.mae_percent
+                  for family in FAMILIES
+                  for operation, exps in (("mul", range(6, 17)), ("add", range(2, 10)))
+                  for row in run_bench(BenchConfig(operation, default_pair(family),
+                                                   tuple(1 << e for e in exps))).rows]
+        assert len(values) == 12 * (11 + 8) and 0 in values
+        for value in values:
+            for decimals in range(1, 9):
+                assert round_mae(value, decimals) == self._decimal_rounding(value, decimals)
+
+    def test_rounding_matches_decimal_on_random_values_and_ties(self):
+        rng = random.Random(29)
+        cases = [(Fraction(rng.randrange(10**9), rng.randrange(1, 10**9)), rng.randint(1, 8))
+                 for _ in range(20000)]
+        # exact ties: an odd number of halves of the last kept place
+        cases += [(Fraction(2 * rng.randrange(10**6) + 1, 2 * 10**d), d)
+                  for d in (rng.randint(1, 8) for _ in range(8000))]
+        for value, decimals in cases:
+            assert round_mae(value, decimals) == self._decimal_rounding(value, decimals), value
 
     def test_unknown_format(self):
         with pytest.raises(ConfigurationError):

@@ -35,6 +35,11 @@ class TestFixedUnipolar:
         with pytest.raises(DomainError):
             FixedUnipolar(-1, 2)
 
+    @pytest.mark.parametrize("bits", [0, 63])
+    def test_precision_bits_checked(self, bits):
+        with pytest.raises(ConfigurationError, match=f"^precision_bits must be in 1..62, got {bits}$"):
+            FixedUnipolar(0, bits)
+
     def test_widen_is_lossless(self):
         x = FixedUnipolar(3, 2)
         assert x.widen(8).value == x.value
@@ -79,6 +84,32 @@ class TestBitstreamPacking:
         w.flags.writeable = False
         s = Bitstream(w, 70)
         assert int(s.words[1]) == 0x3F and int(w[1]) == 0xFFFF
+
+    @pytest.mark.parametrize("words, length, message", [
+        ([0], 0, r"^stream length must be >= 1, got 0$"),
+        ([0], -5, r"^stream length must be >= 1, got -5$"),
+        ([0, 0], 64, r"^word buffer shape \(2,\) does not match length 64$"),
+        ([0], 65, r"^word buffer shape \(1,\) does not match length 65$"),
+        ([[0]], 3, r"^word buffer shape \(1, 1\) does not match length 3$"),
+    ])
+    def test_words_must_fit_the_length(self, words, length, message):
+        with pytest.raises(DomainError, match=message):
+            Bitstream(words, length)
+
+    @pytest.mark.parametrize("i", [-1, 70, 1000])
+    def test_bit_index_checked(self, i):
+        with pytest.raises(DomainError, match=f"^bit index {i} out of range for length 70$"):
+            Bitstream.ones(70).bit(i)
+
+    def test_equality_hash_and_repr(self):
+        s = Bitstream.from01("1011")
+        assert s == Bitstream.from_bits([1, 0, 1, 1]) and s != Bitstream.from01("10110")
+        assert s != "1011" and s != 11 and s.__eq__("1011") is NotImplemented
+        assert hash(s) == hash(Bitstream.from01("1011"))
+        assert len({s, Bitstream.from01("1011"), Bitstream.from01("0011")}) == 2
+        assert repr(s) == "Bitstream('1011', length=4)"
+        long = Bitstream.from01("10" * 50)
+        assert repr(long) == f"Bitstream({'10' * 30 + '1...'!r}, length=100)"
 
     @pytest.mark.parametrize("build", [lambda: Bitstream.from_bools([]),
                                        lambda: Bitstream.from_bits("")])

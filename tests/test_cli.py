@@ -520,6 +520,39 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == f"sclab: {str(error) or 'out of memory'}\n"
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (("gen", "--family", "lfsr", "--seed", "1", "--bits", "63", "--count", "2"), 2,
+         "bits must be in 1..62, got 63"),
+        (("gen", "--family", "sobol", "--bits", "63", "--count", "2"), 2,
+         "bits must be in 1..62, got 63"),
+        (("gen", "--family", "hammersley", "--dim", "2", "--count", "2"), 2,
+         "hammersley dim must be 0 or 1, got 2"),
+        (("merge", "--bg", "bg.ppm", "--fg-dir", "bg.ppm", "--out-dir", "out"), 3,
+         "bg.ppm is not a directory"),
+        (("merge", "--bg", "bg.ppm", "--fg-dir", "empty", "--out-dir", "out"), 3,
+         "no .ppm/.pgm frames found in empty"),
+        (("merge", "--bg", "bg.ppm", "--fg-dir", "gray_frames", "--out-dir", "out"), 2,
+         "foreground frame gray_frames/f1.pgm must be RGB (P6)"),
+        (("merge", "--bg", "bg.ppm", "--fg-dir", "frames", "--out-dir", "out",
+          "--alpha-dir", "rgb_alphas"), 2,
+         "alpha map rgb_alphas/f1.pgm must be grayscale (P5)"),
+        (("scc", "--a", "empty.bin", "--b", "empty.bin", "--format", "raw"), 3,
+         "raw bit-stream header declares invalid length 0"),
+    ], ids=["lfsr_bits", "sobol_bits", "hammersley_dim", "fg_dir_file", "no_frames", "gray_frame",
+            "rgb_alpha", "raw_length_0"])
+    def test_documented_error_exit(self, capsys, monkeypatch, tmp_path, argv, code, message):
+        monkeypatch.chdir(tmp_path)  # short relative paths, which messages print whole
+        rgb = np.zeros((4, 4, 3), dtype=np.uint8)
+        write_pnm_file(tmp_path / "bg.ppm", rgb)
+        for name in ("empty", "frames", "gray_frames", "rgb_alphas"):
+            (tmp_path / name).mkdir()
+        write_pnm_file(tmp_path / "frames" / "f1.ppm", rgb)
+        write_pnm_file(tmp_path / "gray_frames" / "f1.pgm", rgb[..., 0])
+        write_pnm_file(tmp_path / "rgb_alphas" / "f1.pgm", rgb)  # P6 bytes under .pgm
+        (tmp_path / "empty.bin").write_bytes(bytes(8) + bytes(8))
+        assert run(capsys, *argv) == (code, "", f"sclab: {message}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--family", "vdc", "--count", "1", "--nope"])

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -298,6 +299,12 @@ class TestScaling:
             with pytest.raises(ConfigurationError):
                 scale_image_sc(img, 2, stream_length=n)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (4, 4, 4), (4, 4, 1), (2, 2, 3, 1), (3,)])
+    def test_rgb_shape_checked(self, shape):
+        with pytest.raises(DomainError,
+                           match=rf"^rgb image must have shape \(H, W, 3\), got {re.escape(str(shape))}$"):
+            RgbImage(np.zeros(shape, np.uint8))
+
     def test_empty_image_rejected(self):
         with pytest.raises(DomainError):
             GrayImage(np.zeros((0, 4), np.uint8))
@@ -530,6 +537,16 @@ class TestMerging:
         bg, fg, alpha = make_scene()
         with pytest.raises(DomainError):
             merge_scene_sc(bg, fg, AlphaMap(np.zeros((4, 4), np.uint8)))
+
+    @pytest.mark.parametrize("which", ["fg", "alpha", "alpha_transposed"])
+    def test_reference_dimension_mismatch(self, which):
+        bg, fg, alpha = make_scene()  # 24 x 32
+        if which == "fg":
+            fg = RgbImage(fg.pixels[:-1])
+        else:
+            alpha = AlphaMap(alpha.alpha[:-1] if which == "alpha" else alpha.alpha.T)
+        with pytest.raises(DomainError, match="^dimension mismatch between frames and alpha$"):
+            merge_reference(bg, fg, alpha)
 
     @pytest.mark.parametrize("specs", sorted(SPEC_SETS))
     @pytest.mark.parametrize("alpha_value", [0, 1, 128, 254, 255])

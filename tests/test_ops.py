@@ -148,6 +148,14 @@ class TestMux2Sub:
         assert worst <= Fraction(2, n)
 
 
+@pytest.mark.parametrize("op", [mux2, mux2_sub])
+@pytest.mark.parametrize("lengths", [(3, 4, 4), (4, 3, 4), (4, 4, 3), (4, 3, 5)])
+def test_mux2_length_mismatch(op, lengths):
+    streams = [Bitstream.ones(n) for n in lengths]
+    with pytest.raises(DomainError, match=rf"^stream length mismatch: \[{', '.join(map(str, lengths))}\]$"):
+        op(*streams)
+
+
 class TestMux4:
     def test_all_zero_selects(self):
         i11, i12, i21, i22 = b("1100"), b("0110"), b("0011"), b("1001")

@@ -1,4 +1,3 @@
-import operator
 import random
 from fractions import Fraction
 
@@ -129,6 +128,11 @@ class TestSequence:
         with pytest.raises(DomainError, match="non-negative"):
             p2lsg_sequence(P2lsgConfig(2, 4), 2, start=-1)
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_must_be_positive(self, count):
+        with pytest.raises(DomainError, match=f"^count must be positive, got {count}$"):
+            p2lsg_sequence(P2lsgConfig(2, 4), count)
+
 
 class TestParallel:
     def test_first_cycle_base16(self):
@@ -152,6 +156,17 @@ class TestParallel:
         rows = p2lsg_parallel(P2lsgConfig(base, bits, par=par), (1 << bits) // par)
         want = [digit_oracle(i, bits, base) for i in range(1 << bits)]
         assert rows.tolist() == [want[c * par : (c + 1) * par] for c in range(len(rows))]
+
+    @pytest.mark.parametrize("config, cycles, error, message", [
+        (P2lsgConfig(4, 8), 4, ConfigurationError, "^parallel generation needs par >= 2"),
+        (P2lsgConfig(4, 8, par=4), 0, DomainError, "^cycles must be positive, got 0$"),
+        (P2lsgConfig(4, 8, par=4), 65, DomainError,
+         "^cycles\\*par = 260 exceeds the counter period 256$"),
+    ])
+    def test_run_checked(self, config, cycles, error, message):
+        with pytest.raises(error, match=message):
+            p2lsg_parallel(config, cycles)
+        p2lsg_parallel(P2lsgConfig(4, 8, par=4), 64)  # the whole period is accepted
 
     def test_par_must_be_power_of_two(self):
         with pytest.raises(ConfigurationError):
@@ -212,13 +227,13 @@ def zp_oracle(cols, p, index):
 
 
 class TestDigitalOutputs:
-    """`digital_outputs(cols, p, add, start, count)`, a table over the low index
+    """`digital_outputs(cols, p, start, count)`, a table over the low index
     digits combined with one value per distinct high part from the same
     function over the higher digits, and for p > TABLE_SIZE the run's own
-    lowest digits peeled: over GF(2), XOR of the columns of random matrices
-    against the per-index parity, and over Z_p, + of the columns p^(L-1-t)
-    against the radical inverse and of random digit-vector columns against
-    the matrix product."""
+    lowest digits peeled: at p = 2, the XOR of the columns of random matrices
+    against the per-index parity, and at other p, the + of the columns
+    p^(L-1-t) against the radical inverse and of random digit-vector columns
+    against the matrix product."""
 
     @pytest.mark.parametrize("width", range(1, 64))
     def test_runs_from_each_low_byte_phase(self, width):
@@ -230,7 +245,7 @@ class TestDigitalOutputs:
             for low in (0, 1, 255):
                 start = high << 8 | low
                 for count in (1, 255, 256, 257, long_count):
-                    got = digital_outputs(cols, 2, operator.xor, start, count)
+                    got = digital_outputs(cols, 2, start, count)
                     assert got.dtype == np.int64 and got.size == count
                     want = [gf2_oracle(rows, i) for i in range(start, start + count)]
                     assert got.tolist() == want, (start, count)
@@ -243,7 +258,7 @@ class TestDigitalOutputs:
     def test_long_runs_cross_many_high_values(self, width, nrows, start):
         rows = random_rows(width, nrows, nrows)
         count = 70001 if nrows < 63 else 2049
-        got = digital_outputs(columns(rows), 2, operator.xor, start, count)
+        got = digital_outputs(columns(rows), 2, start, count)
         assert got.tolist() == [gf2_oracle(rows, i) for i in range(start, start + count)]
 
     @pytest.mark.parametrize("p,width,starts,count,dtype", [
@@ -259,10 +274,30 @@ class TestDigitalOutputs:
         cols = np.array([[rng.randrange(p) for _ in range(5)] for _ in range(width)], dtype)
         for start in starts:
             for n in (1, 2, count):
-                got = digital_outputs(cols, p, operator.add, start, n, dtype)
+                got = digital_outputs(cols, p, start, n, dtype)
                 assert got.shape == (n, 5) and got.dtype == dtype
                 assert got.tolist() == [zp_oracle(cols, p, i)
                                         for i in range(start, start + n)], (start, n)
+
+    @pytest.mark.parametrize("vector", [False, True])
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_no_table_level_sums_into_its_own_array(self, vector, dtype):
+        # the higher digits' sums are added in place: into the run's own
+        # products, never into the caller's columns or a shared table
+        p, width, start, count = 4099, 3, 4099**2 - 2000, 5000
+        rng = random.Random(width)
+        if vector:
+            cols = np.array([[rng.randrange(p) for _ in range(4)] for _ in range(width)], dtype)
+        else:
+            cols = [p**t for t in reversed(range(width))]
+        given = np.array(cols, dtype).copy()
+        first = digital_outputs(cols, p, start, count, dtype)
+        second = digital_outputs(cols, p, start, count, dtype)
+        assert np.array_equal(np.array(cols, dtype), given)
+        assert first is not second and not np.shares_memory(first, second)
+        assert first.tolist() == second.tolist() == [
+            zp_oracle(given, p, i) if vector else radical_inverse(p, i) * p**width
+            for i in range(start, start + count)]
 
     @pytest.mark.parametrize("p,starts,count", [
         (3, (0, 2186, 3**14 - 2000), 5000),  # 2187-entry tables, three levels
@@ -276,6 +311,6 @@ class TestDigitalOutputs:
                 while p**width < start + n:
                     width += 1
                 cols = [p**t for t in reversed(range(width))]
-                got = digital_outputs(cols, p, operator.add, start, n)
+                got = digital_outputs(cols, p, start, n)
                 assert [Fraction(v, p**width) for v in got.tolist()] == [
                     radical_inverse(p, i) for i in range(start, start + n)], (start, n)

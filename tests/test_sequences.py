@@ -657,6 +657,12 @@ class TestSequenceSpec:
         assert spec.get("base") == 1 << 10
         assert spec.get("bits") == 10
 
+    @pytest.mark.parametrize("family", ["nope", "p2lsgN", "VDC"])
+    def test_default_pair_of_an_unknown_family(self, family):
+        with pytest.raises(ConfigurationError,
+                           match=f"^no default sequence pair for family '{family}'$"):
+            default_pair(family)
+
     def test_default_pairs_resolve(self):
         for family in FAMILIES:
             a, b = default_pair(family, 256)
@@ -686,7 +692,11 @@ class TestThresholds:
         ("halton:base=13", lambda i: radical_inverse(13, i)),
         ("vdc:base=2", lambda i: radical_inverse(2, i)),
         ("vdc:base=3", lambda i: radical_inverse(3, i)),
+        ("hammersley:dim=0", lambda i: radical_inverse(2, i)),
         ("hammersley:dim=1", lambda i: radical_inverse(3, i)),
+        # at p = 2 the sums are XORs: of disjoint bits, and of digits taken mod 2
+        ("faure:prime=2,dim=1", lambda i: radical_inverse(2, i, 1)),
+        ("faure:prime=2,dim=3", lambda i: radical_inverse(2, i, 3)),
         ("faure:prime=7,dim=0", lambda i: radical_inverse(7, i)),
         ("faure:prime=7,dim=1", lambda i: radical_inverse(7, i, 1)),
         ("faure:prime=7,dim=2", lambda i: radical_inverse(7, i, 2)),
