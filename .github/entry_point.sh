@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The installed `sclab` console script, end to end; both CI jobs run it from
 # the repository root.  It installs the package and runs README's first
-# example, then twenty-five large `gen` runs, five `bench-mul` routes the
+# example, then twenty-nine large `gen` runs, five `bench-mul` routes the
 # benchmark never runs (two as tables, the text of their rounded cells) and
 # three rows that share a spec's thresholds across their lengths, whose stdout
 # must keep its recorded SHA-256 (the CSV's run-dependent wall_seconds column
@@ -80,6 +80,16 @@ sum="$(sclab gen --family faure --base 2 --dim 3 --count 300000 --index 12345 | 
 test "${sum%% *}" = e3bef8ec959bf610de91e07e5a7f15c924245fcbb56fef0434fe9e9b4f8c4f95
 sum="$(sclab gen --family hammersley --count 300000 --index 4095 | sha256sum)"
 test "${sum%% *}" = 95e95ec6701affe3c84967e7a8560fa29f6ad1ca18f7a66d4edbd2964e57eb88
+# the text kernel's multi-column and integer routes: p2lsg's --par columns,
+# --scale-bits integers, and the hammersley pair's two den-1 columns
+sum="$(sclab gen --family p2lsg --base 16 --bits 20 --par 4 --count 262144 | sha256sum)"
+test "${sum%% *}" = d88a00ea19219f5c07747007640ccf67e4bb9686fc47cc1132067659335cc4ab
+sum="$(sclab gen --family p2lsg --base 4 --bits 12 --par 8 --count 512 --scale-bits 20 | sha256sum)"
+test "${sum%% *}" = bbc5df5ee1ded485339bf36f0bf13572d4dced70e844762f322437de14e321c1
+sum="$(sclab gen --family sobol --dim 3 --bits 20 --scale-bits 12 --count 300000 --index 777 | sha256sum)"
+test "${sum%% *}" = 894c8321b4777adee1ab338008214663cafd52614b3ec9c1df36600d863221ac
+sum="$(sclab gen --family hammersley --scale-bits 10 --count 300000 --index 99 | sha256sum)"
+test "${sum%% *}" = 789c50d7837b7c22c351febe9fbfdaf41eb96ea22cd9617f5bc566c3b69276cc
 # bench-mul past the benchmark's rows: N > K^2 (uint32 count lanes, nonzero
 # MAE), row blocks at 12 input bits, and 4 input bits
 sum="$(sclab bench-mul --seqs halton --lengths 17..20 --out csv | cut -d, -f1,2 | sha256sum)"

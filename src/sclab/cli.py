@@ -6,10 +6,11 @@ error.  Data goes to stdout, diagnostics to stderr; output is deterministic
 for fixed inputs (the benchmark CSV wall_seconds column is the one measured,
 run-dependent field).  Every error message goes through one formatter that
 elides over-long ints and tokens, so it stays one short line.  `gen` writes
-its text in blocks of lines, each built by one vectorised byte kernel.
+its text in blocks of lines, each the non-NUL bytes of one uint8 matrix.
 """
 
 import argparse
+import ctypes
 import functools
 import re
 import sys
@@ -160,21 +161,15 @@ def _lines(cells, decimal):
     columns: each value n / den printed as str(Fraction) prints it or, with
     `decimal`, as repr(n / den), the correctly rounded float; a comma between
     columns.  Outside the per-value path (decimals, numerators past 64 bits)
-    every field is a uint8 matrix of ASCII bytes with a mask of the bytes it
-    prints, so a block's text is its masked bytes in row order."""
+    every field is a uint8 matrix of ASCII bytes in which NUL means "nothing
+    printed here", so a block's text is its non-NUL bytes in row order."""
     if decimal or any(num.dtype == object for num, _ in cells):  # per value
         columns = [_value_texts(num, den, decimal) for num, den in cells]
         return "".join(",".join(row) + "\n" for row in zip(*columns))
-    every = np.ones(len(cells[0][0]), bool)
-    fields = []
-    for num, den in cells:
-        if fields:
-            fields.append(_byte(b",", every))
-        fields += _value_fields(num, den)
-    fields.append(_byte(b"\n", every))
-    chars = np.hstack([c for c, _ in fields])
-    mask = np.hstack([m for _, m in fields])
-    return chars[mask].tobytes().decode("ascii")
+    comma, newline = (np.full((len(cells[0][0]), 1), ord(c), np.uint8) for c in ",\n")
+    ends = [comma] * (len(cells) - 1) + [newline]  # the byte after each column
+    chars = np.hstack([f for cell, end in zip(cells, ends) for f in (*_value_fields(*cell), end)])
+    return chars[chars != 0].tobytes().decode("ascii")
 
 
 def _value_texts(num, den, decimal=False):
@@ -189,12 +184,6 @@ def _value_texts(num, den, decimal=False):
             for n, d in zip((num // g).tolist(), (den // g).tolist())]
 
 
-def _byte(char, shown):
-    """A one-byte field: `char`, printed on the rows where `shown` is true."""
-    shown = shown.reshape(-1, 1)
-    return np.full(shown.shape, ord(char), np.uint8), shown
-
-
 def _value_fields(num, den):
     """The fields of n / den as str(Fraction) prints it, for int64 or uint64 n."""
     num = num.astype(np.uint32 if max(int(num.max()), den - 1) < 1 << 32 else np.uint64)
@@ -203,19 +192,18 @@ def _value_fields(num, den):
     root = _prime_root(den)
     if root is None:
         g = np.gcd(num, den)
-        chars, mask = _digits(den // g)
-        return [_digits(num // g), _byte(b"/", g != den), (chars, mask & (g != den)[:, None])]
+        shown = (g != den)[:, None]
+        return [_digits(num // g), shown * np.uint8(ord("/")), _digits(den // g) * shown]
     p, width = root
     if p == 2:  # the gcd is n's lowest set bit (den for n = 0)
         zeros = np.minimum(np.bitwise_count((num & -num) - 1), width)
         num, exp = num >> zeros, width - zeros
     else:
         num, exp = _strip_prime(num, p, width)
-    # n / den reduces to num / p^exp, and p^exp, which may be 2^64, prints from
-    # the texts of p^0..p^width, left-aligned in NUL padding ("" for p^0)
-    table = np.array([b""] + [b"%d" % p**e for e in range(1, width + 1)])
-    d = table.view(np.uint8).reshape(width + 1, -1)[exp]
-    return [_digits(num), _byte(b"/", exp != 0), (d, d != 0)]
+    # n / den reduces to num / p^exp, and "/" p^exp, where p^exp may be 2^64,
+    # prints from the texts of p^0..p^width, left-aligned in NUL padding ("" for p^0)
+    table = np.array([b""] + [b"/%d" % p**e for e in range(1, width + 1)])
+    return [_digits(num), table.view(np.uint8).reshape(width + 1, -1)[exp]]
 
 
 def _prime_root(den):
@@ -244,19 +232,17 @@ def _strip_prime(num, p, width):
 
 
 def _digits(v):
-    """The decimal digits of non-negative integers, one right-aligned row per
-    value: (ASCII bytes, mask of the printed digits)."""
+    """The decimal digits of non-negative integers, one right-aligned row of
+    ASCII bytes per value, NUL in the places before its first digit."""
     width = len(str(v.max()))
     chars = np.empty((len(v), width), np.uint8)
-    mask = np.empty((len(v), width), bool)
-    mask[:, -1] = True  # 0 prints as "0"
     for j in reversed(range(width)):
         q = v // 10  # a division by a constant, far cheaper than % or divmod
         chars[:, j] = v - q * 10 + 48
+        if j < width - 1:  # 0 prints as "0"
+            chars[:, j] *= v != 0
         v = q
-        if j:
-            np.not_equal(v, 0, out=mask[:, j - 1])
-    return chars, mask
+    return chars
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +321,20 @@ def _frame_paths(directory):
     return frames
 
 
+def _keep_heap():
+    """Under glibc, keep freed heap memory mapped (no top trim below 1 GiB, heap
+    blocks up to 32 MiB): by default the heap's layout decides whether each frame's
+    buffers fault in again: 0.039-0.053 s a perfbench `merge` pass, 0.036-0.040 with it."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc
+        return
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 def _cmd_merge(args):
+    _keep_heap()
     bg = _read_image(args.bg)
     if not isinstance(bg, RgbImage):
         raise DomainError("--bg must be an RGB (P6) image")

@@ -63,6 +63,12 @@ def per_value_lines(values, decimal):
     )
 
 
+def floor_scaled(values, bits):
+    """floor(2^bits * v) of each value (a tuple, each of its entries)."""
+    floor = lambda v: (v.numerator << bits) // v.denominator
+    return [tuple(map(floor, v)) if isinstance(v, tuple) else floor(v) for v in values]
+
+
 # a hex int that int(text, 0) reads, with more decimal digits than str() converts
 HEX_4000 = "0x" + "f" * 4000
 # the longest decimal int str() converts, and a hex int just below that bound
@@ -199,10 +205,7 @@ class TestGen:
         flags, oracle = SCALE_BITS_ORACLES[family]
         code, out = gen_stdout(*flags, "--index", index, "--count", count, "--scale-bits", bits)
         assert code == 0
-        floor = lambda v: (v.numerator << bits) // v.denominator
-        want = [tuple(map(floor, v)) if isinstance(v, tuple) else floor(v)
-                for v in oracle(index + count)[index:]]
-        assert out == per_value_lines(want, False)
+        assert out == per_value_lines(floor_scaled(oracle(index + count)[index:], bits), False)
 
     @settings(max_examples=25, deadline=None)
     @given(base=st.sampled_from([2, 4, 8, 16, 256]), bits=st.integers(1, 12),
@@ -453,15 +456,24 @@ class TestGenText:
         rows = zip(*([str(Fraction(int(n), den)) for n in num] for num, den in cells))
         assert _lines(cells, False) == "".join(",".join(row) + "\n" for row in rows)
 
+    # fractions, decimals, and integer columns (the hammersley pair's two among
+    # them) whose digit widths change from block to block
     @pytest.mark.parametrize("family", GEN_ORACLES)
-    @pytest.mark.parametrize("decimal", [False, True])
-    def test_blocks_of_three_lines_join_seamlessly(self, monkeypatch, family, decimal):
+    @pytest.mark.parametrize("decimal, scale_bits", [(False, None), (True, None), (False, 5)],
+                             ids=["False", "True", "scale-bits-5"])
+    def test_blocks_of_three_lines_join_seamlessly(self, monkeypatch, family, decimal, scale_bits):
         monkeypatch.setattr("sclab.cli._ROW_BLOCK", 3)
+        blocks, lines = [], cli._lines
+        monkeypatch.setattr("sclab.cli._lines", lambda *a: blocks.append(lines(*a)) or blocks[-1])
         flags, oracle = GEN_ORACLES[family]
         code, out = gen_stdout(*flags, "--index", 5, "--count", 11,
-                               *(["--decimal"] if decimal else []))
+                               *(["--decimal"] if decimal else []),
+                               *(["--scale-bits", scale_bits] if scale_bits else []))
         assert code == 0
-        assert out == per_value_lines(oracle(16)[5:], decimal)
+        assert len(blocks) == 4 and "".join(blocks) == out and "\0" not in out
+        values = oracle(16)[5:]
+        assert out == per_value_lines(floor_scaled(values, scale_bits) if scale_bits else values,
+                                      decimal)
 
     @pytest.mark.parametrize("scale_bits", [None, 3])
     def test_p2lsg_parallel_blocks_of_three_lines(self, monkeypatch, scale_bits):
@@ -953,6 +965,27 @@ class TestMediaCommands:
                          "--out-dir", str(tmp_path / "out"), "--n", "256")
         assert code == 0 and len(list((tmp_path / "out").iterdir())) == 3
         assert made == [tmp_path / "out"]
+
+    # glibc's mallopt where the C library has it; elsewhere merge runs as it is
+    @pytest.mark.parametrize("libc", ["glibc", "no mallopt", "no libc"])
+    def test_merge_keeps_freed_heap_mapped(self, capsys, tmp_path, monkeypatch, libc):
+        calls = []
+
+        def cdll(name):
+            if libc == "no libc":
+                raise OSError(name)
+            return mock.Mock(mallopt=lambda *a: calls.append(a)) if libc == "glibc" else object()
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        write_pnm_file(tmp_path / "bg.ppm", np.zeros((4, 4, 3), dtype=np.uint8))
+        (tmp_path / "frames").mkdir()
+        write_pnm_file(tmp_path / "frames" / "f1.ppm", np.zeros((4, 4, 3), dtype=np.uint8))
+        code, out, err = run(capsys, "merge", "--bg", str(tmp_path / "bg.ppm"),
+                             "--fg-dir", str(tmp_path / "frames"),
+                             "--out-dir", str(tmp_path / "out"), "--n", "256")
+        assert (code, out, err) == (0, "", "")
+        assert (tmp_path / "out" / "f1.ppm").exists()
+        assert calls == ([(-1, 1 << 30), (-3, 32 << 20)] if libc == "glibc" else [])
 
     @pytest.mark.parametrize("bg, n", [("bg.ppm", "3"), ("bg.pgm", "256")])
     def test_merge_rejected_run_leaves_no_output_dir(self, capsys, tmp_path, bg, n):
