@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The installed `sclab` console script, end to end; both CI jobs run it from
 # the repository root.  It installs the package and runs README's first
-# example, then twenty-nine large `gen` runs, five `bench-mul` routes the
+# example, then thirty-one large `gen` runs, five `bench-mul` routes the
 # benchmark never runs (two as tables, the text of their rounded cells) and
 # three rows that share a spec's thresholds across their lengths, whose stdout
 # must keep its recorded SHA-256 (the CSV's run-dependent wall_seconds column
@@ -90,6 +90,12 @@ sum="$(sclab gen --family sobol --dim 3 --bits 20 --scale-bits 12 --count 300000
 test "${sum%% *}" = 894c8321b4777adee1ab338008214663cafd52614b3ec9c1df36600d863221ac
 sum="$(sclab gen --family hammersley --scale-bits 10 --count 300000 --index 99 | sha256sum)"
 test "${sum%% *}" = 789c50d7837b7c22c351febe9fbfdaf41eb96ea22cd9617f5bc566c3b69276cc
+# niederreiter's index columns at 63 bits (a skip near 2^63), and a vdc base
+# just below 2^62, whose numerators are Python ints
+sum="$(sclab gen --family niederreiter --dim 5 --bits 32 --skip 9223372036854000000 --count 300000 | sha256sum)"
+test "${sum%% *}" = 19b4d0ed80a80247ee61ce66851fcd9566c6c254556495d1897d3015dbf753aa
+sum="$(sclab gen --family vdc --base 4611686018427387847 --count 100000 --index 777 | sha256sum)"
+test "${sum%% *}" = 29bf41cb232204ece43c5bf5af2324e83930247d1d22f9463629d0227c31e90b
 # bench-mul past the benchmark's rows: N > K^2 (uint32 count lanes, nonzero
 # MAE), row blocks at 12 input bits, and 4 input bits
 sum="$(sclab bench-mul --seqs halton --lengths 17..20 --out csv | cut -d, -f1,2 | sha256sum)"

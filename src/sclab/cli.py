@@ -141,6 +141,8 @@ def _cmd_gen(args):
     if args.family == "p2lsg":  # it prints its counter values: integers at the counter width
         cfg = P2lsgConfig(spec.get("base"), spec.get("bits"), args.par)
         bits = cfg.counter_bits if bits is None else bits
+    if args.scale_bits is not None and not 1 <= bits <= 62:  # --bits has this range too
+        raise ConfigurationError(f"--scale-bits must be in 1..62, got {bits}")
     pair = args.family == "hammersley" and args.dim is None  # both dimensions, a column each
     specs = [spec.with_param("dim", d) for d in (0, 1)] if pair else [spec]
     columns = [(sequence_thresholds(s, count, bits, args.index), 1) if bits is not None

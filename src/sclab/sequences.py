@@ -3,10 +3,14 @@
 `sequence_numerators` gives any family's values from any index as one integer
 array over a common denominator, and every command reads its values there.  It
 is the one public route, and it checks each run once (start >= 0, count >= 1).
-Digit-based families (vdc, halton, hammersley, faure) are exact over p^L.
+Digit-based families (vdc, halton, hammersley, faure), exact over p^L, and
+binary-matrix families (sobol, niederreiter), n-bit integers, are digital
+sequences: `_generator` checks the spec and gives its generator, and one
+`digital_outputs` call sums it.  p2lsg, digital too, keeps its own route,
+`p2lsg_sequence`, which perfbench times as the `p2lsg.sequence` span.
 Additive-recurrence families (weyl, r2) run in 64-fractional-bit fixed point so
 every value is an exact dyadic rational, bit-reproducible across platforms.
-Binary-matrix families (sobol, niederreiter) and the lfsr emit n-bit integers.
+The lfsr emits n-bit integers.
 Seeded families draw integers from one xorshift64* generator: latin_hypercube
 is exact over N * 2^53, poisson_disk over 2^53.
 `sequence_thresholds` turns the numerators into the comparator-ready integer
@@ -77,13 +81,6 @@ def _is_prime(n):
         else:
             return False
     return True
-
-
-def _check_prime(p, family):
-    if p >= 1 << 81:  # past the range where _is_prime is exact
-        raise ConfigurationError(f"{family} base must be below 2^81, got {p}")
-    if not _is_prime(p):
-        raise ConfigurationError(f"{family} base must be prime, got {p}")
 
 
 # ---------------------------------------------------------------------------
@@ -463,34 +460,19 @@ def sequence_numerators(spec, count, start=0):
         raise DomainError(f"count must be positive, got {count}")
     if start < 0:
         raise DomainError(f"index must be non-negative, got {start}")
-    if fam in ("vdc", "halton", "hammersley", "faure"):
-        return _radical_inverse(spec, start, count)
+    if fam in ("vdc", "halton", "hammersley", "faure", "sobol", "niederreiter"):
+        cols, p, first, den, dtype = _generator(spec, start, count)
+        num = digital_outputs(cols, p, first, count, dtype)
+        if num.ndim == 2:  # Faure's digit vectors: digit j, mod p, weighs p^(L-1-j)
+            num %= p
+            num = num @ np.array([p**t for t in reversed(range(num.shape[1]))], dtype)
+        return num, den
     if fam in ("weyl", "r2"):
         return _weyl_products(spec, start, count), 1 << 64
     if fam == "p2lsg":
         cfg = P2lsgConfig(base=spec.get("base"), counter_bits=spec.get("bits"))
         return p2lsg_sequence(cfg, count, start), cfg.period
     end = start + count
-    if fam == "sobol":  # n-bit images of the index bits under a GF(2) matrix
-        n = spec.get("bits")
-        if not 1 <= n <= 62:
-            raise ConfigurationError(f"bits must be in 1..62, got {n}")
-        cols = _sobol_cols(spec.get("dim"), n)
-        if end > 1 << n:
-            raise DomainError(f"index {start} + count {count} exceeds the 2^{n} period")
-        return digital_outputs(cols, 2, start, count), 1 << n
-    if fam == "niederreiter":  # dim 0 (polynomial x) is bit reversal; `skip` drops a warm-up
-        n = spec.get("bits")
-        if not 1 <= n <= 32:
-            raise ConfigurationError(f"bits must be in 1..32, got {n}")
-        skip = spec.get("skip")
-        if skip < 0:
-            raise DomainError(f"skip must be non-negative, got {skip}")
-        first = skip + start
-        if first + count > 1 << 63:  # the index bits, and so the columns, fit in 63
-            raise DomainError(f"skip + count must be at most 2^63, got {first + count}")
-        cols = _niederreiter_cols(spec.get("dim"), max(n, (first + count - 1).bit_length()), n)
-        return digital_outputs(cols, 2, first, count), 1 << n
     if fam == "lfsr":
         n = spec.get("bits")
         return _lfsr(spec.get("taps"), spec.get("seed"), end, n)[start:], 1 << n
@@ -513,51 +495,65 @@ def sequence_thresholds(spec, count, bits=8, start=0):
     return _floor_scaled(*sequence_numerators(spec, count, start), bits)
 
 
-def _digit_base(spec):
-    """(base, Faure dimension) of a digit-reversal spec, validated."""
+def _generator(spec, start, count):
+    """(cols, p, first, den, dtype), checked: a linear spec's run of `count`
+    values from index `start` is what `digital_outputs` makes of them, over den.
+
+    Binary-matrix families emit n-bit integers, column k the image of index bit
+    k under a GF(2) matrix.  Niederreiter's dim 0 (polynomial x) is bit
+    reversal, and its `skip` drops a warm-up: its run begins at skip + start.
+    Digit families give every index L base-p digits (zero padding mirrors to
+    trailing zeros, so values do not change), in int64 unless p^L or a Faure
+    digit's sum of L terms below p^2 could overflow it.  Unscrambled, digit t
+    of the index is digit L-1-t of the value: column t is the weight
+    p^(L-1-t), disjoint bits at p = 2.  Faure's dimensions above 0 scramble
+    the digits by the Pascal matrix power C^dim mod p, whose columns are digit
+    vectors.
+    """
     fam = spec.family
+    if fam in ("sobol", "niederreiter"):
+        n, top = spec.get("bits"), 62 if fam == "sobol" else 32
+        if not 1 <= n <= top:
+            raise ConfigurationError(f"bits must be in 1..{top}, got {n}")
+        if fam == "sobol":
+            cols = _sobol_cols(spec.get("dim"), n)
+            if start + count > 1 << n:
+                raise DomainError(f"index {start} + count {count} exceeds the 2^{n} period")
+            return cols, 2, start, 1 << n, np.int64
+        skip = spec.get("skip")
+        if skip < 0:
+            raise DomainError(f"skip must be non-negative, got {skip}")
+        first = skip + start
+        if first + count > 1 << 63:  # the index bits, and so the columns, fit in 63
+            raise DomainError(f"skip + count must be at most 2^63, got {first + count}")
+        cols = _niederreiter_cols(spec.get("dim"), max(n, (first + count - 1).bit_length()), n)
+        return cols, 2, first, 1 << n, np.int64
     if fam == "hammersley":
         d = spec.get("dim")
         if d not in (0, 1):
             raise ConfigurationError(f"hammersley dim must be 0 or 1, got {d}")
-        return (2, 3)[d], 0
-    p = spec.get("prime" if fam == "faure" else "base")
-    if fam != "vdc":
-        _check_prime(p, fam)
-    if p < 2:
-        raise ConfigurationError(f"vdc base must be >= 2, got {p}")
-    dim = spec.get("dim") if fam == "faure" else 0
-    if dim < 0:
-        raise ConfigurationError(f"faure dimension must be >= 0, got {dim}")
-    return p, dim
-
-
-def _radical_inverse(spec, start, count):
-    """(numerators, p^L): a digit family's values at start.. over one denominator.
-
-    Every index gets L base-p digits (zero padding mirrors to trailing zeros,
-    so values do not change), in int64 unless p^L or a Faure digit's sum of L
-    terms below p^2 could overflow it.  Unscrambled, digit t of the index is
-    digit L-1-t of the value: `digital_outputs` sums the columns p^(L-1-t),
-    disjoint bits at p = 2.  Faure's dimensions above 0 scramble the digits
-    by the Pascal matrix power C^dim mod p, whose columns it sums as digit
-    vectors into one (count, L) matrix, reduced mod p in place and weighted.
-    """
-    p, dim = _digit_base(spec)
+        p, dim = (2, 3)[d], 0
+    else:
+        p = spec.get("prime" if fam == "faure" else "base")
+        if fam != "vdc":
+            if p >= 1 << 81:  # past the range where _is_prime is exact
+                raise ConfigurationError(f"{fam} base must be below 2^81, got {p}")
+            if not _is_prime(p):
+                raise ConfigurationError(f"{fam} base must be prime, got {p}")
+        if p < 2:
+            raise ConfigurationError(f"vdc base must be >= 2, got {p}")
+        dim = spec.get("dim") if fam == "faure" else 0
+        if dim < 0:
+            raise ConfigurationError(f"faure dimension must be >= 0, got {dim}")
     width = 1
     while p**width < start + count:
         width += 1
     dtype = np.int64 if p**width < 1 << 62 and width * (p - 1) ** 2 < 1 << 63 else object
-    weights = [p**t for t in reversed(range(width))]
-    if not dim:
-        return digital_outputs(weights, p, start, count, dtype), p**width
-
-    # column r of C^dim: entry j is C(r, j) * dim^(r-j) mod p, and 0 for j > r
-    cols = np.array([[math.comb(r, j) * pow(dim, r - j, p) % p if j <= r else 0
-                      for j in range(width)] for r in range(width)], dtype)
-    digits = digital_outputs(cols, p, start, count, dtype)
-    digits %= p
-    return digits @ np.array(weights, dtype), p**width
+    cols = [p**t for t in reversed(range(width))]
+    if dim:  # column r of C^dim: entry j is C(r, j) * dim^(r-j) mod p, and 0 for j > r
+        cols = np.array([[math.comb(r, j) * pow(dim, r - j, p) % p if j <= r else 0
+                          for j in range(width)] for r in range(width)], dtype)
+    return cols, p, start, p**width, dtype
 
 
 def _floor_scaled(num, den, bits):

@@ -164,16 +164,19 @@ class TestGen:
         assert code == 0
         assert out.split() == ["419543407310238298", "508229676895380373", "596915946480522448"]
 
-    @pytest.mark.parametrize("flags", [
-        ("--family", "halton", "--base", "13", "--index", "7", "--count", "1", "--scale-bits", "64"),
-        ("--family", "sobol", "--dim", "2", "--bits", "8", "--count", "2", "--scale-bits", "64"),
-        ("--family", "halton", "--base", "13", "--count", "3", "--scale-bits", "-1"),
+    @pytest.mark.parametrize("flags, got", [
+        (("--family", "halton", "--base", "13", "--index", "7", "--count", "1"), "64"),
+        (("--family", "sobol", "--dim", "2", "--bits", "8", "--count", "2"), "64"),
+        (("--family", "halton", "--base", "13", "--count", "3"), "-1"),
+        (("--family", "p2lsg", "--base", "4", "--bits", "8", "--count", "2"), "0"),
+        # before the spec's own bits, as the two were checked before
+        (("--family", "sobol", "--bits", "64", "--count", "2"), "0"),
     ])
-    def test_scale_bits_out_of_range(self, capsys, flags):
-        code, out, err = run(capsys, "gen", *flags)
+    def test_scale_bits_out_of_range(self, capsys, flags, got):
+        code, out, err = run(capsys, "gen", *flags, "--scale-bits", got)
         assert code == 2
         assert out == ""
-        assert err.count("\n") == 1 and "bits must be in 1..62" in err
+        assert err == f"sclab: --scale-bits must be in 1..62, got {got}\n"
 
     def test_niederreiter_bits_message_names_the_spec_key(self, capsys):
         code, out, err = run(capsys, "gen", "--family", "niederreiter", "--bits", "40",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -946,14 +947,74 @@ class TestRandomAccess:
             sequence_numerators(spec, 7, 250)
 
 
+# Every linear family's route through sequence_numerators, and every check it
+# runs, in one SHA-256: digit bases either side of the 4096-entry tables and of
+# int64 (object numerators), Faure's scrambled digit vectors (p = 2 sums by
+# XOR), sobol to 62 bits, niederreiter with 63-bit index columns from skips
+# near 2^63, p2lsg, and one spec for each message.  Each cell hashes the
+# numerators' dtype and denominator, their bytes as <i8 (repr(tolist()) for
+# object arrays) and the 8-bit thresholds, or the error's type and text.
+# To re-record it, run from the repository root
+#     PYTHONPATH=src:tests python3 -c "import test_sequences as t; print(t.linear_grid_digest())"
+# on the parent commit for a refactor, or on the change itself for an
+# intended change of values or messages.
+LINEAR_GRID = (
+    "vdc:base=2", "vdc:base=3", "vdc:base=10", "vdc:base=4097", "vdc:base=65537",
+    "vdc:base=4611686018427387847", "halton:base=13", "halton:base=4099",
+    f"halton:base={(1 << 61) - 1}", "hammersley:dim=0", "hammersley:dim=1",
+    "faure:prime=2,dim=0", "faure:prime=2,dim=1", "faure:prime=2,dim=3",
+    "faure:prime=3,dim=3", "faure:prime=5,dim=2", "faure:prime=7,dim=1",
+    "faure:prime=4099,dim=1", "faure:prime=4099,dim=2",
+    "faure:prime=1000003,dim=0", "faure:prime=1000003,dim=1",
+    "sobol:dim=3,bits=20", "sobol:dim=7,bits=62", "sobol:dim=11,bits=4",
+    "niederreiter:dim=2,skip=4096", "niederreiter:dim=4,bits=3",
+    f"niederreiter:dim=5,bits=32,skip={(1 << 63) - (1 << 41)}",
+    f"niederreiter:dim=7,bits=20,skip={(1 << 63) - 4096}",
+    "p2lsg:base=2,bits=62", "p2lsg:base=8,bits=20", "p2lsg:base=16,bits=62",
+    # the checks, each before the next in its family's order
+    "vdc", "vdc:base=1", "vdc:base=-3", "halton:base=12", "halton:base=1",
+    f"halton:base={1 << 81}", "faure:prime=4,dim=-1", "faure:prime=7,dim=-1",
+    "hammersley:dim=2", "hammersley:dim=-1", "sobol:bits=0", "sobol:dim=11,bits=63",
+    "niederreiter:dim=9,bits=33,skip=-1", "niederreiter:dim=9,bits=0",
+    "niederreiter:dim=9,skip=-1", f"niederreiter:dim=9,skip={1 << 63}",
+    "niederreiter:dim=9", "p2lsg:base=3", "p2lsg:base=4,bits=63",
+)
+GRID_RUNS = ((0, 1), (0, 4096), (777, 70001), (1 << 20, 513), ((1 << 40) + 3, 100), (255, 2))
+LINEAR_GRID_DIGEST = "8d6df5d130caf9480185e4e276b279ca6432b708064934ed8d183c2295c83393"
+
+
+def linear_grid_digest():
+    digest = hashlib.sha256()
+    for text in LINEAR_GRID:
+        spec = SequenceSpec.parse(text)
+        for start, count in GRID_RUNS:
+            try:
+                num, den = sequence_numerators(spec, count, start)
+                thresholds = sequence_thresholds(spec, count, 8, start)
+            except (ConfigurationError, DomainError) as exc:
+                digest.update(f"{type(exc).__name__}: {exc}\n".encode())
+                continue
+            digest.update(f"{num.dtype.str} {den}\n".encode())
+            digest.update(repr(num.tolist()).encode() if num.dtype == object
+                          else num.astype("<i8").tobytes())
+            digest.update(thresholds.astype("<i8").tobytes())
+    return digest.hexdigest()
+
+
+def test_linear_grid_bytes_unchanged():
+    assert linear_grid_digest() == LINEAR_GRID_DIGEST
+
+
 # the scalar generators that duplicated sequence_numerators' route, the
 # seeded families' former generator class, the per-family generator
-# functions beside sequence_numerators, and the GF(2) byte-table kernel
-# that digital_outputs replaced
+# functions beside sequence_numerators, the GF(2) byte-table kernel that
+# digital_outputs replaced, and the digit families' own route that
+# _generator replaced
 REMOVED_NAMES = ("gen_vdc", "gen_halton", "gen_hammersley_pair", "gen_faure", "_faure_digits",
                  "gen_weyl", "gen_r2", "sequence_fractions", "group_reverse", "Xorshift64Star",
                  "gen_sobol", "sobol_direction_vectors", "gen_niederreiter", "gen_lfsr",
-                 "gen_latin_hypercube", "gen_poisson_disk", "gf2_outputs")
+                 "gen_latin_hypercube", "gen_poisson_disk", "gf2_outputs", "_radical_inverse",
+                 "_digit_base", "_check_prime")
 
 
 def test_readme_library_sketch_runs_as_written(capsys):
