@@ -6,7 +6,9 @@
 # three rows that share a spec's thresholds across their lengths, whose stdout
 # must keep its recorded SHA-256 (the CSV's run-dependent wall_seconds column
 # cut), then README's streams example against the installed package (not
-# ./src) with every numerator encoded twice over one array, then an RGB `scale` at N = 1024, a chroma-keyed
+# ./src) with every numerator encoded twice over one array, `scc` on one stream
+# pair as CRLF text with \x1c separators and as raw words (one recorded value),
+# then an RGB `scale` at N = 1024, a chroma-keyed
 # `merge` at 256 (run twice, the second time over longer files, which it must
 # rewrite to the same bytes), a matted `merge` at 64 (one all-0/255 row block,
 # whose pixel table is not the identity there) and mattes with a 1-pixel
@@ -139,6 +141,24 @@ for _ in range(2):
         want = sclab.Bitstream.from_bools(np.asarray(ra) < k)
         assert sclab.sng_generate(sclab.FixedUnipolar(k, 8), ra) == want, k
 EOF
+python - <<'EOF'
+# one stream pair as ASCII text (CRLF line ends, a \x1c inside each line),
+# which `scc` parses as bytes, and as raw words
+from pathlib import Path
+import numpy as np
+import sclab
+from sclab.bitstream import dump_stream_raw
+i = np.arange(1000)
+for name, flags in (("sa", i * 7 % 11 < 5), ("sb", i * 5 % 13 < 6)):
+    text = "".join("01"[f] for f in flags.tolist())
+    lines = (text[j:j + 32] + "\x1c" + text[j + 32:j + 64] for j in range(0, len(text), 64))
+    Path(f"{name}.txt").write_bytes("\r\n".join(lines).encode() + b"\r\n")
+    Path(f"{name}.bin").write_bytes(dump_stream_raw(sclab.Bitstream.from_bools(flags)))
+EOF
+out="$(sclab scc --a sa.txt --b sb.txt)"
+test "$out" = 0.001032
+out="$(sclab scc --a sa.bin --b sb.bin --format raw)"
+test "$out" = 0.001032
 python - <<'EOF'
 # media inputs from np.arange patterns, the same bytes on every numpy
 from pathlib import Path

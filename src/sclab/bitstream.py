@@ -7,18 +7,25 @@ strictly greater than the i-th random number.
 
 Stream text is '0'/'1' characters with any whitespace `str.split` skips.  One
 parser reads it for `Bitstream.from01` and `load_stream_ascii` as a byte
-array, and `to01` writes it as one, with no per-character Python loop.
+array, and `to01` writes it as one, with no per-character Python loop.  ASCII
+text (any file `sclab scc` reads as a stream) is encoded as bytes whose ASCII
+whitespace one `bytes.translate` deletes; other text is joined from
+`str.split`, which alone knows the non-ASCII whitespace.  timeit on a 2-core
+Xeon (Python 3.11.7, numpy 2.4.6), 2^20 bits in 64-bit lines: 2.26 ms
+through `str.split`, 1.10 ms as bytes.
 
 Counting ones (`popcount`, `decode_*`, `scc`) takes one of two paths, and the
 stream's size alone decides which.  Up to `_INT_COUNT_WORDS` words the words
 become one Python int whose `int.bit_count()` is the count; above it numpy
 sums `np.bitwise_count` over the words.  The int path costs one bytes copy
 and no numpy dispatch, so it wins on short streams and loses on long ones.
-timeit on a 2-core Xeon (Python 3.11.7, numpy 2.4.6), int against numpy:
+timeit on the same Xeon, int against numpy:
 one count 0.5 against 1.8 us at 16 words, 1.9 against 1.8 us at 128 and
 188 against 17 us at 16384; `scc`'s three counts 1.2 against 7.0 us at 16
 words, 4.6 against 6.5 us at 128 and 8.4 against 7.1 us at 256.  So the
-constant is 128 words (8192 bits).
+constant is 128 words (8192 bits).  `decode_unipolar` and `decode_bipolar`
+take their Fractions from one `lru_cache` of 2048 (numerator, N) pairs, since
+a length has only N + 1 of each: 0.59 against 1.07 us a decode at 16 words.
 
 `sng_generate` caches the threshold arrays it is given again, since a circuit
 encodes many values against one fixed array.  An entry, keyed by the array's
@@ -26,16 +33,22 @@ encodes many values against one fixed array.  An entry, keyed by the array's
 check.  A call is a hit only when its bytes equal them (a memcmp, so an array
 edited in place or a new one at a freed `id` is checked again), and a hit
 skips only the range check.  The first hit builds a read-only table of all
-2^bits streams, and every hit returns a row of it.  An entry (N values plus
-2^bits rows of ceil(N / 64) words) is kept only within `_ENCODER_WORDS`
-words, and at most `_ENCODER_ENTRIES` are kept, the oldest dropped first.
-timeit on the same Xeon: at 8 bits and N = 1024 a miss costs 4.1 us, a hit
-1.3 us and the table 19 us; at 2^14 words a table costs 15-131 us and repays
-itself within 33 hits.  So the cap is 2^14 words: 128 KB an entry, 1 MB in all.
+2^bits streams.  Row k's first hit wraps it as a Bitstream that the entry
+keeps, and every later hit at k returns that same object: streams are
+immutable and their words read-only, so sharing one is safe.  An entry (N
+values plus 2^bits rows of ceil(N / 64) words) is kept only within
+`_ENCODER_WORDS` words, and at most `_ENCODER_ENTRIES` are kept, the oldest
+dropped first.  timeit on the same Xeon: at 8 bits and N = 1024 a miss costs
+4.1 us, a hit 1.0 us (1.8 when each hit sliced its array and wrapped its row
+anew) and the table 19 us; at 2^14 words a table costs 15-131 us and repays
+itself within 33 hits.  So the cap is 2^14 words: 128 KB an entry, 1 MB in
+all.  The kept streams cost about 230 bytes a served numerator besides: 58 KB
+at 8 bits, and at most 1.9 MB for the 8192 rows of a 13-bit entry.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,8 +64,12 @@ _PAD_MASKS = tuple(np.uint64((1 << rem) - 1) for rem in range(WORD_BITS))
 # module docstring gives the measured crossover this is set from
 _INT_COUNT_WORDS = 128
 
+# the ASCII characters str.split skips (its other whitespace is not ASCII)
+_ASCII_SPACE = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
 # the encoder cache: (id, length, bits) of a threshold array -> [its checked
-# int64 bytes, its stream table once the same bytes come again, else None];
+# int64 bytes, its stream table once the same bytes come again, else None,
+# {numerator: the Bitstream of its row} for the rows hits have asked for];
 # the module docstring gives the measured size cap of an entry
 _ENCODERS = {}
 _ENCODER_ENTRIES = 8
@@ -66,23 +83,23 @@ def _ones(words):
     return int(np.add.reduce(np.bitwise_count(words)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FixedUnipolar:
     """An n-bit value numerator/2^n in [0, 1); the universal SC operand."""
 
     numerator: int
     precision_bits: int
 
-    def __post_init__(self):
-        if not 1 <= self.precision_bits <= 62:
-            raise ConfigurationError(
-                f"precision_bits must be in 1..62, got {self.precision_bits}"
-            )
-        if not 0 <= self.numerator < (1 << self.precision_bits):
+    def __init__(self, numerator, precision_bits):
+        # the fields are set past the frozen __setattr__ once both checks pass
+        if not 1 <= precision_bits <= 62:
+            raise ConfigurationError(f"precision_bits must be in 1..62, got {precision_bits}")
+        if not 0 <= numerator < (1 << precision_bits):
             raise DomainError(
-                f"numerator {self.numerator} out of range for "
-                f"{self.precision_bits}-bit precision"
+                f"numerator {numerator} out of range for {precision_bits}-bit precision"
             )
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "precision_bits", precision_bits)
 
     @property
     def value(self):
@@ -250,14 +267,18 @@ def sng_generate(value, rng_values, length=None, rng_bits=None):
             )
         # Python ints past int64, kept as objects: clipped, they fail the range check
         values = np.clip(values, -1, (1 << 63) - 1).astype(np.int64)
-    values = np.asarray(values[:length], dtype=np.int64)
+    if length < values.size or values.dtype != np.int64:
+        values = np.asarray(values[:length], dtype=np.int64)
     k, key = value.numerator, (id(rng_values), length, bits)
     entry = _ENCODERS.get(key)
     if entry is not None and entry[0] == values.tobytes():  # a memcmp of checked values
         if entry[1] is None:  # the same values a second time: build the table
             entry[1] = _stream_table(values, bits)
         if isinstance(k, (int, np.integer)) and 0 <= k < len(entry[1]):
-            return Bitstream._wrap(entry[1][k], length)
+            stream = entry[2].get(k)
+            if stream is None:  # row k's first hit
+                stream = entry[2][k] = Bitstream._wrap(entry[1][k], length)
+            return stream
     else:
         # one bare reduction: a negative value reads as 2^63 or more through uint64
         if np.maximum.reduce(values.view(np.uint64)) >> bits:
@@ -267,7 +288,7 @@ def sng_generate(value, rng_values, length=None, rng_bits=None):
         if length + (-(-length // WORD_BITS) << bits) <= _ENCODER_WORDS:
             if key not in _ENCODERS and len(_ENCODERS) >= _ENCODER_ENTRIES:
                 del _ENCODERS[next(iter(_ENCODERS))]  # the oldest entry
-            _ENCODERS[key] = [values.tobytes(), None]
+            _ENCODERS[key] = [values.tobytes(), None, {}]
     return Bitstream.from_bools(values < k)
 
 
@@ -285,14 +306,19 @@ def _stream_table(values, bits):
     return table
 
 
+# (numerator, N) -> Fraction for both decodings, whose N + 1 values at one N
+# recur across a circuit's many streams; a Fraction is immutable, so it is shared
+_fraction = lru_cache(maxsize=2048)(Fraction)
+
+
 def decode_unipolar(stream):
     """Ones fraction: popcount / N."""
-    return Fraction(stream.popcount(), stream.length)
+    return _fraction(stream.popcount(), stream.length)
 
 
 def decode_bipolar(stream):
     """Signed decoding: 2 * popcount / N - 1."""
-    return Fraction(2 * stream.popcount() - stream.length, stream.length)
+    return _fraction(2 * stream.popcount() - stream.length, stream.length)
 
 
 def scc_from_counts(a, b, c, d):
@@ -339,9 +365,13 @@ def dump_stream_ascii(stream):
 
 def _parse01(text, error):
     """The stream spelled by the '0'/'1' characters of `text`, whitespace (as
-    `str.split` defines it) ignored; any other character raises `error`."""
-    chars = "".join(text.split())
-    codes = np.frombuffer(chars.encode("ascii", "replace"), dtype=np.uint8)
+    `str.split` defines it) ignored; any other character raises `error`.
+    ASCII text drops `_ASCII_SPACE` as bytes; other text takes `str.split`."""
+    if text.isascii():
+        chars = text.encode("ascii").translate(None, _ASCII_SPACE)
+    else:
+        chars = "".join(text.split()).encode("ascii", "replace")
+    codes = np.frombuffer(chars, dtype=np.uint8)
     if codes.size == 0 or np.any((codes | 1) != ord("1")):
         raise error("bit-stream text must be nonempty '0'/'1' characters")
     return Bitstream.from_bools(codes == ord("1"))

@@ -12,6 +12,8 @@ parities under the Laurent-series rows of `niederreiter_rows_oracle`, for
 niederreiter; `lfsr_oracle`, a bit-list register, for lfsr;
 `poisson_disk_oracle`, the all-pairs rule, for poisson_disk.  `fractions`
 reads the package's values as exact rationals to compare against them.
+`parse01_oracle` is the stream-text parser that joins `str.split`'s pieces,
+which the package keeps only for non-ASCII text.
 """
 
 import math
@@ -20,6 +22,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from sclab.bitstream import Bitstream
@@ -55,6 +58,16 @@ def naive_mux4(i11, i12, i21, i22, su, sv):
     for a, b, c, d, u, v in zip(i11, i12, i21, i22, su, sv):
         out.append([[a, b], [c, d]][u][v])
     return out
+
+
+def parse01_oracle(text, error):
+    """The stream of `text`'s '0'/'1' characters with the whitespace
+    `str.split` skips joined away; any other character raises `error`."""
+    chars = "".join(text.split())
+    codes = np.frombuffer(chars.encode("ascii", "replace"), dtype=np.uint8)
+    if codes.size == 0 or np.any((codes | 1) != ord("1")):
+        raise error("bit-stream text must be nonempty '0'/'1' characters")
+    return Bitstream.from_bools(codes == ord("1"))
 
 
 def naive_sng(numerator, rng_values):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import naive_scc, naive_sng
+from conftest import naive_scc, naive_sng, parse01_oracle
 from sclab import bitstream
 from sclab.bitstream import (
     Bitstream,
@@ -51,6 +52,29 @@ class TestFixedUnipolar:
         assert FixedUnipolar.from_value(Fraction(1, 2), 8).numerator == 128
         with pytest.raises(DomainError):
             FixedUnipolar.from_value(1.5, 8)
+
+    def test_a_frozen_dataclass_with_its_own_checks(self):
+        x = FixedUnipolar(3, 2)
+        for field, new in (("numerator", 1), ("precision_bits", 4)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, field, new)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(x, field)
+        # slots leave no room for another name (CPython 3.10-3.11's frozen
+        # __setattr__ raises TypeError for it on a slots class)
+        with pytest.raises((AttributeError, TypeError)):
+            x.other = 0
+        assert not hasattr(x, "__dict__") and (x.numerator, x.precision_bits) == (3, 2)
+        assert x == FixedUnipolar(3, 2) and x != FixedUnipolar(3, 4) and x != (3, 2)
+        assert hash(x) == hash((3, 2)) == hash(FixedUnipolar(3, 2))
+        assert repr(x) == "FixedUnipolar(numerator=3, precision_bits=2)"
+        assert dataclasses.astuple(x) == (3, 2)
+        assert dataclasses.replace(x, numerator=1) == FixedUnipolar(1, 2)
+        assert dataclasses.replace(x, precision_bits=8) == FixedUnipolar(3, 8)
+        with pytest.raises(DomainError, match="^numerator 3 out of range for 1-bit precision$"):
+            dataclasses.replace(x, precision_bits=1)
+        with pytest.raises(ConfigurationError, match="^precision_bits must be in 1..62, got 0$"):
+            dataclasses.replace(x, numerator=-1, precision_bits=0)  # precision is checked first
 
 
 class TestBitstreamPacking:
@@ -140,22 +164,28 @@ class TestBitstreamPacking:
         assert load_stream_ascii(dump_stream_ascii(s)) == s
 
     # every character str.split() treats as whitespace is skipped; anything else
-    # that is not an ASCII '0'/'1' (non-ASCII digits included) is rejected
-    @given(st.text(st.sampled_from(
-        "0011 \t\n\r\v\f\x1c\x1d\x1e\x1f\x85\u00a0\u2028\u3000"
-        "2a?\x00\u0660\u0661\u00b9\uff11\U0001d7ce"
-    ), max_size=200))
+    # that is not an ASCII '0'/'1' (non-ASCII digits included) is rejected, with
+    # the split/join parser's exception and message; all-ASCII text (the byte
+    # route) is drawn on its own too, since a long mixed draw is rarely ASCII
+    @given(st.one_of(
+        st.text(st.sampled_from("0011 \t\n\r\v\f\x1c\x1d\x1e\x1f2a?\x00"), max_size=200),
+        st.text(st.sampled_from(
+            "0011 \t\n\r\v\f\x1c\x1d\x1e\x1f\x85\u00a0\u2028\u3000"
+            "2a?\x00\u0660\u0661\u00b9\uff11\U0001d7ce"
+        ), max_size=200),
+    ))
     def test_text_parse_matches_per_character_rule(self, text):
         chars = "".join(text.split())
-        if chars and set(chars) <= {"0", "1"}:
-            want = Bitstream.from_bits([int(c) for c in chars])
-            assert Bitstream.from01(text) == want
-            assert load_stream_ascii(text) == want
-        else:
-            with pytest.raises(DomainError):
-                Bitstream.from01(text)
-            with pytest.raises(ParseError):
-                load_stream_ascii(text)
+        for parse, error in ((Bitstream.from01, DomainError), (load_stream_ascii, ParseError)):
+            try:
+                want = parse01_oracle(text, error)
+            except error as exc:
+                with pytest.raises(error) as got:
+                    parse(text)
+                assert type(got.value) is error and str(got.value) == str(exc)
+                assert not (chars and set(chars) <= {"0", "1"})
+            else:
+                assert parse(text) == want == Bitstream.from_bits([int(c) for c in chars])
 
     def test_serialization_ascii(self):
         s = Bitstream.from_bits([random.Random(1).randint(0, 1) for _ in range(130)])
@@ -263,8 +293,8 @@ class TestSng:
 
 class TestEncoderCache:
     """sng_generate's cache of threshold arrays: a hit (same id, length,
-    precision and int64 bytes) returns a table row that must equal the
-    comparator stream, and nothing else may change."""
+    precision and int64 bytes) returns the entry's stream of a table row, which
+    must equal the comparator stream, and nothing else may change."""
 
     @pytest.fixture(autouse=True)
     def empty_cache(self, monkeypatch):
@@ -285,6 +315,22 @@ class TestEncoderCache:
             for k in range(256):
                 assert sng_generate(FixedUnipolar(k, 8), thr) == self.oracle(thr, k)
         assert len(self.tables()) == 1
+
+    def test_hits_share_one_stream_for_each_numerator_served(self):
+        thr = np.random.default_rng(5).integers(0, 256, 300)
+        miss = sng_generate(FixedUnipolar(9, 8), thr)  # stores the checked bytes
+        (entry,) = bitstream._ENCODERS.values()
+        assert entry[1] is None and entry[2] == {}
+        hits = [sng_generate(FixedUnipolar(k, 8), thr) for k in (9, 200, 9, 200, 9)]
+        assert hits[0] is hits[2] is hits[4] and hits[1] is hits[3]
+        assert hits[0] is not miss and hits[0] == miss == self.oracle(thr, 9)
+        assert hits[1] == self.oracle(thr, 200)
+        # a numpy numerator finds the stream an int one made, and the reverse
+        assert sng_generate(FixedUnipolar(np.int64(200), 8), thr) is hits[1]
+        assert sng_generate(FixedUnipolar(np.uint8(31), 8), thr) is sng_generate(
+            FixedUnipolar(31, 8), thr)
+        assert sorted(entry[2]) == [9, 31, 200] and len(entry[1]) == 256
+        assert all(s.words.base is entry[1] for s in entry[2].values())
 
     @pytest.mark.parametrize("length", [1, 37, 64, 65, 200])
     def test_length_prefixes(self, length):
@@ -381,6 +427,26 @@ class TestEncoderCache:
 
 
 class TestDecode:
+    @pytest.mark.parametrize("n", [1, 63, 64, 1024, 1 << 20])
+    def test_cached_fractions_equal_the_counts(self, n):
+        rng = np.random.default_rng(n)
+        streams = [Bitstream.zeros(n), Bitstream.ones(n)]
+        streams += [Bitstream.from_bools(rng.random(n) < p) for p in (0.1, 0.5, 0.9)]
+        for _ in range(2):  # a miss, then a hit
+            for s in streams:
+                ones = int(s.bools().sum())
+                got = (decode_unipolar(s), decode_bipolar(s))
+                assert got == (Fraction(ones, n), Fraction(2 * ones - n, n))
+                assert all(type(x) is Fraction for x in got)
+
+    def test_the_cache_is_bounded(self):
+        for n in range(1, 1500):
+            for s in (Bitstream.zeros(n), Bitstream.ones(n)):
+                assert decode_unipolar(s) == Fraction(s.popcount(), n)
+                assert decode_bipolar(s) == Fraction(2 * s.popcount() - n, n)
+        info = bitstream._fraction.cache_info()
+        assert info.maxsize == 2048 and info.currsize <= info.maxsize
+
     def test_unipolar_examples(self):
         assert decode_unipolar(Bitstream.from01("1100")) == Fraction(1, 2)
         assert decode_unipolar(Bitstream.ones(8)) == 1
